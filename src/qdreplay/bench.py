@@ -318,30 +318,6 @@ class RunResult:
         return self.selected_stage_counts.get(stage, 0) / total
 
 
-class _WindowIndex:
-    """Deterministic global ordering over all valid (episode, start) windows."""
-
-    def __init__(self, buffer: ReplayBuffer, horizon: int):
-        self.buffer = buffer
-        self.horizon = horizon
-        self.pairs: list[tuple[int, int]] = []
-        self.position: dict[tuple[int, int], int] = {}
-        self._signature: tuple[int, int] | None = None
-        self.sync()
-
-    def sync(self) -> None:
-        episodes = self.buffer.episodes
-        signature = (episodes[0].id, episodes[-1].id) if episodes else None
-        if signature == self._signature:
-            return
-        self.pairs = self.buffer.valid_windows(self.horizon)
-        self.position = {pair: i for i, pair in enumerate(self.pairs)}
-        self._signature = signature
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 def run_loop(
     config: LoopConfig,
     variant: Variant,
@@ -383,13 +359,13 @@ def run_loop(
     # Pretraining pass on the warm-start logs, identical for every variant, so
     # online collection starts from a competent policy instead of cloning noise.
     pretrain_rng = np.random.default_rng(pretrain_ss)
-    warm_pairs = buffer.valid_windows(config.horizon) if len(buffer) else []
-    if warm_pairs:
+    warm_count = buffer.window_count(config.horizon)
+    if warm_count:
         unit = np.ones(config.batch_size)
         for _ in range(config.pretrain_steps):
-            picks = pretrain_rng.integers(0, len(warm_pairs), size=config.batch_size)
-            windows = [buffer.materialize(*warm_pairs[i], config.horizon) for i in picks]
-            policy.weighted_update(windows, unit, config.learning_rate)
+            picks = pretrain_rng.integers(0, warm_count, size=config.batch_size)
+            policy.weighted_update(buffer.gather(picks, config.horizon), unit,
+                                   config.learning_rate)
 
     collect_rng = np.random.default_rng(collect_ss)
     pool_rng = np.random.default_rng(pool_ss)
@@ -397,7 +373,6 @@ def run_loop(
     replay_rng = np.random.default_rng(replay_ss)
     pseudo_rng = np.random.default_rng(pseudo_ss)
 
-    index = _WindowIndex(buffer, config.horizon)
     result = RunResult(variant=variant, seed=seed, metrics=[], selection_events=[])
     state: dict = {"pool": None, "embeddings": None, "similarity": None, "selection": None}
     grad_step = 0
@@ -433,27 +408,23 @@ def run_loop(
         state["embeddings"] = embeddings
         state["similarity"] = similarity
         state["selection"] = chosen
-        index.sync()
-        global_ids = [index.position[(pool[i].episode_id, pool[i].start)] for i in chosen]
-        event = {"step": grad_step, "Y": global_ids, "logdet": float(logdet)}
+        event = {"step": grad_step, "Y": selection_global_ids().tolist(),
+                 "logdet": float(logdet)}
         result.selection_events.append(event)
         if audit_callback:
             audit_callback(event)
         for i in chosen:
             result.selected_stage_counts[pool[i].stage_label] += 1
 
-    def selection_global_ids() -> list[int]:
-        pool = state["pool"]
-        return [
-            index.position[pair]
-            for pair in ((pool[i].episode_id, pool[i].start) for i in state["selection"])
-            if pair in index.position
-        ]
+    def selection_global_ids() -> np.ndarray:
+        selected = [state["pool"][i] for i in state["selection"]]
+        return buffer.window_ids([w.episode_id for w in selected], [w.start for w in selected],
+                                 config.horizon)
 
     for ep in range(config.episodes):
         transitions, _ = rollout(env, policy, collect_rng, config.rtg_target)
         buffer.append_episode(Episode(id=buffer.new_episode_id(), transitions=transitions))
-        index.sync()
+        window_count = buffer.window_count(config.horizon)
 
         for _ in range(config.updates_per_episode):
             if variant is not Variant.UNIFORM and (
@@ -461,19 +432,18 @@ def run_loop(
             ):
                 refresh()
             if variant is Variant.UNIFORM:
-                batch = mixed_sample([], len(index), config.batch_size, 0.0, replay_rng)
+                batch = mixed_sample([], window_count, config.batch_size, 0.0, replay_rng)
             else:
                 y_ids = selection_global_ids()
-                if not y_ids:  # selection fully evicted: rebuild off-cadence
+                if not y_ids.size:  # selection fully evicted: rebuild off-cadence
                     refresh()
                     y_ids = selection_global_ids()
-                batch = mixed_sample(y_ids, len(index), config.batch_size, config.eta, replay_rng)
+                batch = mixed_sample(y_ids, window_count, config.batch_size, config.eta,
+                                     replay_rng)
             batch = normalize_weights(batch, config.weight_mode)
-            windows = [
-                buffer.materialize(*index.pairs[idx], config.horizon)
-                for idx, _ in batch.entries
-            ]
-            policy.weighted_update(windows, batch.weights, config.learning_rate)
+            ids = [idx for idx, _ in batch.entries]
+            policy.weighted_update(buffer.gather(ids, config.horizon), batch.weights,
+                                   config.learning_rate)
             grad_step += 1
 
         if (ep + 1) % config.eval_every == 0:

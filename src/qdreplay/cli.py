@@ -17,7 +17,7 @@ from .kernels import build_joint_kernel, greedy_map
 from .policy import LinearSoftmaxPolicy
 from .replay import WeightMode
 from .scoring import composite_quality
-from .windows import JsonlParseError, load_jsonl
+from .windows import JsonlParseError, NoValidWindowsError, load_jsonl
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -26,10 +26,6 @@ EXIT_NUMERICAL = 4
 
 
 class ConfigError(Exception):
-    pass
-
-
-class EmptyInputError(Exception):
     pass
 
 
@@ -157,10 +153,8 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
     ss = np.random.SeedSequence(seed)
     policy_ss, pool_ss, score_ss = ss.spawn(3)
 
-    try:
-        pool = buffer.sample_candidate_pool(loop.pool_size, loop.horizon, np.random.default_rng(pool_ss))
-    except ValueError as exc:
-        raise EmptyInputError(str(exc)) from exc
+    pool = buffer.sample_candidate_pool(loop.pool_size, loop.horizon,
+                                        np.random.default_rng(pool_ss))
     policy = LinearSoftmaxPolicy(
         state_dim=buffer.state_dim,
         action_count=loop.action_count,
@@ -322,7 +316,7 @@ def main(argv=None) -> int:
     except (ConfigError, JsonlParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except EmptyInputError as exc:
+    except NoValidWindowsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     except (np.linalg.LinAlgError, FloatingPointError, ArithmeticError) as exc:
@@ -330,7 +324,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY if "no valid windows" in str(exc) else EXIT_CONFIG
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .windows import TrajectoryWindow
+from .windows import TrajectoryWindow, WindowBatch
 
 PARAMS_FORMAT_VERSION = 1
 
@@ -27,7 +27,7 @@ class SequencePolicy(Protocol):
     def action_log_prob(self, window: TrajectoryWindow, step: int) -> float: ...
 
     def weighted_update(
-        self, batch: Sequence[TrajectoryWindow], weights: Sequence[float], learning_rate: float
+        self, batch: WindowBatch, weights: Sequence[float], learning_rate: float
     ) -> float: ...
 
 
@@ -131,32 +131,37 @@ class LinearSoftmaxPolicy:
 
     # ---------------------------------------------------------------- training
 
-    def _batch_terms(self, batch: Sequence[TrajectoryWindow], weights: Sequence[float]):
-        feats, targets, step_w = [], [], []
-        for window, w in zip(batch, weights, strict=True):
-            f = self._step_features(window)
-            feats.append(f)
-            targets.append(np.asarray(window.actions, dtype=int))
-            step_w.append(np.full(window.horizon, float(w)))
-        return np.vstack(feats), np.concatenate(targets), np.concatenate(step_w)
+    def _batch_terms(self, batch: WindowBatch, weights: np.ndarray):
+        """Step features (B*H, feature_dim), taken actions and per-step weights."""
+        count, horizon, dim = batch.states.shape
+        if dim != self.state_dim:
+            raise ValueError(
+                f"state dim mismatch: policy expects {self.state_dim}, batch has {dim}"
+            )
+        if weights.shape != (count,):
+            raise ValueError(f"expected {count} weights, got shape {weights.shape}")
+        inputs = np.concatenate([batch.states, batch.rtg[:, :, None]], axis=2)
+        feats = inputs.reshape(count * horizon, dim + 1) @ self.projection.T
+        targets = np.asarray(batch.actions, dtype=int).reshape(count * horizon)
+        return feats, targets, np.repeat(weights, horizon)
 
-    def batch_loss(self, batch: Sequence[TrajectoryWindow], weights: Sequence[float]) -> float:
+    def batch_loss(self, batch: WindowBatch, weights: Sequence[float]) -> float:
         """Weighted negative log-likelihood of the taken actions."""
         if len(batch) == 0:
             return 0.0
-        feats, targets, step_w = self._batch_terms(batch, weights)
+        feats, targets, step_w = self._batch_terms(batch, np.asarray(weights, dtype=float))
         logits = feats @ self.weights
         logz = _logsumexp_rows(logits)
         nll = logz - logits[np.arange(len(targets)), targets]
         return float(np.dot(step_w, nll))
 
     def weighted_update(
-        self, batch: Sequence[TrajectoryWindow], weights: Sequence[float], learning_rate: float
+        self, batch: WindowBatch, weights: Sequence[float], learning_rate: float
     ) -> float:
         """One gradient-descent step on the weighted NLL; returns pre-step loss."""
         if len(batch) == 0:
             return 0.0
-        w = np.asarray(list(weights), dtype=float)
+        w = np.asarray(weights, dtype=float)
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise ValueError("weights must be positive and finite")
         feats, targets, step_w = self._batch_terms(batch, w)

@@ -1,9 +1,9 @@
-"""Episode storage and fixed-length trajectory window materialization."""
+"""Columnar replay storage, arithmetic window ids, and window gathering."""
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,18 +36,6 @@ class Episode:
     def __len__(self) -> int:
         return len(self.transitions)
 
-    def validate(self) -> None:
-        if len(self.transitions) < 1:
-            raise ValueError("episode must contain at least one transition")
-        for i, tr in enumerate(self.transitions[:-1]):
-            if tr.done:
-                raise ValueError(
-                    f"episode {self.id}: done=True at step {i} before the final transition"
-                )
-        dims = {tr.state.shape for tr in self.transitions}
-        if len(dims) != 1:
-            raise ValueError(f"episode {self.id}: inconsistent state shapes {dims}")
-
 
 @dataclass(frozen=True)
 class TrajectoryWindow:
@@ -68,6 +56,29 @@ class TrajectoryWindow:
     stage_label: int
 
 
+@dataclass(frozen=True)
+class WindowBatch:
+    """B windows of one horizon H as stacked arrays; row b is one window."""
+
+    states: np.ndarray   # (B, H, d_s)
+    actions: np.ndarray  # (B, H) discrete or (B, H, d_a)
+    rewards: np.ndarray  # (B, H)
+    rtg: np.ndarray      # (B, H)
+
+    def __len__(self) -> int:
+        return self.states.shape[0]
+
+
+def stack_windows(windows: Sequence[TrajectoryWindow]) -> WindowBatch:
+    """Stack same-horizon windows into the batch layout ``ReplayBuffer.gather`` returns."""
+    return WindowBatch(
+        states=np.stack([w.states for w in windows]),
+        actions=np.stack([w.actions for w in windows]),
+        rewards=np.stack([w.rewards for w in windows]),
+        rtg=np.stack([w.rtg for w in windows]),
+    )
+
+
 def discounted_window_return(window: TrajectoryWindow, gamma: float) -> float:
     """Discounted reward sum truncated to the window: sum_k gamma^k * r[k]."""
     if window.horizon < 1:
@@ -76,18 +87,102 @@ def discounted_window_return(window: TrajectoryWindow, gamma: float) -> float:
     return float(np.dot(discounts, window.rewards))
 
 
-def window_stage_label(labels) -> int:
-    """Majority stage label over the window's transitions, ties to the smallest."""
-    counts = Counter(int(x) for x in labels)
-    best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    return best[0]
+class NoValidWindowsError(ValueError):
+    """The buffer holds no window of the requested horizon."""
+
+
+class _RowError(ValueError):
+    """An ingest rule broken by the row at position ``row`` of the rows being appended."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+class _Columns:
+    """Named arrays sharing one live row range that grows amortized.
+
+    Rows keep a logical index for life: logical row ``r`` sits at position
+    ``r - first`` of every live view. Dropping rows from the front only
+    advances the head. When the arrays run out of room, the live rows are
+    compacted in place if that frees at least half of the arrays, and moved
+    into arrays of twice the needed size otherwise, so each appended row is
+    copied a constant number of times on average. Columns whose dtype and
+    row shape are known up front can be given empty at construction;
+    otherwise the first ``extend`` creates them.
+    """
+
+    def __init__(self, **empty: np.ndarray):
+        self._arrays: dict[str, np.ndarray] = empty
+        self._head = 0
+        self._tail = 0
+        self.first = 0  # logical index of the first live row
+
+    def __len__(self) -> int:
+        return self._tail - self._head
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._arrays[name][self._head:self._tail]
+
+    def extend(self, **blocks: np.ndarray) -> None:
+        n = len(next(iter(blocks.values())))
+        if not self._arrays:
+            self._arrays = {name: np.asarray(block) for name, block in blocks.items()}
+            self._tail = n
+            return
+        size = len(next(iter(self._arrays.values())))
+        if self._tail + n > size:
+            live = len(self)
+            grow = live + n > size // 2
+            for name, arr in self._arrays.items():
+                target = np.empty((2 * (live + n),) + arr.shape[1:], arr.dtype) if grow else arr
+                target[:live] = arr[self._head:self._tail]
+                self._arrays[name] = target
+            self._head, self._tail = 0, live
+        for name, block in blocks.items():
+            self._arrays[name][self._tail:self._tail + n] = block
+        self._tail += n
+
+    def drop(self, n: int) -> None:
+        self._head += n
+        self.first += n
+
+
+def _action_shape(action) -> tuple[int, ...] | None:
+    """None for a discrete action, the array shape of a continuous one."""
+    return np.shape(action) if isinstance(action, (list, np.ndarray)) else None
+
+
+def _action_kind(shape: tuple[int, ...] | None) -> str:
+    return "discrete" if shape is None else f"continuous of shape {shape}"
+
+
+def _reverse_rtg(rewards: np.ndarray, lengths: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-episode return-to-go by the recurrence rtg[t] = r[t] + gamma * rtg[t+1]."""
+    r = rewards.tolist()
+    out = [0.0] * len(r)
+    end = len(r)
+    for length in reversed(lengths.tolist()):
+        acc = 0.0
+        for t in range(end - 1, end - length - 1, -1):
+            acc = r[t] + gamma * acc
+            out[t] = acc
+        end -= length
+    return np.array(out)
 
 
 class ReplayBuffer:
-    """Append-only episode store with whole-episode FIFO eviction.
+    """Columnar episode store with whole-episode FIFO eviction.
 
-    Capacity is counted in transitions; appending evicts the oldest whole
-    episodes until the total fits again, so every stored window stays valid.
+    Every field is one array over all stored transitions, episode after
+    episode. Capacity is counted in transitions; appending evicts the oldest
+    whole episodes until the total fits again, so every stored window stays
+    valid.
+
+    For a horizon H, the valid windows are numbered episode-major: the
+    stored episodes in order, and within one the starts 0..len-H. A
+    window's id is the number of valid windows in older stored episodes
+    plus its start, so ids shift down when old episodes are evicted.
     """
 
     def __init__(self, capacity: int, gamma: float):
@@ -97,23 +192,25 @@ class ReplayBuffer:
             raise ValueError(f"gamma must be in (0, 1], got {gamma}")
         self.capacity = int(capacity)
         self.gamma = float(gamma)
-        self._episodes: list[Episode] = []
-        self._rtg_cache: dict[int, np.ndarray] = {}
+        self._rows = _Columns()  # states, actions, rewards, stages, done, rtg
+        # id, row (logical index of its first row), length
+        self._episodes = _Columns(**{name: np.zeros(0, dtype=np.int64)
+                                     for name in ("id", "row", "length")})
         self._next_id = 0
-        self._total = 0
 
     def __len__(self) -> int:
-        return self._total
+        return len(self._rows)
 
     @property
-    def episodes(self) -> list[Episode]:
-        return list(self._episodes)
+    def episodes(self) -> Sequence[Episode]:
+        """The stored episodes, oldest first, each rebuilt as an ``Episode`` on access."""
+        return _EpisodeView(self)
 
     @property
     def state_dim(self) -> int | None:
-        if not self._episodes:
+        if not len(self._rows):
             return None
-        return self._episodes[0].transitions[0].state.shape[0]
+        return self._rows["states"].shape[1]
 
     def new_episode_id(self) -> int:
         eid = self._next_id
@@ -121,70 +218,176 @@ class ReplayBuffer:
         return eid
 
     def append_episode(self, episode: Episode) -> None:
-        episode.validate()
-        if len(episode) > self.capacity:
-            raise ValueError(
-                f"episode of {len(episode)} transitions exceeds capacity {self.capacity}"
-            )
-        dim = self.state_dim
-        ep_dim = episode.transitions[0].state.shape[0]
-        if dim is not None and ep_dim != dim:
-            raise ValueError(f"state dim mismatch: buffer has {dim}, episode has {ep_dim}")
-        if self._episodes and episode.id <= self._episodes[-1].id:
-            raise ValueError(
-                f"episode ids must be strictly increasing ({episode.id} after {self._episodes[-1].id})"
-            )
-        self._next_id = max(self._next_id, episode.id + 1)
-        self._episodes.append(episode)
-        self._total += len(episode)
-        self._rtg_cache[episode.id] = self._episode_rtg(episode)
-        while self._total > self.capacity:
-            evicted = self._episodes.pop(0)
-            self._total -= len(evicted)
-            self._rtg_cache.pop(evicted.id, None)
+        trs = episode.transitions
+        self._append(
+            ids=np.array([episode.id], dtype=np.int64),
+            lengths=np.array([len(trs)], dtype=np.int64),
+            states=np.array([tr.state for tr in trs], dtype=float),
+            actions=[tr.action for tr in trs],
+            rewards=np.array([tr.reward for tr in trs], dtype=float),
+            stages=np.array([tr.stage_label for tr in trs], dtype=np.int64),
+            done=np.array([tr.done for tr in trs], dtype=bool),
+        )
 
-    def _episode_rtg(self, episode: Episode) -> np.ndarray:
-        rtg = np.zeros(len(episode))
-        acc = 0.0
-        for t in range(len(episode) - 1, -1, -1):
-            acc = episode.transitions[t].reward + self.gamma * acc
-            rtg[t] = acc
-        return rtg
+    def _append(self, ids: np.ndarray, lengths: np.ndarray, states: np.ndarray,
+                actions: Sequence, rewards: np.ndarray, stages: np.ndarray,
+                done: np.ndarray) -> None:
+        """Check whole episodes given as columns, store them, then evict.
 
-    def valid_windows(self, horizon: int) -> list[tuple[int, int]]:
-        """All (episode_id, start) pairs admitting a length-``horizon`` window."""
+        Episode ``ids[i]`` owns the next ``lengths[i]`` rows; ids are strictly
+        increasing. ``actions`` holds one action per row, not yet a column.
+        Every ingest rule on the rows lives here; one broken by a single row
+        raises ``_RowError`` with that row's position.
+        """
+        if lengths.min() < 1:
+            raise ValueError("episode must contain at least one transition")
+        longest = int(lengths.max())
+        if longest > self.capacity:
+            raise ValueError(f"episode of {longest} transitions exceeds capacity {self.capacity}")
+        if len(self._episodes):
+            last = int(self._episodes["id"][-1])
+            if ids[0] <= last:
+                raise ValueError(
+                    f"episode ids must be strictly increasing ({ids[0]} after {last})"
+                )
+        if states.ndim != 2:
+            raise ValueError(f"states must be vectors of one length, got shape {states.shape}")
+        stored = self._rows["actions"] if len(self._rows) else None
+        if stored is not None and states.shape[1] != self.state_dim:
+            raise ValueError(f"state dim mismatch: buffer has {self.state_dim}, "
+                             f"episode has {states.shape[1]}")
+        kinds = [_action_shape(action) for action in actions]
+        kind = kinds[0] if stored is None else (
+            None if stored.dtype.kind == "i" else stored.shape[1:])
+        for row, action_kind in enumerate(kinds):
+            if action_kind != kind:
+                raise _RowError(row, f"action is {_action_kind(action_kind)}, "
+                                     f"expected {_action_kind(kind)}")
+        step = np.arange(len(rewards)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        problems = {
+            "reward must be finite": ~np.isfinite(rewards),
+            "stage label must be non-negative": stages < 0,
+            "done=True before the final transition": done & (step < np.repeat(lengths - 1,
+                                                                              lengths)),
+        }
+        for message, bad in problems.items():
+            if bad.any():
+                row = int(bad.argmax())
+                episode = np.repeat(ids, lengths)[row]
+                raise _RowError(row, f"episode {episode}, step {step[row]}: {message}")
+
+        first_row = self._rows.first + len(self._rows)
+        self._rows.extend(
+            states=states,
+            actions=np.array(actions, dtype=np.int64 if kind is None else float),
+            rewards=rewards,
+            stages=stages,
+            done=done,
+            rtg=_reverse_rtg(rewards, lengths, self.gamma),
+        )
+        self._episodes.extend(id=ids, row=first_row + np.cumsum(lengths) - lengths,
+                              length=lengths)
+        self._next_id = max(self._next_id, int(ids[-1]) + 1)
+        excess = len(self._rows) - self.capacity
+        if excess > 0:
+            ends = np.cumsum(self._episodes["length"])
+            evicted = int(np.searchsorted(ends, excess)) + 1
+            self._rows.drop(int(ends[evicted - 1]))
+            self._episodes.drop(evicted)
+
+    # ------------------------------------------------------------ window ids
+
+    def _window_offsets(self, horizon: int) -> np.ndarray:
+        """Id of each stored episode's first window, plus the window count at the end."""
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        pairs = []
-        for ep in self._episodes:
-            for start in range(len(ep) - horizon + 1):
-                pairs.append((ep.id, start))
-        return pairs
+        starts = np.maximum(self._episodes["length"] - horizon + 1, 0)
+        return np.concatenate(([0], np.cumsum(starts)))
+
+    def window_count(self, horizon: int) -> int:
+        """Number of valid length-``horizon`` windows, i.e. one past the largest id."""
+        return int(self._window_offsets(horizon)[-1])
+
+    def _locate(self, ids, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """(stored-episode position, start) of each window id."""
+        ids = np.asarray(ids, dtype=np.int64)
+        offsets = self._window_offsets(horizon)
+        if ids.size and (ids.min() < 0 or ids.max() >= offsets[-1]):
+            raise IndexError(f"window ids must lie in [0, {offsets[-1]})")
+        # Episodes too short for a window share their offset with the next
+        # episode; the rightmost match is the one that holds the window.
+        episode = np.searchsorted(offsets, ids, side="right") - 1
+        return episode, ids - offsets[episode]
+
+    def window_ids(self, episode_ids, starts, horizon: int) -> np.ndarray:
+        """Ids of the windows (episode_ids[i], starts[i]), in order.
+
+        Windows whose episode has been evicted have no id and are left out.
+        """
+        episode_ids = np.asarray(episode_ids, dtype=np.int64)
+        starts = np.asarray(starts, dtype=np.int64)
+        stored = self._episodes["id"]
+        if not len(stored):
+            return np.zeros(0, dtype=np.int64)
+        position = np.minimum(np.searchsorted(stored, episode_ids), len(stored) - 1)
+        kept = stored[position] == episode_ids
+        position, starts = position[kept], starts[kept]
+        offsets = self._window_offsets(horizon)
+        if np.any((starts < 0) | (starts >= offsets[position + 1] - offsets[position])):
+            raise ValueError(f"window start out of range for horizon {horizon}")
+        return offsets[position] + starts
+
+    def valid_windows(self, horizon: int) -> list[tuple[int, int]]:
+        """All (episode_id, start) pairs admitting a length-``horizon`` window, in id order."""
+        episode, start = self._locate(np.arange(self.window_count(horizon)), horizon)
+        return list(zip(self._episodes["id"][episode].tolist(), start.tolist()))
+
+    def gather(self, ids, horizon: int) -> WindowBatch:
+        """The windows with the given ids as (B, H, ...) arrays, by one fancy index per field."""
+        episode, start = self._locate(ids, horizon)
+        first = self._episodes["row"][episode] - self._rows.first + start
+        rows = first[:, None] + np.arange(horizon)
+        return WindowBatch(
+            states=self._rows["states"][rows],
+            actions=self._rows["actions"][rows],
+            rewards=self._rows["rewards"][rows],
+            rtg=self._rows["rtg"][rows],
+        )
+
+    # ------------------------------------------------------------ windows
+
+    def _episode_rows(self, episode: int) -> slice:
+        """Live-row slice of the stored episode at position ``episode``."""
+        row = int(self._episodes["row"][episode]) - self._rows.first
+        return slice(row, row + int(self._episodes["length"][episode]))
+
+    def _window(self, episode: int, start: int, horizon: int) -> TrajectoryWindow:
+        row = self._episode_rows(episode).start + start
+        rows = slice(row, row + horizon)
+        # Majority stage over the window; argmax breaks ties to the smallest label.
+        stage = int(np.bincount(self._rows["stages"][rows]).argmax())
+        return TrajectoryWindow(
+            episode_id=int(self._episodes["id"][episode]),
+            start=int(start),
+            horizon=horizon,
+            states=self._rows["states"][rows].copy(),
+            actions=self._rows["actions"][rows].copy(),
+            rewards=self._rows["rewards"][rows].copy(),
+            rtg=self._rows["rtg"][rows].copy(),
+            stage_label=stage,
+        )
 
     def materialize(self, episode_id: int, start: int, horizon: int) -> TrajectoryWindow:
-        ep = self._find(episode_id)
-        if start < 0 or start + horizon > len(ep):
+        stored = self._episodes["id"]
+        episode = int(np.searchsorted(stored, episode_id))
+        if episode == len(stored) or stored[episode] != episode_id:
+            raise KeyError(f"episode {episode_id} not in buffer (evicted?)")
+        length = int(self._episodes["length"][episode])
+        if start < 0 or start + horizon > length:
             raise ValueError(
-                f"window [{start}, {start + horizon}) out of range for episode of length {len(ep)}"
+                f"window [{start}, {start + horizon}) out of range for episode of length {length}"
             )
-        chunk = ep.transitions[start:start + horizon]
-        states = np.stack([tr.state for tr in chunk])
-        if isinstance(chunk[0].action, (int, np.integer)):
-            actions = np.array([int(tr.action) for tr in chunk])
-        else:
-            actions = np.stack([np.asarray(tr.action, dtype=float) for tr in chunk])
-        rewards = np.array([tr.reward for tr in chunk])
-        rtg = self._rtg_cache[episode_id][start:start + horizon].copy()
-        return TrajectoryWindow(
-            episode_id=episode_id,
-            start=start,
-            horizon=horizon,
-            states=states,
-            actions=actions,
-            rewards=rewards,
-            rtg=rtg,
-            stage_label=window_stage_label(tr.stage_label for tr in chunk),
-        )
+        return self._window(episode, start, horizon)
 
     def sample_candidate_pool(self, n: int, horizon: int, seed) -> list[TrajectoryWindow]:
         """Draw min(n, #valid starts) windows uniformly without replacement.
@@ -192,49 +395,73 @@ class ReplayBuffer:
         ``seed`` may be an int or a numpy Generator; the draw is deterministic
         for a given seed and buffer contents.
         """
-        pairs = self.valid_windows(horizon)
-        if not pairs:
-            raise ValueError(f"no valid windows: no stored episode has length >= {horizon}")
+        total = self.window_count(horizon)
+        if total == 0:
+            raise NoValidWindowsError(
+                f"no valid windows: no stored episode has length >= {horizon}"
+            )
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        count = min(int(n), len(pairs))
-        chosen = rng.choice(len(pairs), size=count, replace=False)
-        return [self.materialize(*pairs[i], horizon) for i in chosen]
-
-    def _find(self, episode_id: int) -> Episode:
-        for ep in self._episodes:
-            if ep.id == episode_id:
-                return ep
-        raise KeyError(f"episode {episode_id} not in buffer (evicted?)")
-
-    def has_episode(self, episode_id: int) -> bool:
-        return any(ep.id == episode_id for ep in self._episodes)
+        chosen = rng.choice(total, size=min(int(n), total), replace=False)
+        episode, start = self._locate(chosen, horizon)
+        return [self._window(e, s, horizon) for e, s in zip(episode.tolist(), start.tolist())]
 
 
-def _action_to_json(action):
-    if isinstance(action, (int, np.integer)):
-        return int(action)
-    return [float(x) for x in np.asarray(action).ravel()]
+class _EpisodeView(Sequence):
+    """Read-only sequence over a buffer's stored episodes.
 
+    Counting is O(1); each item is rebuilt from the columns when accessed and
+    reflects the buffer at that moment.
+    """
 
-def _action_from_json(value):
-    if isinstance(value, list):
-        return np.asarray(value, dtype=float)
-    return int(value)
+    def __init__(self, buffer: ReplayBuffer):
+        self._buffer = buffer
+
+    def __len__(self) -> int:
+        return len(self._buffer._episodes)
+
+    def __getitem__(self, index: int) -> Episode:
+        buffer = self._buffer
+        if not -len(self) <= index < len(self):
+            raise IndexError("episode index out of range")
+        index %= len(self)
+        rows, cols = buffer._episode_rows(index), buffer._rows
+        actions = cols["actions"][rows]
+        discrete = actions.dtype.kind == "i"
+        return Episode(id=int(buffer._episodes["id"][index]), transitions=[
+            Transition(
+                state=state.copy(),
+                action=int(action) if discrete else action.copy(),
+                reward=float(reward),
+                stage_label=int(stage),
+                done=bool(done),
+            )
+            for state, action, reward, stage, done in zip(
+                cols["states"][rows], actions, cols["rewards"][rows], cols["stages"][rows],
+                cols["done"][rows])
+        ])
 
 
 def save_jsonl(buffer: ReplayBuffer, path: str | Path) -> None:
     """Export one JSON object per transition with a fixed field order."""
+    cols = buffer._rows
     with open(path, "w") as fh:
-        for ep in buffer.episodes:
-            for t, tr in enumerate(ep.transitions):
+        for episode, eid in enumerate(buffer._episodes["id"].tolist()):
+            rows = buffer._episode_rows(episode)
+            states = cols["states"][rows].tolist()
+            actions = cols["actions"][rows]
+            if actions.dtype.kind != "i":
+                actions = actions.reshape(len(actions), -1)
+            records = zip(states, actions.tolist(), cols["rewards"][rows].tolist(),
+                          cols["stages"][rows].tolist(), cols["done"][rows].tolist())
+            for t, (state, action, reward, stage, done) in enumerate(records):
                 record = {
-                    "episode": ep.id,
+                    "episode": eid,
                     "t": t,
-                    "state": [float(x) for x in tr.state],
-                    "action": _action_to_json(tr.action),
-                    "reward": float(tr.reward),
-                    "stage": int(tr.stage_label),
-                    "done": bool(tr.done),
+                    "state": state,
+                    "action": action,
+                    "reward": reward,
+                    "stage": stage,
+                    "done": done,
                 }
                 fh.write(json.dumps(record) + "\n")
 
@@ -245,9 +472,26 @@ class JsonlParseError(ValueError):
         self.line_number = line_number
 
 
+def _action_from_json(value) -> int | np.ndarray:
+    if isinstance(value, list):
+        return np.asarray(value, dtype=float)
+    return np.int64(int(value))  # raises here, on its line, when out of the int64 range
+
+
 def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.99) -> ReplayBuffer:
-    """Rebuild a buffer from the JSON-lines transition format."""
-    groups: dict[int, list[tuple[int, Transition]]] = {}
+    """Rebuild a buffer from the JSON-lines transition format.
+
+    Lines may come in any order; within an episode, ``t`` must run 0, 1, ...
+    without duplicates or gaps. The episodes then pass the same checks as
+    ``ReplayBuffer.append_episode``. A violation raises ``JsonlParseError``
+    naming the offending line.
+    """
+    with open(path) as fh:
+        count = sum(1 for line in fh if line.strip())
+    episode, step, lines, stages = (np.empty(count, dtype=np.int64) for _ in range(4))
+    rewards, done = np.empty(count), np.empty(count, dtype=bool)
+    states = None  # allocated at the first record, whose state fixes the width
+    actions = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -257,22 +501,44 @@ def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.9
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise JsonlParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+            n = len(actions)
             try:
-                tr = Transition(
-                    state=np.asarray(rec["state"], dtype=float),
-                    action=_action_from_json(rec["action"]),
-                    reward=float(rec["reward"]),
-                    stage_label=int(rec.get("stage", 0)),
-                    done=bool(rec.get("done", False)),
-                )
-                groups.setdefault(int(rec["episode"]), []).append((int(rec["t"]), tr))
-            except (KeyError, TypeError, ValueError) as exc:
+                state = rec["state"]
+                if states is None:
+                    states = np.empty((count, len(state)))
+                if len(state) != states.shape[1]:
+                    raise ValueError(f"state has {len(state)} entries, expected {states.shape[1]}")
+                states[n] = state
+                actions.append(_action_from_json(rec["action"]))
+                rewards[n] = float(rec["reward"])
+                stages[n] = int(rec.get("stage", 0))
+                episode[n], step[n] = int(rec["episode"]), int(rec["t"])
+                done[n] = bool(rec.get("done", False))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise JsonlParseError(lineno, str(exc)) from exc
-    total = sum(len(v) for v in groups.values())
+            lines[n] = lineno
     if capacity is None:
-        capacity = max(total, 1)
+        capacity = max(count, 1)
     buffer = ReplayBuffer(capacity=capacity, gamma=gamma)
-    for eid in sorted(groups):
-        steps = sorted(groups[eid], key=lambda pair: pair[0])
-        buffer.append_episode(Episode(id=eid, transitions=[tr for _, tr in steps]))
+    if count == 0:
+        return buffer
+
+    order = np.lexsort((step, episode))  # stable: duplicates keep file order
+    episode, step, lines = episode[order], step[order], lines[order]
+    ids, first, lengths = np.unique(episode, return_index=True, return_counts=True)
+    expected = np.arange(count) - np.repeat(first, lengths)
+    bad = np.flatnonzero(step != expected)
+    if bad.size:
+        i = bad[0]
+        if i > 0 and episode[i - 1] == episode[i] and step[i - 1] == step[i]:
+            problem = f"duplicate t={step[i]} in episode {episode[i]}"
+        else:
+            problem = f"episode {episode[i]} has t={step[i]} where t={expected[i]} was expected"
+        raise JsonlParseError(int(lines[i]), problem)
+    try:
+        buffer._append(ids=ids, lengths=lengths, states=states[order],
+                       actions=[actions[i] for i in order], rewards=rewards[order],
+                       stages=stages[order], done=done[order])
+    except _RowError as exc:
+        raise JsonlParseError(int(lines[exc.row]), str(exc)) from exc
     return buffer

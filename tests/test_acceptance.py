@@ -31,7 +31,7 @@ from qdreplay.geometry import median_bandwidth, rbf_similarity
 from qdreplay.policy import LinearSoftmaxPolicy
 from qdreplay.replay import estimate_uniform_mean
 from qdreplay.scoring import predictive_uncertainty, rtg_quantile, stage_coverage
-from qdreplay.windows import Episode, ReplayBuffer, Transition
+from qdreplay.windows import Episode, ReplayBuffer, Transition, stack_windows
 
 
 def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -225,17 +225,17 @@ def test_criterion_7_gradient_check():
                                      seed=int(rng.integers(2 ** 31)))
         reference = LinearSoftmaxPolicy.from_json(policy.to_json())
         start = reference.get_params()
-        reference.weighted_update([window], weights, learning_rate=1.0)
+        reference.weighted_update(stack_windows([window]), weights, learning_rate=1.0)
         grad = start - reference.get_params()
 
         for index in rng.choice(start.size, size=5, replace=False):
             params = start.copy()
             params[index] += step
             policy.set_params(params)
-            hi = policy.batch_loss([window], weights)
+            hi = policy.batch_loss(stack_windows([window]), weights)
             params[index] -= 2 * step
             policy.set_params(params)
-            lo = policy.batch_loss([window], weights)
+            lo = policy.batch_loss(stack_windows([window]), weights)
             numeric = (hi - lo) / (2 * step)
             rel = abs(grad[index] - numeric) / max(abs(numeric), 1e-8)
             probes += 1

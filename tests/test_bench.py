@@ -192,6 +192,38 @@ def test_selection_events_reference_valid_windows():
         assert np.isfinite(event["logdet"])
 
 
+def test_selection_ids_lie_below_window_count_at_each_event(monkeypatch):
+    import qdreplay.bench as bench
+
+    buffers = []
+
+    class RecordingBuffer(bench.ReplayBuffer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            buffers.append(self)
+
+    monkeypatch.setattr(bench, "ReplayBuffer", RecordingBuffer)
+    cfg = replace(TINY, episodes=8, capacity=80)  # small enough to evict episodes
+    checked = []
+
+    def audit(event):
+        count = buffers[0].window_count(cfg.horizon)
+        assert event["Y"] and max(event["Y"]) < count
+        assert len(set(event["Y"])) == len(event["Y"])
+        checked.append(count)
+
+    result = run_loop(cfg, Variant.FULL, seed=5, audit_callback=audit)
+    assert len(checked) == len(result.selection_events) > 0
+    assert buffers[0].episodes[0].id > 0
+
+
+def test_loop_runs_without_warmup_episodes():
+    cfg = replace(TINY, warmup_episodes=0)
+    for variant in (Variant.FULL, Variant.UNIFORM):
+        result = run_loop(cfg, variant, seed=6)
+        assert [m.episodes_used for m in result.metrics] == [2, 4]
+
+
 def test_metrics_rates_are_bounded():
     for variant in (Variant.FULL, Variant.UNIFORM):
         result = run_loop(TINY, variant, seed=4)

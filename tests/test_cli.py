@@ -85,9 +85,27 @@ def test_select_without_valid_windows_exits_3(tmp_path):
     assert main(["select", str(path), "--config", str(cfg), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_select_on_empty_buffer_file_exits_3(tmp_path, capsys, text):
+    path = tmp_path / "empty.jsonl"
+    path.write_text(text)
+    assert main(["select", str(path), "--out", str(tmp_path)]) == 3
+    assert "no valid windows" in capsys.readouterr().err
+
+
 def test_malformed_buffer_exits_2_with_line(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"episode": 0, "t": 0, "state": [0.0], "action": 0, "reward": 0.0}\n{broken\n')
+    assert main(["select", str(path), "--out", str(tmp_path)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_mixed_action_kinds_exit_2_with_line(tmp_path, capsys):
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(
+        '{"episode": 0, "t": 0, "state": [0.0], "action": 1, "reward": 0.0}\n'
+        '{"episode": 0, "t": 1, "state": [0.0], "action": [0.5], "reward": 0.0}\n'
+    )
     assert main(["select", str(path), "--out", str(tmp_path)]) == 2
     assert "line 2" in capsys.readouterr().err
 

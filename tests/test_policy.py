@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qdreplay.policy import LinearSoftmaxPolicy
-from qdreplay.windows import Episode, ReplayBuffer, Transition
+from qdreplay.policy import LinearSoftmaxPolicy, _logsumexp_rows
+from qdreplay.windows import Episode, ReplayBuffer, Transition, stack_windows
 
 
 def make_window(states, actions, rewards, gamma=1.0):
@@ -95,7 +95,7 @@ def test_zero_learning_rate_leaves_parameters():
     batch = [random_window(rng) for _ in range(3)]
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=12)
     before = policy.get_params()
-    loss = policy.weighted_update(batch, [1.0, 1.0, 1.0], learning_rate=0.0)
+    loss = policy.weighted_update(stack_windows(batch), [1.0, 1.0, 1.0], learning_rate=0.0)
     assert loss > 0
     np.testing.assert_array_equal(policy.get_params(), before)
 
@@ -107,8 +107,8 @@ def test_doubling_weight_doubles_the_step():
     policy_a = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=14)
     policy_b = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=14)
     start = policy_a.get_params()
-    policy_a.weighted_update([w], [1.0], learning_rate=0.1)
-    policy_b.weighted_update([w], [2.0], learning_rate=0.1)
+    policy_a.weighted_update(stack_windows([w]), [1.0], learning_rate=0.1)
+    policy_b.weighted_update(stack_windows([w]), [2.0], learning_rate=0.1)
     delta_a = policy_a.get_params() - start
     delta_b = policy_b.get_params() - start
     np.testing.assert_allclose(delta_b, 2.0 * delta_a, rtol=1e-12)
@@ -121,8 +121,8 @@ def test_weight_scaling_scales_gradient_exactly():
         policy_a = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=16)
         policy_b = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=16)
         start = policy_a.get_params()
-        policy_a.weighted_update(batch, [1.0, 2.0], learning_rate=1.0)
-        policy_b.weighted_update(batch, [c * 1.0, c * 2.0], learning_rate=1.0)
+        policy_a.weighted_update(stack_windows(batch), [1.0, 2.0], learning_rate=1.0)
+        policy_b.weighted_update(stack_windows(batch), [c * 1.0, c * 2.0], learning_rate=1.0)
         np.testing.assert_allclose(
             policy_b.get_params() - start, c * (policy_a.get_params() - start), rtol=1e-9
         )
@@ -136,7 +136,7 @@ def test_gradient_matches_central_differences():
 
     reference = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=18)
     start = reference.get_params()
-    reference.weighted_update(batch, weights, learning_rate=1.0)
+    reference.weighted_update(stack_windows(batch), weights, learning_rate=1.0)
     grad = start - reference.get_params()  # lr=1 step equals the gradient
 
     step = 1e-5
@@ -146,9 +146,9 @@ def test_gradient_matches_central_differences():
             params[probe] += sign * step
             policy.set_params(params)
             if store == "hi":
-                hi = policy.batch_loss(batch, weights)
+                hi = policy.batch_loss(stack_windows(batch), weights)
             else:
-                lo = policy.batch_loss(batch, weights)
+                lo = policy.batch_loss(stack_windows(batch), weights)
         numeric = (hi - lo) / (2 * step)
         assert abs(grad[probe] - numeric) / max(abs(numeric), 1e-8) < 1e-4
 
@@ -163,7 +163,8 @@ def test_loss_decreases_on_separable_batch():
         batch.append(make_window([s] * 4, [a] * 4, [0.0, 0.0, 0.0, 1.0]))
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=3, seed=20)
     weights = [1.0, 1.0, 1.0]
-    losses = [policy.weighted_update(batch, weights, learning_rate=1e-2) for _ in range(50)]
+    stacked = stack_windows(batch)
+    losses = [policy.weighted_update(stacked, weights, learning_rate=1e-2) for _ in range(50)]
     assert losses[-1] < losses[0]
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
@@ -173,9 +174,9 @@ def test_weighted_update_rejects_bad_weights():
     w = random_window(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=22)
     with pytest.raises(ValueError):
-        policy.weighted_update([w], [-1.0], learning_rate=0.1)
+        policy.weighted_update(stack_windows([w]), [-1.0], learning_rate=0.1)
     with pytest.raises(ValueError):
-        policy.weighted_update([w], [float("nan")], learning_rate=0.1)
+        policy.weighted_update(stack_windows([w]), [float("nan")], learning_rate=0.1)
 
 
 def test_state_dim_mismatch_rejected():
@@ -200,3 +201,36 @@ def test_serialization_rejects_unknown_version():
     payload = policy.to_json().replace('"format_version": 1', '"format_version": 99')
     with pytest.raises(ValueError, match="version"):
         LinearSoftmaxPolicy.from_json(payload)
+
+
+def reference_update(policy, windows, weights, learning_rate):
+    """weighted_update as a loop over windows: features are projected one window at a time."""
+    feats = np.vstack([policy._step_features(w) for w in windows])
+    targets = np.concatenate([np.asarray(w.actions, dtype=int) for w in windows])
+    step_w = np.concatenate([np.full(w.horizon, float(x)) for w, x in zip(windows, weights)])
+    logits = feats @ policy.weights
+    logz = _logsumexp_rows(logits)
+    loss = float(np.dot(step_w, logz - logits[np.arange(len(targets)), targets]))
+    probs = np.exp(logits - logz[:, None])
+    probs[np.arange(len(targets)), targets] -= 1.0
+    grad = feats.T @ (probs * step_w[:, None])
+    policy.weights = policy.weights - learning_rate * grad
+    return loss
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 8])
+@pytest.mark.parametrize("count", [1, 5, 32])
+def test_batched_update_matches_per_window_loop(horizon, count):
+    rng = np.random.default_rng(100 * horizon + count)
+    windows = [random_window(rng, dim=8, horizon=horizon, actions=6) for _ in range(count)]
+    weights = rng.uniform(0.5, 2.0, size=count)
+    batched = LinearSoftmaxPolicy(state_dim=8, action_count=6, seed=27)
+    looped = LinearSoftmaxPolicy(state_dim=8, action_count=6, seed=27)
+    loss = batched.weighted_update(stack_windows(windows), weights, learning_rate=0.1)
+    reference = reference_update(looped, windows, weights, learning_rate=0.1)
+    if horizon >= 2:  # the same BLAS kernels run, so the bits match
+        assert loss == reference
+        np.testing.assert_array_equal(batched.weights, looped.weights)
+    else:  # a single-row product takes BLAS's vector path: rounding differs
+        assert loss == pytest.approx(reference, rel=1e-12)
+        np.testing.assert_allclose(batched.weights, looped.weights, rtol=1e-12, atol=1e-15)

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdreplay.windows import (
     Episode,
+    JsonlParseError,
+    NoValidWindowsError,
     ReplayBuffer,
     Transition,
     discounted_window_return,
@@ -74,6 +80,36 @@ def test_episode_ids_strictly_increasing():
 def test_non_finite_reward_rejected():
     with pytest.raises(ValueError, match="finite"):
         Transition(state=np.zeros(2), action=0, reward=float("nan"))
+
+
+def test_episode_mixing_action_kinds_rejected():
+    trs = [
+        Transition(state=np.zeros(2), action=0, reward=0.0),
+        Transition(state=np.zeros(2), action=np.array([0.5]), reward=0.0, done=True),
+    ]
+    with pytest.raises(ValueError, match="action is continuous"):
+        ReplayBuffer(capacity=10, gamma=0.9).append_episode(Episode(id=0, transitions=trs))
+
+
+def test_empty_episode_rejected():
+    with pytest.raises(ValueError, match="at least one transition"):
+        ReplayBuffer(capacity=10, gamma=0.9).append_episode(Episode(id=0, transitions=[]))
+
+
+def test_empty_buffer_has_no_windows(tmp_path):
+    buf = ReplayBuffer(capacity=10, gamma=0.9)
+    assert len(buf) == 0 and len(buf.episodes) == 0 and buf.state_dim is None
+    assert buf.window_count(3) == 0
+    assert buf.valid_windows(3) == []
+    assert buf.window_ids([0], [0], 3).size == 0
+    with pytest.raises(NoValidWindowsError):
+        buf.sample_candidate_pool(4, 3, seed=0)
+    with pytest.raises(KeyError):
+        buf.materialize(0, 0, 3)
+    path = tmp_path / "empty.jsonl"
+    save_jsonl(buf, path)
+    assert path.read_text() == ""
+    assert load_jsonl(path).window_count(3) == 0
 
 
 def test_rtg_recurrence_holds_within_episode():
@@ -202,4 +238,74 @@ def test_jsonl_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"episode": 0, "t": 0, "state": [0.0], "action": 1, "reward": 0.0}\nnot json\n')
     with pytest.raises(ValueError, match="line 2"):
+        load_jsonl(path)
+
+
+def _assert_gather_matches_materialize(buf, horizon):
+    pairs = buf.valid_windows(horizon)
+    batch = buf.gather(np.arange(len(pairs)), horizon)
+    assert len(batch) == len(pairs)
+    for b, (eid, start) in enumerate(pairs):
+        w = buf.materialize(eid, start, horizon)
+        np.testing.assert_array_equal(batch.states[b], w.states)
+        np.testing.assert_array_equal(batch.actions[b], w.actions)
+        np.testing.assert_array_equal(batch.rewards[b], w.rewards)
+        np.testing.assert_array_equal(batch.rtg[b], w.rtg)
+
+
+def test_gather_matches_materialize_through_fifo_eviction():
+    buf = ReplayBuffer(capacity=60, gamma=0.9)
+    rng = np.random.default_rng(3)
+    for eid in range(40):  # enough appends to grow and compact the columns
+        buf.append_episode(make_episode(eid, int(rng.integers(1, 15)), rng=rng))
+        for horizon in (1, 4):
+            _assert_gather_matches_materialize(buf, horizon)
+    assert buf.episodes[0].id > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.integers(1, 40),
+    horizon=st.integers(1, 6),
+    lengths=st.lists(st.integers(1, 12), min_size=1, max_size=25),
+)
+def test_window_ids_follow_episode_order_under_fifo(capacity, horizon, lengths):
+    buf = ReplayBuffer(capacity=capacity, gamma=0.9)
+    stored: list[tuple[int, int]] = []  # reference FIFO of (episode id, length)
+    for eid, length in enumerate(lengths):
+        length = min(length, capacity)
+        buf.append_episode(make_episode(eid, length, dim=2))
+        stored.append((eid, length))
+        while sum(n for _, n in stored) > capacity:
+            stored.pop(0)
+        assert [ep.id for ep in buf.episodes] == [e for e, _ in stored]
+        assert len(buf) == sum(n for _, n in stored) <= capacity
+        expected = [(e, s) for e, n in stored for s in range(n - horizon + 1)]
+        assert buf.valid_windows(horizon) == expected
+        assert buf.window_count(horizon) == len(expected)
+        ids = buf.window_ids([e for e, _ in expected], [s for _, s in expected], horizon)
+        assert ids.tolist() == list(range(len(expected)))
+        evicted = list(range(stored[0][0]))
+        assert buf.window_ids(evicted, [0] * len(evicted), horizon).size == 0
+    _assert_gather_matches_materialize(buf, horizon)
+
+
+def _record(episode, t, action=1):
+    return {"episode": episode, "t": t, "state": [0.0, 1.0], "action": action,
+            "reward": 0.0, "stage": 0, "done": False}
+
+
+@pytest.mark.parametrize("records, line, message", [
+    ([_record(0, 0), _record(0, 1), _record(0, 1)], 3, "duplicate t=1"),
+    ([_record(0, 0), _record(1, 0), _record(0, 2)], 3, "t=2 where t=1"),
+    ([_record(0, 0), _record(0, 1, action=[0.5]), _record(0, 2)], 2, "continuous"),
+    ([_record(0, 0), {**_record(0, 1), "state": [0.0]}], 2, "state has 1 entries"),
+    ([_record(0, 0), {**_record(0, 1), "reward": float("inf")}], 2, "reward must be finite"),
+    ([_record(0, 0), {**_record(0, 1), "stage": -1}], 2, "non-negative"),
+    ([{**_record(0, 0), "done": True}, _record(0, 1)], 1, "done=True before the final"),
+])
+def test_load_jsonl_rejects_inconsistent_steps_and_actions(tmp_path, records, line, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(JsonlParseError, match=f"line {line}: .*{message}"):
         load_jsonl(path)
