@@ -1,108 +1,41 @@
 """Quality-diversity experience selection with k-DPPs and debiased mixed replay."""
 
-from .bench import (
-    LoopConfig,
-    RunMetrics,
-    RunResult,
-    StageChainEnv,
-    Variant,
-    diversity_metric,
-    evaluate_policy,
-    redundancy_metric,
-    run_ablation,
-    run_loop,
-)
-from .geometry import (
-    SimilarityMatrix,
-    encode_pool,
-    kmeans_stage_labels,
-    median_bandwidth,
-    rbf_similarity,
-)
+from .bench import LoopConfig, StageChainEnv, Variant
+from .geometry import encode_pool, median_bandwidth, rbf_similarity
 from .kernels import (
-    JointKernel,
-    SelectionResult,
     build_joint_kernel,
     exhaustive_map,
     greedy_map,
     kdpp_sample,
     kdpp_subset_probability,
-    log_det,
 )
-from .policy import LinearSoftmaxPolicy, SequencePolicy
-from .replay import (
-    MixedBatch,
-    Source,
-    WeightMode,
-    mixed_sample,
-    normalize_weights,
-    weighted_loss,
-)
-from .scoring import (
-    QualityReport,
-    QualityWeights,
-    composite_quality,
-    normalize_uncertainty,
-    predictive_uncertainty,
-    rtg_quantile,
-    stage_coverage,
-)
-from .windows import (
-    Episode,
-    ReplayBuffer,
-    Transition,
-    TrajectoryWindow,
-    discounted_window_return,
-    load_jsonl,
-    save_jsonl,
-)
+from .policy import LinearSoftmaxPolicy
+from .replay import WeightMode, mixed_sample, normalize_weights
+from .scoring import QualityWeights, composite_quality
+from .windows import Episode, ReplayBuffer, load_jsonl, save_jsonl
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Episode",
-    "JointKernel",
     "LinearSoftmaxPolicy",
     "LoopConfig",
-    "MixedBatch",
-    "QualityReport",
     "QualityWeights",
     "ReplayBuffer",
-    "RunMetrics",
-    "RunResult",
-    "SelectionResult",
-    "SequencePolicy",
-    "SimilarityMatrix",
-    "Source",
     "StageChainEnv",
-    "Transition",
-    "TrajectoryWindow",
     "Variant",
     "WeightMode",
     "build_joint_kernel",
     "composite_quality",
-    "discounted_window_return",
-    "diversity_metric",
     "encode_pool",
-    "evaluate_policy",
     "exhaustive_map",
     "greedy_map",
     "kdpp_sample",
     "kdpp_subset_probability",
-    "kmeans_stage_labels",
     "load_jsonl",
-    "log_det",
     "median_bandwidth",
     "mixed_sample",
-    "normalize_uncertainty",
     "normalize_weights",
-    "predictive_uncertainty",
     "rbf_similarity",
-    "redundancy_metric",
-    "rtg_quantile",
-    "run_ablation",
-    "run_loop",
     "save_jsonl",
-    "stage_coverage",
-    "weighted_loss",
 ]

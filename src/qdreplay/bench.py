@@ -11,11 +11,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import encode_pool, median_bandwidth, rbf_similarity
-from .kernels import DEFAULT_LAMBDA, build_joint_kernel, greedy_map, log_det
-from .policy import LinearSoftmaxPolicy
+from .kernels import (DEFAULT_LAMBDA, JointKernel, SelectionResult, build_joint_kernel,
+                      greedy_map, log_det)
+from .policy import LinearSoftmaxPolicy, SequencePolicy
 from .replay import WeightMode, mixed_sample, normalize_weights
 from .scoring import QualityWeights, composite_quality
-from .windows import Episode, ReplayBuffer, Transition
+from .windows import Episode, ReplayBuffer, TrajectoryWindow, Transition
 
 DIVERSITY_EPS = 1e-6
 
@@ -61,7 +62,9 @@ class StageChainEnv:
         if action_count < 2:
             raise ValueError("need at least two actions")
         if not 0.0 <= noise < 1.0:
-            raise ValueError("noise must be in [0, 1)")
+            raise ValueError(f"action slip (noise) must be in [0, 1), got {noise}")
+        if t_max < 1:
+            raise ValueError("t_max must be >= 1")
         self.num_stages = int(num_stages)
         self.steps_per_stage = tuple(int(s) for s in steps_per_stage)
         self.action_count = int(action_count)
@@ -270,7 +273,14 @@ class LoopConfig:
             raise ValueError("episodes and updates_per_episode must be >= 1")
         if self.eval_every < 1 or self.eval_episodes < 1:
             raise ValueError("eval_every and eval_episodes must be >= 1")
+        if not self.lam >= 0.0:
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if self.sigma is not None and not self.sigma > 0.0:
+            raise ValueError(f"sigma must be median or > 0, got {self.sigma}")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         QualityWeights(self.alpha, self.beta, self.zeta)
+        self.make_env()  # the environment's own parameter checks
 
     def quality_weights(self) -> QualityWeights:
         return QualityWeights(self.alpha, self.beta, self.zeta)
@@ -283,6 +293,62 @@ class LoopConfig:
             noise=self.slip,
             t_max=self.t_max,
         )
+
+
+@dataclass
+class WindowSelection(SelectionResult):
+    """One run of the selection pipeline: the chosen pool positions and its inputs.
+
+    ``gains`` are greedy MAP's marginal log-det gains, empty for a selection
+    not made by greedy MAP; ``logdet`` is the selection's log-det on ``kernel``.
+    """
+
+    pool: list[TrajectoryWindow]
+    embeddings: np.ndarray  # (N, d)
+    similarity: np.ndarray  # (N, N) RBF similarity
+    kernel: JointKernel
+
+
+def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopConfig,
+                   variant: Variant, pool_rng: np.random.Generator,
+                   score_rng: np.random.Generator) -> WindowSelection:
+    """Draw a candidate pool from the buffer and select up to ``subset_size`` of it.
+
+    Pool -> embeddings -> RBF similarity (median bandwidth unless ``sigma`` is
+    set) -> composite quality -> joint kernel -> selection. FULL and
+    DIVERSITY_ONLY select by greedy MAP, QUALITY_ONLY takes the stable top-k
+    by quality, and UNIFORM picks uniformly at random from ``pool_rng``.
+    DIVERSITY_ONLY and UNIFORM use unit quality, so only FULL and
+    QUALITY_ONLY draw a scoring seed from ``score_rng``.
+    """
+    pool = buffer.sample_candidate_pool(config.pool_size, config.horizon, pool_rng)
+    embeddings = encode_pool(pool, policy)
+    sigma = config.sigma if config.sigma is not None else median_bandwidth(embeddings)
+    similarity = rbf_similarity(embeddings, sigma)
+    if variant in (Variant.DIVERSITY_ONLY, Variant.UNIFORM):
+        quality = np.ones(len(pool))
+    else:
+        quality = composite_quality(
+            pool,
+            config.quality_weights(),
+            policy,
+            passes=config.passes,
+            gamma=config.gamma,
+            seed=int(score_rng.integers(2 ** 31)),
+            smoothing_alpha=config.smoothing_alpha,
+        ).composite
+    kernel = build_joint_kernel(similarity, quality, config.lam)
+    k = min(config.subset_size, len(pool))
+    if variant is Variant.QUALITY_ONLY:
+        indices = np.argsort(-quality, kind="stable")[:k].tolist()
+    elif variant is Variant.UNIFORM:
+        indices = pool_rng.choice(len(pool), size=k, replace=False).tolist()
+    else:
+        greedy = greedy_map(kernel.values, k)
+        return WindowSelection(greedy.indices, greedy.gains, greedy.logdet,
+                               pool, embeddings, similarity, kernel)
+    return WindowSelection(indices, [], log_det(kernel.values, indices),
+                           pool, embeddings, similarity, kernel)
 
 
 @dataclass
@@ -328,11 +394,14 @@ def run_loop(
     """Collect / refresh-select / mixed-replay / update until the episode budget ends.
 
     FULL selects via greedy MAP on the quality-diversity kernel;
-    QUALITY_ONLY takes the top-q windows without a kernel; DIVERSITY_ONLY
+    QUALITY_ONLY takes the top-q windows by quality; DIVERSITY_ONLY
     gives every window equal quality before the kernel; UNIFORM performs no
     selection, so every batch is a plain uniform replay with unit weights.
     Selection refreshes when no selection exists yet or at gradient steps
-    divisible by the refresh period. Fully deterministic per (config, seed).
+    divisible by the refresh period. UNIFORM's diversity and redundancy (and
+    stage counts) come from a seeded uniform pseudo-selection of the same
+    size, drawn at metric time: what uniform replay would have put forward.
+    Fully deterministic per (config, seed).
     """
     config.validate()
     ss = np.random.SeedSequence(seed)
@@ -374,50 +443,25 @@ def run_loop(
     pseudo_rng = np.random.default_rng(pseudo_ss)
 
     result = RunResult(variant=variant, seed=seed, metrics=[], selection_events=[])
-    state: dict = {"pool": None, "embeddings": None, "similarity": None, "selection": None}
+    selection: WindowSelection | None = None
     grad_step = 0
 
+    def select(rng: np.random.Generator) -> None:
+        nonlocal selection
+        selection = select_windows(buffer, policy, config, variant, rng, score_rng)
+        result.selected_stage_counts.update(selection.pool[i].stage_label
+                                            for i in selection.indices)
+
     def refresh() -> None:
-        pool = buffer.sample_candidate_pool(config.pool_size, config.horizon, pool_rng)
-        embeddings = encode_pool(pool, policy)
-        sigma = config.sigma if config.sigma is not None else median_bandwidth(embeddings)
-        similarity = rbf_similarity(embeddings, sigma)
-        if variant is Variant.DIVERSITY_ONLY:
-            quality = np.ones(len(pool))
-        else:
-            quality = composite_quality(
-                pool,
-                config.quality_weights(),
-                policy,
-                passes=config.passes,
-                gamma=config.gamma,
-                seed=int(score_rng.integers(2 ** 31)),
-                smoothing_alpha=config.smoothing_alpha,
-            ).composite
-        kernel = build_joint_kernel(similarity, quality, config.lam)
-        k_eff = min(config.subset_size, len(pool))
-        if variant is Variant.QUALITY_ONLY:
-            order = np.argsort(-quality, kind="stable")
-            chosen = [int(i) for i in order[:k_eff]]
-            logdet = log_det(kernel, chosen)
-        else:
-            selection = greedy_map(kernel, k_eff)
-            chosen = selection.indices
-            logdet = selection.logdet
-        state["pool"] = pool
-        state["embeddings"] = embeddings
-        state["similarity"] = similarity
-        state["selection"] = chosen
+        select(pool_rng)
         event = {"step": grad_step, "Y": selection_global_ids().tolist(),
-                 "logdet": float(logdet)}
+                 "logdet": float(selection.logdet)}
         result.selection_events.append(event)
         if audit_callback:
             audit_callback(event)
-        for i in chosen:
-            result.selected_stage_counts[pool[i].stage_label] += 1
 
     def selection_global_ids() -> np.ndarray:
-        selected = [state["pool"][i] for i in state["selection"]]
+        selected = [selection.pool[i] for i in selection.indices]
         return buffer.window_ids([w.episode_id for w in selected], [w.start for w in selected],
                                  config.horizon)
 
@@ -428,7 +472,7 @@ def run_loop(
 
         for _ in range(config.updates_per_episode):
             if variant is not Variant.UNIFORM and (
-                state["selection"] is None or grad_step % config.refresh_period == 0
+                selection is None or grad_step % config.refresh_period == 0
             ):
                 refresh()
             if variant is Variant.UNIFORM:
@@ -450,9 +494,9 @@ def run_loop(
             success = evaluate_policy(
                 policy, eval_env, config.eval_episodes, np.random.default_rng(eval_ss.spawn(1)[0])
             )
-            diversity, redundancy = _selection_quality_metrics(
-                config, variant, state, buffer, policy, pseudo_rng, result
-            )
+            if variant is Variant.UNIFORM:
+                select(pseudo_rng)
+            diversity, redundancy = _selection_quality_metrics(selection)
             point = RunMetrics(
                 gradient_steps=grad_step,
                 episodes_used=ep + 1,
@@ -467,30 +511,12 @@ def run_loop(
     return result
 
 
-def _selection_quality_metrics(config, variant, state, buffer, policy, pseudo_rng, result):
-    """Diversity and redundancy of the active selection.
-
-    UNIFORM has no active selection, so its metrics (and stage counts) come
-    from a seeded uniform pseudo-selection of the same size drawn at metric
-    time; that is what uniform replay would have put forward.
-    """
-    if variant is Variant.UNIFORM:
-        pool = buffer.sample_candidate_pool(config.pool_size, config.horizon, pseudo_rng)
-        embeddings = encode_pool(pool, policy)
-        sigma = config.sigma if config.sigma is not None else median_bandwidth(embeddings)
-        similarity = rbf_similarity(embeddings, sigma)
-        k_eff = min(config.subset_size, len(pool))
-        chosen = [int(i) for i in pseudo_rng.choice(len(pool), size=k_eff, replace=False)]
-        for i in chosen:
-            result.selected_stage_counts[pool[i].stage_label] += 1
-    else:
-        pool = state["pool"]
-        embeddings = state["embeddings"]
-        similarity = state["similarity"]
-        chosen = state["selection"]
-    sub = similarity.values[np.ix_(chosen, chosen)]
-    tau = redundancy_threshold(embeddings)
-    return diversity_metric(sub), redundancy_metric(embeddings[chosen], tau)
+def _selection_quality_metrics(selection: WindowSelection) -> tuple[float, float]:
+    """Diversity and redundancy of a selection within its pool."""
+    chosen = selection.indices
+    sub = selection.similarity[np.ix_(chosen, chosen)]
+    tau = redundancy_threshold(selection.embeddings)
+    return diversity_metric(sub), redundancy_metric(selection.embeddings[chosen], tau)
 
 
 @dataclass

@@ -8,15 +8,17 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .bench import LoopConfig, Variant, run_ablation, run_loop
-from .geometry import encode_pool, median_bandwidth, rbf_similarity
-from .kernels import build_joint_kernel, greedy_map
+from .bench import LoopConfig, Variant, run_ablation, run_loop, select_windows
+# Unused here; the benchmark's tracer wraps these stage functions by name in this module too.
+from .geometry import encode_pool, median_bandwidth, rbf_similarity  # noqa: F401
+from .kernels import build_joint_kernel, greedy_map  # noqa: F401
 from .policy import LinearSoftmaxPolicy
 from .replay import WeightMode
-from .scoring import composite_quality
+from .scoring import composite_quality  # noqa: F401
 from .windows import JsonlParseError, NoValidWindowsError, load_jsonl
 
 EXIT_OK = 0
@@ -29,18 +31,10 @@ class ConfigError(Exception):
     pass
 
 
-_INT_KEYS = {
-    "horizon", "pool_size", "subset_size", "refresh_period", "batch_size",
-    "passes", "episodes", "warmup_episodes", "pretrain_steps", "updates_per_episode",
-    "eval_every", "eval_episodes", "feature_dim", "capacity",
-    "num_stages", "action_count", "t_max",
-}
-_FLOAT_KEYS = {
-    "eta", "alpha", "beta", "zeta", "lam", "gamma", "demo_epsilon",
-    "learning_rate", "dropout_rate", "smoothing_alpha", "rtg_target", "slip",
-}
-_SPECIAL_KEYS = {"sigma", "steps_per_stage", "weight_mode", "seeds", "variant", "buffer", "out"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _SPECIAL_KEYS
+# Every LoopConfig field is a config key of its annotated type; int and float
+# keys parse directly, the others (sigma, steps_per_stage, weight_mode) by hand.
+_FIELD_TYPES = get_type_hints(LoopConfig)
+KNOWN_KEYS = set(_FIELD_TYPES) | {"seeds", "variant", "buffer", "out"}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -85,10 +79,8 @@ def build_settings(raw: dict[str, str], args: argparse.Namespace) -> RunSettings
     loop = LoopConfig()
     updates = {}
     for key, value in raw.items():
-        if key in _INT_KEYS:
-            updates[key] = _coerce(key, value, int)
-        elif key in _FLOAT_KEYS:
-            updates[key] = _coerce(key, value, float)
+        if _FIELD_TYPES.get(key) in (int, float):
+            updates[key] = _coerce(key, value, _FIELD_TYPES[key])
         elif key == "sigma":
             updates[key] = None if value.lower() == "median" else _coerce(key, value, float)
         elif key == "steps_per_stage":
@@ -113,12 +105,14 @@ def build_settings(raw: dict[str, str], args: argparse.Namespace) -> RunSettings
     if seeds is None:
         seeds = [0]
 
-    variant_name = args.variant or raw.get("variant", "FULL")
+    variant_name = getattr(args, "variant", None) or raw.get("variant", "FULL")
     try:
         variant = Variant[variant_name.upper()]
     except KeyError:
         names = ", ".join(v.name for v in Variant)
         raise ConfigError(f"unknown variant {variant_name!r} (choose from {names})")
+    if args.command == "select" and variant is not Variant.FULL:
+        raise ConfigError(f"select runs variant FULL only, got variant {variant.name}")
 
     buffer = getattr(args, "buffer", None) or raw.get("buffer")
     out = Path(args.out or raw.get("out", "."))
@@ -148,13 +142,11 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
     if not Path(settings.buffer).exists():
         raise ConfigError(f"buffer file not found: {settings.buffer}")
     buffer = load_jsonl(settings.buffer, gamma=settings.loop.gamma)
+    if not len(buffer):
+        raise NoValidWindowsError(f"no valid windows: {settings.buffer} holds no transitions")
     loop = settings.loop
     seed = settings.seeds[0]
-    ss = np.random.SeedSequence(seed)
-    policy_ss, pool_ss, score_ss = ss.spawn(3)
-
-    pool = buffer.sample_candidate_pool(loop.pool_size, loop.horizon,
-                                        np.random.default_rng(pool_ss))
+    policy_ss, pool_ss, score_ss = np.random.SeedSequence(seed).spawn(3)
     policy = LinearSoftmaxPolicy(
         state_dim=buffer.state_dim,
         action_count=loop.action_count,
@@ -162,18 +154,9 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
         dropout_rate=loop.dropout_rate,
         seed=policy_ss,
     )
-    embeddings = encode_pool(pool, policy)
-    sigma = loop.sigma if loop.sigma is not None else median_bandwidth(embeddings)
-    similarity = rbf_similarity(embeddings, sigma)
-    report = composite_quality(
-        pool, loop.quality_weights(), policy,
-        passes=loop.passes, gamma=loop.gamma,
-        seed=int(np.random.default_rng(score_ss).integers(2 ** 31)),
-        smoothing_alpha=loop.smoothing_alpha,
-    )
-    kernel = build_joint_kernel(similarity, report.composite, loop.lam)
-    k = min(loop.subset_size, len(pool))
-    selection = greedy_map(kernel, k)
+    selection = select_windows(buffer, policy, loop, Variant.FULL,
+                               np.random.default_rng(pool_ss), np.random.default_rng(score_ss))
+    pool = selection.pool
 
     provenance = _provenance(settings, seed)
     selection_path = settings.out / "selection.json"
@@ -187,7 +170,7 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
     })
     selection_path.write_text(payload + "\n")
     if kernel_dump:
-        kernel.write_csv(settings.out / "kernel.csv", header_comment=provenance)
+        selection.kernel.write_csv(settings.out / "kernel.csv", header_comment=provenance)
     print(f"wrote {selection_path} ({len(selection.indices)} windows)")
     return EXIT_OK
 
@@ -287,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--seed", action="append", type=int, help="seed (repeatable)")
-        p.add_argument("--variant", help="FULL | QUALITY_ONLY | DIVERSITY_ONLY | UNIFORM")
         p.add_argument("--out", help="output directory (default '.')")
 
     p_select = sub.add_parser("select", help="score a stored buffer and select a subset")
@@ -296,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_select)
 
     p_loop = sub.add_parser("loop", help="run the full selection-and-replay loop")
+    p_loop.add_argument("--variant", help="FULL | QUALITY_ONLY | DIVERSITY_ONLY | UNIFORM")
     add_common(p_loop)
 
     p_ablate = sub.add_parser("ablate", help="run all variants over multiple seeds")

@@ -1,43 +1,13 @@
-"""Latent-space geometry: pool embeddings, RBF similarity, stage clustering."""
+"""Latent-space geometry: pool embeddings and RBF similarity."""
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .policy import SequencePolicy
 from .windows import TrajectoryWindow
-
-
-@dataclass
-class SimilarityMatrix:
-    """Symmetric RBF similarity with unit diagonal and entries in (0, 1]."""
-
-    values: np.ndarray
-    bandwidth: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        n, m = self.values.shape
-        if n != m:
-            raise ValueError(f"similarity matrix must be square, got {self.values.shape}")
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    def write_csv(self, path: str | Path, header_comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            for row in self.values:
-                writer.writerow([repr(float(x)) for x in row])
 
 
 def encode_pool(pool: Sequence[TrajectoryWindow], model: SequencePolicy) -> np.ndarray:
@@ -72,69 +42,14 @@ def median_bandwidth(embeddings: np.ndarray) -> float:
     return sigma if sigma > 0.0 else 1.0
 
 
-def rbf_similarity(embeddings: np.ndarray, sigma: float) -> SimilarityMatrix:
-    """S_ij = exp(-||z_i - z_j||^2 / sigma^2), with sigma the distance scale."""
+def rbf_similarity(embeddings: np.ndarray, sigma: float) -> np.ndarray:
+    """S_ij = exp(-||z_i - z_j||^2 / sigma^2), with sigma the distance scale.
+
+    Symmetric with unit diagonal and entries in (0, 1].
+    """
     if sigma <= 0:
         raise ValueError(f"bandwidth must be positive, got {sigma}")
     d = pairwise_distances(embeddings)
     values = np.exp(-(d ** 2) / (sigma ** 2))
     np.fill_diagonal(values, 1.0)
-    return SimilarityMatrix(values=values, bandwidth=float(sigma))
-
-
-def kmeans_stage_labels(embeddings: np.ndarray, k: int, seed) -> np.ndarray:
-    """Seeded k-means++ initialization followed by Lloyd iterations.
-
-    Stops after 100 iterations or when the largest centroid shift drops
-    below 1e-6. Assignment ties go to the lowest centroid index.
-    """
-    z = np.asarray(embeddings, dtype=float)
-    n = z.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n:
-        raise ValueError(f"k={k} exceeds pool size {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-    centroids = _kmeanspp_init(z, k, rng)
-    labels = np.zeros(n, dtype=int)
-    for _ in range(100):
-        d2 = np.sum((z[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)
-        shift = 0.0
-        new_centroids = centroids.copy()
-        for c in range(k):
-            members = z[labels == c]
-            if len(members) == 0:
-                continue  # empty cluster keeps its centroid
-            new_c = members.mean(axis=0)
-            shift = max(shift, float(np.linalg.norm(new_c - centroids[c])))
-            new_centroids[c] = new_c
-        centroids = new_centroids
-        if shift < 1e-6:
-            break
-    d2 = np.sum((z[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1)
-
-
-def _kmeanspp_init(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = z.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = np.sum((z - z[chosen[0]]) ** 2, axis=1)
-    while len(chosen) < k:
-        total = d2.sum()
-        if total <= 0.0:
-            # duplicates left only: pick uniformly among unchosen points
-            remaining = [i for i in range(n) if i not in chosen]
-            nxt = int(remaining[rng.integers(len(remaining))])
-        else:
-            nxt = int(rng.choice(n, p=d2 / total))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((z - z[nxt]) ** 2, axis=1))
-    return z[chosen].copy()
-
-
-def save_embeddings_jsonl(embeddings: np.ndarray, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for i, vec in enumerate(np.asarray(embeddings, dtype=float)):
-            fh.write(json.dumps({"window_id": i, "z": [float(x) for x in vec]}) + "\n")
+    return values

@@ -17,8 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import SimilarityMatrix
-
 DEFAULT_LAMBDA = 1e-3
 # Residual variance below this counts as numerically spanned: greedy stops early.
 EPS_PD = 1e-10
@@ -32,11 +30,6 @@ EIG_RANK_TOL = 1e-10
 class JointKernel:
     values: np.ndarray
     lam: float
-    quality: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
 
     def write_csv(self, path: str | Path, header_comment: str | None = None) -> None:
         """Row-major dump preceded by a one-line (N, lambda) header."""
@@ -44,7 +37,7 @@ class JointKernel:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
             writer = csv.writer(fh)
-            writer.writerow([self.size, repr(float(self.lam))])
+            writer.writerow([self.values.shape[0], repr(float(self.lam))])
             for row in self.values:
                 writer.writerow([repr(float(x)) for x in row])
 
@@ -66,7 +59,7 @@ class SelectionResult:
 
 
 def build_joint_kernel(
-    similarity: SimilarityMatrix | np.ndarray,
+    similarity: np.ndarray,
     quality: Sequence[float],
     lam: float = DEFAULT_LAMBDA,
 ) -> JointKernel:
@@ -76,7 +69,7 @@ def build_joint_kernel(
     geometric mean of the two windows' qualities, so low-quality items lose
     influence on the whole diversity structure.
     """
-    s = similarity.values if isinstance(similarity, SimilarityMatrix) else np.asarray(similarity, dtype=float)
+    s = np.asarray(similarity, dtype=float)
     q = np.asarray(quality, dtype=float)
     if s.shape[0] != s.shape[1]:
         raise ValueError(f"similarity must be square, got {s.shape}")
@@ -89,22 +82,16 @@ def build_joint_kernel(
     root = np.sqrt(q)
     values = (root[:, None] * s) * root[None, :]
     values[np.diag_indices_from(values)] += lam
-    return JointKernel(values=values, lam=float(lam), quality=q.copy())
+    return JointKernel(values=values, lam=float(lam))
 
 
-def _kernel_values(kernel: JointKernel | np.ndarray) -> np.ndarray:
-    if isinstance(kernel, JointKernel):
-        return kernel.values
-    return np.asarray(kernel, dtype=float)
-
-
-def log_det(kernel: JointKernel | np.ndarray, subset: Sequence[int]) -> float:
+def log_det(kernel: np.ndarray, subset: Sequence[int]) -> float:
     """log det of the principal submatrix via Cholesky.
 
     Returns 0 for the empty subset and -inf when a pivot falls at or below
     the singularity threshold.
     """
-    values = _kernel_values(kernel)
+    values = np.asarray(kernel, dtype=float)
     idx = list(subset)
     if len(idx) == 0:
         return 0.0
@@ -125,7 +112,7 @@ def log_det(kernel: JointKernel | np.ndarray, subset: Sequence[int]) -> float:
     return acc
 
 
-def greedy_map(kernel: JointKernel | np.ndarray, k: int) -> SelectionResult:
+def greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
     """Greedy MAP subset of size k by largest marginal log-det gain.
 
     Each step picks the candidate with the largest residual variance
@@ -135,7 +122,7 @@ def greedy_map(kernel: JointKernel | np.ndarray, k: int) -> SelectionResult:
     every remaining residual is at most EPS_PD the selection stops early
     and fewer than k indices are returned.
     """
-    values = _kernel_values(kernel)
+    values = np.asarray(kernel, dtype=float)
     n = values.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -156,13 +143,13 @@ def greedy_map(kernel: JointKernel | np.ndarray, k: int) -> SelectionResult:
     return SelectionResult(indices=indices, gains=gains, logdet=float(sum(gains)))
 
 
-def exhaustive_map(kernel: JointKernel | np.ndarray, k: int) -> SelectionResult:
+def exhaustive_map(kernel: np.ndarray, k: int) -> SelectionResult:
     """Exact argmax of log det over all size-k subsets (verification oracle).
 
     Guarded to C(N, k) <= 10^6 combinations; ties go to the lexicographically
     smallest index set because enumeration is in lexicographic order.
     """
-    values = _kernel_values(kernel)
+    values = np.asarray(kernel, dtype=float)
     n = values.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -191,9 +178,9 @@ def elementary_symmetric(eigvals: np.ndarray, k: int) -> np.ndarray:
     return _esp_table(np.asarray(eigvals, dtype=float), k)[:, len(eigvals)]
 
 
-def kdpp_subset_probability(kernel: JointKernel | np.ndarray, subset: Sequence[int]) -> float:
+def kdpp_subset_probability(kernel: np.ndarray, subset: Sequence[int]) -> float:
     """Exact probability of one size-k subset: det(L_Y) / e_k(eigenvalues)."""
-    values = _kernel_values(kernel)
+    values = np.asarray(kernel, dtype=float)
     n = values.shape[0]
     if n > 20:
         raise ValueError(f"subset probabilities are verification-scale only (N <= 20, got {n})")
@@ -206,14 +193,14 @@ def kdpp_subset_probability(kernel: JointKernel | np.ndarray, subset: Sequence[i
     return max(det, 0.0) / normalizer
 
 
-def kdpp_sample(kernel: JointKernel | np.ndarray, k: int, seed) -> list[int]:
+def kdpp_sample(kernel: np.ndarray, k: int, seed) -> list[int]:
     """Exact size-k DPP draw (verification-scale, N <= 64).
 
     Eigenvectors are first subsampled with the elementary-symmetric-polynomial
     recursion, then items are drawn by sequential orthogonal projection, so
     the output distribution matches kdpp_subset_probability.
     """
-    values = _kernel_values(kernel)
+    values = np.asarray(kernel, dtype=float)
     n = values.shape[0]
     if n > 64:
         raise ValueError(f"exact sampling is verification-scale only (N <= 64, got {n})")

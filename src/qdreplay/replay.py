@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,19 +38,6 @@ class MixedBatch:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def write_csv(self, path: str | Path, header_comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["entry", "window_id", "source", "p", "omega"])
-            for i, (window_id, source) in enumerate(self.entries):
-                writer.writerow([
-                    i, window_id, source.value,
-                    repr(float(self.probabilities[i])),
-                    repr(float(self.weights[i])),
-                ])
 
 
 def inclusion_probability(in_selection: bool, selection_size: int, pool_size: int,
@@ -121,19 +106,6 @@ def normalize_weights(batch: MixedBatch, mode: WeightMode = WeightMode.RAW) -> M
     if mode is WeightMode.RAW or len(batch) == 0:
         return batch
     return replace(batch, weights=batch.weights / batch.weights.mean())
-
-
-def weighted_loss(batch: MixedBatch, per_window_losses: Sequence[float]) -> float:
-    """Importance-weighted loss sum over the batch entries."""
-    losses = np.asarray(per_window_losses, dtype=float)
-    if losses.shape[0] != len(batch):
-        raise ValueError(f"expected {len(batch)} losses, got {losses.shape[0]}")
-    bad = np.flatnonzero(~np.isfinite(losses))
-    if bad.size:
-        raise ValueError(f"non-finite loss at batch entry {int(bad[0])}")
-    if len(batch) == 0:
-        return 0.0
-    return float(np.dot(batch.weights, losses))
 
 
 def estimate_uniform_mean(

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -41,25 +39,6 @@ class QualityReport:
     uncertainty_norm: np.ndarray
     coverage: np.ndarray
     composite: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.composite)
-
-    def write_csv(self, path: str | Path, header_comment: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["window_id", "rtg_q", "u_raw", "u_norm", "rho", "q"])
-            for i in range(len(self)):
-                writer.writerow([
-                    i,
-                    repr(float(self.rtg_quantile[i])),
-                    repr(float(self.uncertainty_raw[i])),
-                    repr(float(self.uncertainty_norm[i])),
-                    repr(float(self.coverage[i])),
-                    repr(float(self.composite[i])),
-                ])
 
 
 def rtg_quantile(window_returns: Sequence[float], target_index: int) -> float:
@@ -133,23 +112,17 @@ def composite_quality(
     gamma: float,
     seed: int,
     smoothing_alpha: float = 0.0,
-    stage_labels: Sequence[int] | None = None,
-    use_episode_rtg: bool = False,
 ) -> QualityReport:
     """Score every window in the pool and combine the three components.
 
     The stochastic passes reuse one dropout mask per pass index across all
     windows, keyed by (seed, m) for m = 1..passes, so reruns with the same
-    seed reproduce bit-identically. ``use_episode_rtg`` switches the return
-    component from the window-truncated discounted sum to the stored
-    episode-level return-to-go at the window start.
+    seed reproduce bit-identically. The return component is the
+    window-truncated discounted reward sum.
     """
     if len(pool) == 0:
         raise ValueError("pool must be non-empty")
-    if use_episode_rtg:
-        returns = np.array([w.rtg[0] for w in pool])
-    else:
-        returns = np.array([discounted_window_return(w, gamma) for w in pool])
+    returns = np.array([discounted_window_return(w, gamma) for w in pool])
     rtg_q = rtg_quantiles(returns)
 
     raw = np.array([
@@ -158,10 +131,7 @@ def composite_quality(
     ])
     u_norm = normalize_uncertainty(raw)
 
-    labels = [w.stage_label for w in pool] if stage_labels is None else list(stage_labels)
-    if len(labels) != len(pool):
-        raise ValueError("stage_labels length must match pool size")
-    rho = stage_coverage(labels, smoothing_alpha)
+    rho = stage_coverage([w.stage_label for w in pool], smoothing_alpha)
 
     q = weights.alpha * rtg_q + weights.beta * u_norm + weights.zeta * rho
     q = np.maximum(q, Q_MIN)

@@ -43,7 +43,7 @@ def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
 
 def _random_similarity(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, max(2, n // 4)))
-    return rbf_similarity(z, median_bandwidth(z)).values
+    return rbf_similarity(z, median_bandwidth(z))
 
 
 def _random_kernel(n: int, rng: np.random.Generator, eig_min: float, eig_max: float) -> np.ndarray:

@@ -18,9 +18,13 @@ from qdreplay.bench import (
     rollout,
     run_ablation,
     run_loop,
+    select_windows,
 )
-from qdreplay.kernels import DEFAULT_LAMBDA
-from qdreplay.geometry import rbf_similarity
+from qdreplay.geometry import median_bandwidth, rbf_similarity
+from qdreplay.kernels import greedy_map, log_det
+from qdreplay.policy import LinearSoftmaxPolicy
+from qdreplay.scoring import composite_quality
+from qdreplay.windows import Episode, ReplayBuffer
 
 
 TINY = LoopConfig(
@@ -118,6 +122,8 @@ def test_env_parameter_validation():
         StageChainEnv(num_stages=2, steps_per_stage=(3,), action_count=3)
     with pytest.raises(ValueError):
         StageChainEnv(noise=1.0)
+    with pytest.raises(ValueError):
+        StageChainEnv(t_max=0)
 
 
 # --------------------------------------------------------------------- metrics
@@ -176,12 +182,75 @@ def test_refresh_cadence_follows_period():
     assert sorted(set(steps)) == steps
 
 
-def test_diversity_only_uses_constant_quality_kernel():
-    from qdreplay.kernels import build_joint_kernel
+# ------------------------------------------------------------------- selection
 
-    s = rbf_similarity(np.random.default_rng(0).standard_normal((6, 2)), 1.0)
-    kernel = build_joint_kernel(s, np.ones(6), DEFAULT_LAMBDA)
-    np.testing.assert_allclose(kernel.values, s.values + DEFAULT_LAMBDA * np.eye(6))
+SELECT = replace(TINY, pool_size=20, subset_size=5)
+
+
+def _select(variant, score_rng=None):
+    """select_windows on a 12-episode demonstration buffer; returns (selection, policy)."""
+    env = SELECT.make_env()
+    buffer = ReplayBuffer(capacity=10_000, gamma=SELECT.gamma)
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        transitions, _ = rollout(env, ScriptedDemonstrator(env, 0.3), rng)
+        buffer.append_episode(Episode(id=buffer.new_episode_id(), transitions=transitions))
+    policy = LinearSoftmaxPolicy(state_dim=env.state_dim, action_count=env.action_count, seed=1)
+    score_rng = score_rng or np.random.default_rng(3)
+    selection = select_windows(buffer, policy, SELECT, variant, np.random.default_rng(2),
+                               score_rng)
+    return selection, policy
+
+
+def _quality(selection, policy):
+    return composite_quality(
+        selection.pool, SELECT.quality_weights(), policy, passes=SELECT.passes,
+        gamma=SELECT.gamma, seed=int(np.random.default_rng(3).integers(2 ** 31)),
+        smoothing_alpha=SELECT.smoothing_alpha).composite
+
+
+def test_full_selection_is_greedy_map_on_its_kernel():
+    selection, policy = _select(Variant.FULL)
+    z = selection.embeddings
+    np.testing.assert_array_equal(selection.similarity, rbf_similarity(z, median_bandwidth(z)))
+    quality = _quality(selection, policy)
+    root = np.sqrt(quality)
+    np.testing.assert_allclose(selection.kernel.values,
+                               root[:, None] * selection.similarity * root[None, :]
+                               + SELECT.lam * np.eye(SELECT.pool_size))
+    greedy = greedy_map(selection.kernel.values, SELECT.subset_size)
+    assert selection.indices == greedy.indices
+    assert selection.gains == greedy.gains
+    assert selection.logdet == greedy.logdet
+
+
+def test_quality_only_takes_stable_top_k_by_quality():
+    selection, policy = _select(Variant.QUALITY_ONLY)
+    quality = _quality(selection, policy)
+    order = sorted(range(SELECT.pool_size), key=lambda i: -quality[i])  # stable
+    assert selection.indices == order[:SELECT.subset_size]
+    assert selection.gains == []
+    assert selection.logdet == log_det(selection.kernel.values, selection.indices)
+
+
+def test_diversity_only_uses_constant_quality_kernel():
+    score_rng = np.random.default_rng(3)
+    untouched = score_rng.bit_generator.state
+    selection, _ = _select(Variant.DIVERSITY_ONLY, score_rng)
+    assert score_rng.bit_generator.state == untouched  # no quality scored
+    np.testing.assert_allclose(selection.kernel.values,
+                               selection.similarity + SELECT.lam * np.eye(SELECT.pool_size))
+    assert selection.indices == greedy_map(selection.kernel.values, SELECT.subset_size).indices
+
+
+def test_uniform_selection_draws_k_distinct_pool_positions():
+    selection, _ = _select(Variant.UNIFORM)
+    full, _ = _select(Variant.FULL)
+    assert [(w.episode_id, w.start) for w in selection.pool] == \
+        [(w.episode_id, w.start) for w in full.pool]  # the pool draw comes first
+    assert len(set(selection.indices)) == len(selection.indices) == SELECT.subset_size
+    assert all(0 <= i < SELECT.pool_size for i in selection.indices)
+    assert selection.logdet == log_det(selection.kernel.values, selection.indices)
 
 
 def test_selection_events_reference_valid_windows():
@@ -246,6 +315,11 @@ def test_config_validation_catches_bad_values():
         replace(TINY, eta=1.5).validate()
     with pytest.raises(ValueError):
         replace(TINY, alpha=0.9).validate()
+    for bad in ({"lam": -0.1}, {"sigma": 0.0}, {"gamma": 0.0}, {"gamma": 2.0},
+                {"slip": 1.0}, {"steps_per_stage": (4, 4)}, {"t_max": 0}):
+        with pytest.raises(ValueError):
+            replace(TINY, **bad).validate()
+    replace(TINY, lam=0.0, sigma=0.5, gamma=0.5).validate()
 
 
 # -------------------------------------------------------------------- ablation

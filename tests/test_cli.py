@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from enum import Enum
 
 import numpy as np
 import pytest
 
-from qdreplay.cli import main
+from qdreplay.bench import LoopConfig
+from qdreplay.cli import KNOWN_KEYS, build_parser, build_settings, main, parse_config_file
 from qdreplay.windows import Episode, ReplayBuffer, Transition, save_jsonl
 
 
@@ -122,6 +125,62 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+def _config_text(config: LoopConfig) -> str:
+    """Every LoopConfig field as a config line holding the field's value."""
+    lines = []
+    for f in fields(LoopConfig):
+        value = getattr(config, f.name)
+        if value is None:
+            text = "median"
+        elif isinstance(value, tuple):
+            text = ",".join(map(str, value))
+        elif isinstance(value, Enum):
+            text = value.name
+        else:
+            text = repr(value)
+        lines.append(f"{f.name} = {text}\n")
+    return "".join(lines)
+
+
+def test_every_loop_config_field_is_a_config_key(tmp_path):
+    assert {f.name for f in fields(LoopConfig)} <= KNOWN_KEYS
+    expected = LoopConfig(horizon=7, lam=0.5, sigma=2.5, slip=0.2, steps_per_stage=(3, 3, 3, 2))
+    cfg = write_config(tmp_path, _config_text(expected))
+    args = build_parser().parse_args(["loop", "--config", str(cfg), "--out", str(tmp_path)])
+    assert build_settings(parse_config_file(cfg), args).loop == expected
+
+
+_NUMBER_KEYS = [f.name for f in fields(LoopConfig) if type(f.default) in (int, float)]
+_INT_KEYS = [f.name for f in fields(LoopConfig) if type(f.default) is int]
+
+
+@pytest.mark.parametrize("line", [f"{key} = 1.5x" for key in _NUMBER_KEYS]
+                         + [f"{key} = 1.5" for key in _INT_KEYS])
+def test_unparseable_number_exits_2_naming_key(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, line + "\n")
+    assert main(["loop", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["lam = -0.1", "sigma = 0", "slip = 1.0",
+                                  "steps_per_stage = 12,12", "gamma = 2", "t_max = 0"])
+def test_bad_value_exits_2_before_any_output(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert main(["loop", "--config", str(cfg), "--out", str(out)]) == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_select_rejects_bad_value_before_reading_buffer(tmp_path, capsys):
+    cfg = write_config(tmp_path, "lam = -1\n")
+    path = tmp_path / "bad.jsonl"
+    path.write_text("{broken\n")
+    assert main(["select", str(path), "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "lam" in err and "line" not in err
+
+
 TINY_LOOP = (
     "horizon = 5\npool_size = 10\nsubset_size = 2\nrefresh_period = 4\n"
     "batch_size = 8\nepisodes = 4\nwarmup_episodes = 6\npretrain_steps = 10\n"
@@ -168,6 +227,36 @@ def test_unknown_variant_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_LOOP)
     assert main(["loop", "--config", str(cfg), "--variant", "BOGUS", "--out", str(tmp_path)]) == 2
     assert "BOGUS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["select", "ablate"])
+def test_variant_flag_is_loop_only(tmp_path, buffer_file, command):
+    args = [command, "--variant", "FULL", "--seed", "1", "--seed", "2", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ([str(buffer_file)] if command == "select" else []))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("variant", ["QUALITY_ONLY", "DIVERSITY_ONLY", "UNIFORM"])
+def test_select_rejects_non_full_variant_before_reading_buffer(tmp_path, capsys, variant):
+    cfg = write_config(tmp_path, f"variant = {variant}\n")
+    path = tmp_path / "bad.jsonl"
+    path.write_text("{broken\n")
+    out = tmp_path / "out"
+    assert main(["select", str(path), "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert variant in err and "line" not in err
+    assert not out.exists()
+
+
+def test_select_accepts_variant_full_key(tmp_path, buffer_file):
+    plain = write_config(tmp_path, "horizon = 5\n")
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text("horizon = 5\nvariant = FULL\n")
+    for cfg, out in ((plain, tmp_path / "a"), (keyed, tmp_path / "b")):
+        assert main(["select", str(buffer_file), "--config", str(cfg), "--out", str(out)]) == 0
+    assert (tmp_path / "a" / "selection.json").read_bytes() == \
+        (tmp_path / "b" / "selection.json").read_bytes()
 
 
 def test_ablate_requires_two_seeds(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from qdreplay.geometry import (
     encode_pool,
-    kmeans_stage_labels,
     median_bandwidth,
     rbf_similarity,
 )
@@ -70,19 +69,19 @@ def test_median_bandwidth_needs_two_points():
 
 def test_rbf_unit_similarity_at_zero_distance():
     s = rbf_similarity(np.array([[1.0, 1.0], [1.0, 1.0]]), sigma=2.0)
-    assert s.values[0, 1] == pytest.approx(1.0)
+    assert s[0, 1] == pytest.approx(1.0)
 
 
 def test_rbf_analytic_point():
     z = np.array([[0.0], [3.0]])
     s = rbf_similarity(z, sigma=3.0)  # squared distance equals sigma^2
-    assert s.values[0, 1] == pytest.approx(math.exp(-1), abs=1e-12)
+    assert s[0, 1] == pytest.approx(math.exp(-1), abs=1e-12)
 
 
 def test_rbf_collinear_example():
     z = np.array([[0.0], [1.0], [2.0]])
     s = rbf_similarity(z, sigma=1.0)
-    assert s.values[0, 2] == pytest.approx(math.exp(-4), rel=1e-12)
+    assert s[0, 2] == pytest.approx(math.exp(-4), rel=1e-12)
 
 
 def test_rbf_requires_positive_bandwidth():
@@ -93,7 +92,7 @@ def test_rbf_requires_positive_bandwidth():
 def test_rbf_matrix_invariants():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((30, 4))
-    s = rbf_similarity(z, median_bandwidth(z)).values
+    s = rbf_similarity(z, median_bandwidth(z))
     assert np.array_equal(s, s.T)
     np.testing.assert_array_equal(np.diag(s), 1.0)
     assert np.all(s > 0) and np.all(s <= 1)
@@ -103,7 +102,7 @@ def test_rbf_positive_semidefinite_random_sets():
     rng = np.random.default_rng(8)
     for n, d in [(8, 2), (32, 5), (64, 10)]:
         z = rng.standard_normal((n, d))
-        s = rbf_similarity(z, median_bandwidth(z)).values
+        s = rbf_similarity(z, median_bandwidth(z))
         assert np.linalg.eigvalsh(s).min() >= -1e-8
 
 
@@ -114,15 +113,15 @@ def test_rbf_invariant_to_rigid_transform():
     moved = z @ q.T + rng.standard_normal(3)
     sigma = median_bandwidth(z)
     np.testing.assert_allclose(
-        rbf_similarity(z, sigma).values,
-        rbf_similarity(moved, sigma).values,
+        rbf_similarity(z, sigma),
+        rbf_similarity(moved, sigma),
         atol=1e-9,
     )
 
 
 def test_rbf_monotone_in_distance():
     z = np.array([[0.0], [0.5], [2.0]])
-    s = rbf_similarity(z, sigma=1.0).values
+    s = rbf_similarity(z, sigma=1.0)
     assert s[0, 1] > s[0, 2]
 
 
@@ -132,40 +131,7 @@ def test_bandwidth_scales_linearly_and_similarity_is_scale_free():
     for c in (0.1, 3.0, 42.0):
         assert median_bandwidth(c * z) == pytest.approx(c * median_bandwidth(z), rel=1e-12)
         np.testing.assert_allclose(
-            rbf_similarity(c * z, median_bandwidth(c * z)).values,
-            rbf_similarity(z, median_bandwidth(z)).values,
+            rbf_similarity(c * z, median_bandwidth(c * z)),
+            rbf_similarity(z, median_bandwidth(z)),
             atol=1e-10,
         )
-
-
-def test_kmeans_recovers_separated_clusters():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((5, 2)) * 0.1
-    b = rng.standard_normal((5, 2)) * 0.1 + 50.0
-    labels = kmeans_stage_labels(np.vstack([a, b]), 2, seed=0)
-    assert len(set(labels[:5])) == 1
-    assert len(set(labels[5:])) == 1
-    assert labels[0] != labels[5]
-
-
-def test_kmeans_single_cluster():
-    z = np.random.default_rng(12).standard_normal((6, 3))
-    assert set(kmeans_stage_labels(z, 1, seed=0)) == {0}
-
-
-def test_kmeans_every_point_its_own_cluster():
-    z = np.arange(10, dtype=float).reshape(5, 2)
-    labels = kmeans_stage_labels(z, 5, seed=3)
-    assert sorted(labels) == list(range(5))
-
-
-def test_kmeans_k_above_n_rejected():
-    with pytest.raises(ValueError, match="exceeds"):
-        kmeans_stage_labels(np.zeros((3, 2)), 4, seed=0)
-
-
-def test_kmeans_deterministic_per_seed():
-    z = np.random.default_rng(13).standard_normal((20, 3))
-    np.testing.assert_array_equal(
-        kmeans_stage_labels(z, 4, seed=5), kmeans_stage_labels(z, 4, seed=5)
-    )

@@ -20,7 +20,7 @@ from qdreplay.kernels import (
 
 def random_similarity(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, max(2, n // 4)))
-    return rbf_similarity(z, median_bandwidth(z)).values
+    return rbf_similarity(z, median_bandwidth(z))
 
 
 def random_psd_kernel(n: int, rng: np.random.Generator, eig_min=0.2, eig_max=5.0) -> np.ndarray:
@@ -209,7 +209,7 @@ def test_exhaustive_full_subset():
 
 def test_exhaustive_avoids_duplicate_rows():
     z = np.array([[0.0, 0.0], [0.0, 0.0], [4.0, 0.0]])
-    kernel = rbf_similarity(z, 1.0).values  # rows 0 and 1 identical
+    kernel = rbf_similarity(z, 1.0)  # rows 0 and 1 identical
     result = exhaustive_map(kernel, 2)
     assert not {0, 1} <= set(result.indices)
 

@@ -13,7 +13,6 @@ from qdreplay.replay import (
     inclusion_probability,
     mixed_sample,
     normalize_weights,
-    weighted_loss,
 )
 
 
@@ -118,38 +117,14 @@ def test_normalize_raw_is_identity():
     np.testing.assert_array_equal(normalize_weights(batch, WeightMode.RAW).weights, batch.weights)
 
 
-def _batch_with_weights(weights):
-    entries = [(i, Source.GLOBAL) for i in range(len(weights))]
-    probs = np.full(len(weights), 0.1)
-    return MixedBatch(entries, 0.0, probs, np.asarray(weights, dtype=float), 0, len(weights))
-
-
-def test_weighted_loss_unweighted_sum():
-    assert weighted_loss(_batch_with_weights([1, 1, 1]), [1, 2, 3]) == pytest.approx(6.0)
-
-
-def test_weighted_loss_weighted_example():
-    assert weighted_loss(_batch_with_weights([2, 0.5]), [1, 4]) == pytest.approx(4.0)
-
-
-def test_weighted_loss_empty_batch():
-    empty = MixedBatch([], 0.0, np.array([]), np.array([]), 0, 1)
-    assert weighted_loss(empty, []) == 0.0
-
-
-def test_weighted_loss_flags_non_finite_entry():
-    with pytest.raises(ValueError, match="entry 1"):
-        weighted_loss(_batch_with_weights([1, 1]), [0.5, float("inf")])
-
-
 def test_mean_one_preserves_loss_argmin():
     rng = np.random.default_rng(6)
     batch = mixed_sample([0, 1], pool_size=20, batch_size=10, eta=0.6, seed=7)
     candidates = [rng.random(len(batch)) for _ in range(5)]
     raw = normalize_weights(batch, WeightMode.RAW)
     scaled = normalize_weights(batch, WeightMode.MEAN_ONE)
-    raw_best = min(range(5), key=lambda i: weighted_loss(raw, candidates[i]))
-    scaled_best = min(range(5), key=lambda i: weighted_loss(scaled, candidates[i]))
+    raw_best = min(range(5), key=lambda i: np.dot(raw.weights, candidates[i]))
+    scaled_best = min(range(5), key=lambda i: np.dot(scaled.weights, candidates[i]))
     assert raw_best == scaled_best
 
 
@@ -170,13 +145,3 @@ def test_raw_weights_debias_to_uniform_mean():
     var_glob = np.var(x, ddof=0)
     se = math.sqrt((eta * var_sel + (1 - eta) * var_glob) / (batch_size * trials))
     assert abs(estimate - truth) <= 4 * se
-
-
-def test_batch_trace_csv(tmp_path):
-    batch = mixed_sample([0, 1], pool_size=6, batch_size=5, eta=0.5, seed=10)
-    path = tmp_path / "trace.csv"
-    batch.write_csv(path, header_comment="seed=10")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=10"
-    assert lines[1] == "entry,window_id,source,p,omega"
-    assert len(lines) == 2 + len(batch)

@@ -191,14 +191,3 @@ def test_composite_deterministic_for_seed():
     b = composite_quality(pool, QualityWeights(0.4, 0.3, 0.3), policy, passes=4, gamma=0.9, seed=7)
     np.testing.assert_array_equal(a.composite, b.composite)
     np.testing.assert_array_equal(a.uncertainty_raw, b.uncertainty_raw)
-
-
-def test_report_csv_columns(tmp_path):
-    pool = _pool_from_rewards([[1.0], [2.0]], stages=[0, 1], gamma=1.0)
-    report = composite_quality(pool, QualityWeights(0.4, 0.3, 0.3), _deterministic_policy(),
-                               passes=2, gamma=1.0, seed=0)
-    path = tmp_path / "quality.csv"
-    report.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "window_id,rtg_q,u_raw,u_norm,rho,q"
-    assert len(lines) == 3
