@@ -5,6 +5,7 @@ from .geometry import encode_pool, median_bandwidth, rbf_similarity
 from .kernels import (
     build_joint_kernel,
     exhaustive_map,
+    fast_greedy_map,
     greedy_map,
     kdpp_sample,
     kdpp_subset_probability,
@@ -29,6 +30,7 @@ __all__ = [
     "composite_quality",
     "encode_pool",
     "exhaustive_map",
+    "fast_greedy_map",
     "greedy_map",
     "kdpp_sample",
     "kdpp_subset_probability",

@@ -12,7 +12,8 @@ import numpy as np
 
 from .geometry import encode_pool, median_bandwidth, rbf_similarity
 from .kernels import (DEFAULT_LAMBDA, JointKernel, SelectionResult, build_joint_kernel,
-                      greedy_map, log_det)
+                      fast_greedy_map, log_det)
+from .kernels import greedy_map  # noqa: F401  perfbench/tracing.py wraps it by name here
 from .policy import LinearSoftmaxPolicy, SequencePolicy
 from .replay import WeightMode, mixed_sample, normalize_weights
 from .scoring import QualityWeights, composite_quality
@@ -344,7 +345,7 @@ def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopCon
     elif variant is Variant.UNIFORM:
         indices = pool_rng.choice(len(pool), size=k, replace=False).tolist()
     else:
-        greedy = greedy_map(kernel.values, k)
+        greedy = fast_greedy_map(kernel.values, k)
         return WindowSelection(greedy.indices, greedy.gains, greedy.logdet,
                                pool, embeddings, similarity, kernel)
     return WindowSelection(indices, [], log_det(kernel.values, indices),

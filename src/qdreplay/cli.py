@@ -111,16 +111,21 @@ def build_settings(raw: dict[str, str], args: argparse.Namespace) -> RunSettings
     except KeyError:
         names = ", ".join(v.name for v in Variant)
         raise ConfigError(f"unknown variant {variant_name!r} (choose from {names})")
-    if args.command == "select" and variant is not Variant.FULL:
-        raise ConfigError(f"select runs variant FULL only, got variant {variant.name}")
+    if args.command in ("select", "ablate") and variant is not Variant.FULL:
+        raise ConfigError(f"{args.command} takes no variant other than FULL, "
+                          f"got variant {variant.name}")
 
     buffer = getattr(args, "buffer", None) or raw.get("buffer")
     out = Path(args.out or raw.get("out", "."))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return RunSettings(loop=loop, seeds=seeds, variant=variant, buffer=buffer, out=out)
+
+
+def _make_out_dir(settings: RunSettings) -> None:
+    """Create the output directory, once every input check has passed."""
+    try:
+        settings.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {settings.out}: {exc}") from exc
 
 
 def _coerce(key: str, value: str, kind):
@@ -144,6 +149,7 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
     buffer = load_jsonl(settings.buffer, gamma=settings.loop.gamma)
     if not len(buffer):
         raise NoValidWindowsError(f"no valid windows: {settings.buffer} holds no transitions")
+    _make_out_dir(settings)
     loop = settings.loop
     seed = settings.seeds[0]
     policy_ss, pool_ss, score_ss = np.random.SeedSequence(seed).spawn(3)
@@ -189,6 +195,7 @@ def _metrics_row(variant: Variant, seed: int, point) -> str:
 
 
 def cmd_loop(settings: RunSettings) -> int:
+    _make_out_dir(settings)
     seed = settings.seeds[0]
     provenance = _provenance(settings, seed)
     metrics_path = settings.out / "metrics.csv"
@@ -219,6 +226,7 @@ def cmd_loop(settings: RunSettings) -> int:
 def cmd_ablate(settings: RunSettings) -> int:
     if len(settings.seeds) < 2:
         raise ConfigError("ablate needs at least 2 seeds (--seed, repeatable)")
+    _make_out_dir(settings)
     provenance = f"config_hash={settings.config_hash()} seeds={','.join(map(str, settings.seeds))}"
     metrics_path = settings.out / "ablation_runs.csv"
     table_path = settings.out / "ablation.csv"

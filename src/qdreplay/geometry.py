@@ -7,14 +7,14 @@ from typing import Sequence
 import numpy as np
 
 from .policy import SequencePolicy
-from .windows import TrajectoryWindow
+from .windows import TrajectoryWindow, stack_windows
 
 
 def encode_pool(pool: Sequence[TrajectoryWindow], model: SequencePolicy) -> np.ndarray:
-    """One deterministic embedding per window, stacked into an (N, d) array."""
+    """One deterministic embedding per window, (N, d), by one ``encode`` of the stacked pool."""
     if len(pool) == 0:
         raise ValueError("pool must be non-empty")
-    embeddings = np.stack([np.asarray(model.encode(w), dtype=float) for w in pool])
+    embeddings = np.asarray(model.encode(stack_windows(pool)), dtype=float)
     if not np.all(np.isfinite(embeddings)):
         raise ValueError("encoder produced non-finite embeddings")
     return embeddings

@@ -16,13 +16,15 @@ PARAMS_FORMAT_VERSION = 1
 class SequencePolicy(Protocol):
     """What the selection pipeline needs from a policy model.
 
-    ``encode`` must be deterministic; ``predict_mean`` must be deterministic
-    per (window, pass_seed) but may vary across pass seeds.
+    ``encode`` and ``predict_mean`` score a batch of B windows at once and
+    return one row per window, (B, f) and (B, A). ``encode`` must be
+    deterministic; ``predict_mean`` must be deterministic per (window,
+    pass_seed) but may vary across pass seeds.
     """
 
-    def encode(self, window: TrajectoryWindow) -> np.ndarray: ...
+    def encode(self, batch: WindowBatch) -> np.ndarray: ...
 
-    def predict_mean(self, window: TrajectoryWindow, pass_seed) -> np.ndarray: ...
+    def predict_mean(self, batch: WindowBatch, pass_seed) -> np.ndarray: ...
 
     def action_log_prob(self, window: TrajectoryWindow, step: int) -> float: ...
 
@@ -82,9 +84,20 @@ class LinearSoftmaxPolicy:
     def _step_features(self, window: TrajectoryWindow) -> np.ndarray:
         return self._step_inputs(window) @ self.projection.T  # (H, feature_dim)
 
-    def encode(self, window: TrajectoryWindow) -> np.ndarray:
-        """Deterministic window embedding: mean of projected step features."""
-        return self._step_features(window).mean(axis=0)
+    def _batch_features(self, batch: WindowBatch) -> np.ndarray:
+        """Projected features of all B*H steps, (B*H, feature_dim), by one matmul."""
+        count, horizon, dim = batch.states.shape
+        if dim != self.state_dim:
+            raise ValueError(
+                f"state dim mismatch: policy expects {self.state_dim}, batch has {dim}"
+            )
+        inputs = np.concatenate([batch.states, batch.rtg[:, :, None]], axis=2)
+        return inputs.reshape(count * horizon, dim + 1) @ self.projection.T
+
+    def encode(self, batch: WindowBatch) -> np.ndarray:
+        """Deterministic window embeddings, (B, feature_dim): mean of projected step features."""
+        count, horizon = batch.rtg.shape
+        return self._batch_features(batch).reshape(count, horizon, -1).mean(axis=1)
 
     def state_features(self, state: np.ndarray, rtg: float) -> np.ndarray:
         x = np.concatenate([np.asarray(state, dtype=float), [float(rtg)]])
@@ -97,17 +110,17 @@ class LinearSoftmaxPolicy:
         keep = 1.0 - self.dropout_rate
         return (rng.random(self.feature_dim) < keep).astype(float) / keep
 
-    def predict_mean(self, window: TrajectoryWindow, pass_seed) -> np.ndarray:
-        """Mean action-logit vector over the window under one dropout mask.
+    def predict_mean(self, batch: WindowBatch, pass_seed) -> np.ndarray:
+        """Mean action-logit vector of each window under one dropout mask, (B, A).
 
         The mask is a seeded Bernoulli(1 - dropout_rate) draw over latent
-        features with inverted scaling, shared across the window's steps.
+        features with inverted scaling, shared across every step of the batch.
         """
-        feats = self._step_features(window)
+        feats = self._batch_features(batch)
         if self.dropout_rate > 0.0:
             feats = feats * self._dropout_mask(pass_seed)
-        logits = feats @ self.weights  # (H, A)
-        return logits.mean(axis=0)
+        count, horizon = batch.rtg.shape
+        return (feats @ self.weights).reshape(count, horizon, -1).mean(axis=1)
 
     # ---------------------------------------------------------------- likelihoods
 
@@ -133,15 +146,10 @@ class LinearSoftmaxPolicy:
 
     def _batch_terms(self, batch: WindowBatch, weights: np.ndarray):
         """Step features (B*H, feature_dim), taken actions and per-step weights."""
-        count, horizon, dim = batch.states.shape
-        if dim != self.state_dim:
-            raise ValueError(
-                f"state dim mismatch: policy expects {self.state_dim}, batch has {dim}"
-            )
+        count, horizon = batch.rtg.shape
+        feats = self._batch_features(batch)
         if weights.shape != (count,):
             raise ValueError(f"expected {count} weights, got shape {weights.shape}")
-        inputs = np.concatenate([batch.states, batch.rtg[:, :, None]], axis=2)
-        feats = inputs.reshape(count * horizon, dim + 1) @ self.projection.T
         targets = np.asarray(batch.actions, dtype=int).reshape(count * horizon)
         return feats, targets, np.repeat(weights, horizon)
 

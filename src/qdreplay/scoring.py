@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .policy import SequencePolicy
-from .windows import TrajectoryWindow, discounted_window_return
+from .windows import TrajectoryWindow, discounted_window_return, stack_windows
 
 # Floor keeping the joint kernel's diagonal strictly positive before
 # regularization; only affects tie-breaking among zero-quality windows.
@@ -60,18 +60,28 @@ def rtg_quantile(window_returns: Sequence[float], target_index: int) -> float:
 
 
 def rtg_quantiles(window_returns: Sequence[float]) -> np.ndarray:
+    """``rtg_quantile`` of every return in the pool, by binary search in the sorted returns."""
     returns = np.asarray(window_returns, dtype=float)
-    return np.array([rtg_quantile(returns, i) for i in range(returns.size)])
+    ordered = np.sort(returns)
+    below = np.searchsorted(ordered, returns, side="left")
+    through = np.searchsorted(ordered, returns, side="right")
+    return (below + 0.5 * (through - below)) / returns.size
 
 
-def predictive_uncertainty(predictions: Sequence[np.ndarray]) -> float:
-    """Trace of the unbiased sample covariance across stochastic-pass means."""
-    stack = np.stack([np.asarray(p, dtype=float) for p in predictions])
+def predictive_uncertainty(predictions) -> float | np.ndarray:
+    """Trace of the unbiased sample covariance across stochastic-pass means.
+
+    ``predictions`` is indexed by pass first and by action-logit dimension
+    last: (M, A) for one window gives a float, (M, N, A) for N windows gives
+    one trace per window.
+    """
+    stack = np.asarray(predictions, dtype=float)
     if stack.shape[0] < 2:
         raise ValueError("insufficient stochastic passes: need M >= 2")
     centered = stack - stack.mean(axis=0)
     per_dim_var = (centered ** 2).sum(axis=0) / (stack.shape[0] - 1)
-    return float(per_dim_var.sum())
+    trace = per_dim_var.sum(axis=-1)
+    return float(trace) if trace.ndim == 0 else trace
 
 
 def normalize_uncertainty(raw: Sequence[float]) -> np.ndarray:
@@ -125,10 +135,9 @@ def composite_quality(
     returns = np.array([discounted_window_return(w, gamma) for w in pool])
     rtg_q = rtg_quantiles(returns)
 
-    raw = np.array([
-        predictive_uncertainty([model.predict_mean(w, (seed, m)) for m in range(1, passes + 1)])
-        for w in pool
-    ])
+    batch = stack_windows(pool)
+    raw = predictive_uncertainty(
+        [model.predict_mean(batch, (seed, m)) for m in range(1, passes + 1)])
     u_norm = normalize_uncertainty(raw)
 
     rho = stage_coverage([w.stage_label for w in pool], smoothing_alpha)

@@ -265,6 +265,7 @@ class ReplayBuffer:
                                      f"expected {_action_kind(kind)}")
         step = np.arange(len(rewards)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         problems = {
+            "state must be finite": ~np.isfinite(states).all(axis=1),
             "reward must be finite": ~np.isfinite(rewards),
             "stage label must be non-negative": stages < 0,
             "done=True before the final transition": done & (step < np.repeat(lengths - 1,

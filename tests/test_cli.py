@@ -113,6 +113,19 @@ def test_mixed_action_kinds_exit_2_with_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_non_finite_state_exits_2_with_line_before_output(tmp_path, capsys):
+    path = tmp_path / "nan.jsonl"
+    path.write_text(
+        '{"episode": 0, "t": 0, "state": [0.0], "action": 1, "reward": 0.0}\n'
+        '{"episode": 0, "t": 1, "state": [NaN], "action": 1, "reward": 0.0}\n'
+    )
+    out = tmp_path / "out"
+    assert main(["select", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "state must be finite" in err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2_naming_key(tmp_path, capsys):
     cfg = write_config(tmp_path, "not_a_key = 5\n")
     assert main(["loop", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -257,6 +270,15 @@ def test_select_accepts_variant_full_key(tmp_path, buffer_file):
         assert main(["select", str(buffer_file), "--config", str(cfg), "--out", str(out)]) == 0
     assert (tmp_path / "a" / "selection.json").read_bytes() == \
         (tmp_path / "b" / "selection.json").read_bytes()
+
+
+def test_ablate_rejects_non_full_variant_before_any_output(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY_LOOP + "variant = UNIFORM\n")
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", str(cfg), "--seed", "1", "--seed", "2",
+                 "--out", str(out)]) == 2
+    assert "UNIFORM" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ablate_requires_two_seeds(tmp_path, capsys):

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdreplay.geometry import median_bandwidth, rbf_similarity
 from qdreplay.kernels import (
     build_joint_kernel,
     elementary_symmetric,
     exhaustive_map,
+    fast_greedy_map,
     greedy_map,
     kdpp_sample,
     kdpp_subset_probability,
@@ -190,10 +194,81 @@ def test_greedy_early_stop_on_rank_deficient_kernel():
 
 
 def test_greedy_k_validation():
-    with pytest.raises(ValueError):
-        greedy_map(np.eye(3), 0)
-    with pytest.raises(ValueError):
-        greedy_map(np.eye(3), 4)
+    for select in (greedy_map, fast_greedy_map):
+        with pytest.raises(ValueError):
+            select(np.eye(3), 0)
+        with pytest.raises(ValueError):
+            select(np.eye(3), 4)
+
+
+# ------------------------------------------------------------------ fast greedy
+
+KERNEL_SHAPES = ["full_rank", "low_rank", "tied_diagonal", "identity", "joint"]
+
+
+def shaped_kernel(shape: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A PSD kernel exercising one path of greedy MAP.
+
+    low_rank stops early once its rank is used up, tied_diagonal and identity
+    tie on the diagonal, and joint is ``build_joint_kernel`` output, whose
+    rounding leaves it not exactly symmetric.
+    """
+    if shape == "full_rank":
+        return random_psd_kernel(n, rng)
+    if shape == "low_rank":
+        b = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+        return b.T @ b
+    if shape == "tied_diagonal":
+        return np.diag(rng.integers(1, 4, size=n).astype(float))
+    if shape == "identity":
+        return np.eye(n)
+    z = rng.standard_normal((n, 3))
+    similarity = rbf_similarity(z, float(rng.uniform(0.3, 3.0)))
+    return build_joint_kernel(similarity, rng.uniform(1e-3, 1.0, size=n),
+                              float(rng.uniform(0.0, 0.01))).values
+
+
+def assert_same_selection(kernel: np.ndarray, k: int) -> None:
+    fast, reference = fast_greedy_map(kernel, k), greedy_map(kernel, k)
+    assert fast.indices == reference.indices
+    assert fast.gains == reference.gains
+    assert fast.logdet == reference.logdet
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(KERNEL_SHAPES), n=st.integers(1, 40), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fast_greedy_matches_greedy_map_bit_for_bit(shape, n, data, seed):
+    kernel = shaped_kernel(shape, n, np.random.default_rng(seed))
+    assert_same_selection(kernel, data.draw(st.integers(1, n), label="k"))
+    assert_same_selection(kernel, n)
+
+
+def test_fast_greedy_matches_on_early_stop_and_ties():
+    v = np.array([[1.0, 2.0]])
+    result = fast_greedy_map(v.T @ v, 2)
+    assert result.indices == [1] and len(result.gains) == 1
+    assert fast_greedy_map(np.eye(4), 2).indices == [0, 1]
+    assert fast_greedy_map(np.diag([2.0, 3.0, 3.0, 1.0]), 3).indices == [1, 2, 0]
+
+
+def test_fast_greedy_peak_allocation_stays_below_one_n_by_n_array():
+    n, k = 1500, 50
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((n, 8))
+    kernel = build_joint_kernel(rbf_similarity(z, median_bandwidth(z)),
+                                rng.uniform(0.1, 1.0, size=n)).values
+    peaks = {}
+    for select in (fast_greedy_map, greedy_map):
+        tracemalloc.start()
+        try:
+            select(kernel, k)
+            peaks[select] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[fast_greedy_map] < kernel.nbytes
+    # The reference copies the residual, so the trace does see numpy's allocations.
+    assert peaks[greedy_map] >= kernel.nbytes
 
 
 # ------------------------------------------------------------------- exhaustive

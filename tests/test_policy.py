@@ -30,14 +30,15 @@ def random_window(rng, dim=3, horizon=4, actions=4):
 def test_identity_projection_encodes_raw_features():
     w = make_window([[2.0, -1.0]], [0], [3.0])
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, projection=np.eye(3), seed=0)
-    np.testing.assert_allclose(policy.encode(w), [2.0, -1.0, 3.0])
+    np.testing.assert_allclose(policy.encode(stack_windows([w]))[0], [2.0, -1.0, 3.0])
 
 
 def test_encode_is_deterministic():
     rng = np.random.default_rng(0)
     w = random_window(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.5, seed=1)
-    np.testing.assert_array_equal(policy.encode(w), policy.encode(w))
+    batch = stack_windows([w])
+    np.testing.assert_array_equal(policy.encode(batch)[0], policy.encode(batch)[0])
 
 
 def test_projection_null_feature_is_invisible():
@@ -45,14 +46,17 @@ def test_projection_null_feature_is_invisible():
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, projection=projection, seed=0)
     a = make_window([[1.0, 5.0]], [0], [2.0])
     b = make_window([[1.0, -8.0]], [0], [2.0])
-    np.testing.assert_array_equal(policy.encode(a), policy.encode(b))
+    np.testing.assert_array_equal(policy.encode(stack_windows([a]))[0],
+                                  policy.encode(stack_windows([b]))[0])
 
 
 def test_predict_mean_without_dropout_ignores_seed():
     rng = np.random.default_rng(2)
     w = random_window(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.0, seed=3)
-    np.testing.assert_array_equal(policy.predict_mean(w, 0), policy.predict_mean(w, 999))
+    batch = stack_windows([w])
+    np.testing.assert_array_equal(policy.predict_mean(batch, 0)[0],
+                                  policy.predict_mean(batch, 999)[0])
 
 
 def test_predict_mean_dropout_varies_with_seed():
@@ -61,7 +65,8 @@ def test_predict_mean_dropout_varies_with_seed():
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=2, dropout_rate=0.5,
                                  projection=projection, seed=4)
     policy.weights = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    outputs = {tuple(np.round(policy.predict_mean(w, seed), 9)) for seed in range(32)}
+    batch = stack_windows([w])
+    outputs = {tuple(np.round(policy.predict_mean(batch, seed)[0], 9)) for seed in range(32)}
     assert len(outputs) > 1
 
 
@@ -69,7 +74,9 @@ def test_predict_mean_is_deterministic_per_pass_seed():
     rng = np.random.default_rng(5)
     w = random_window(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.5, seed=6)
-    np.testing.assert_array_equal(policy.predict_mean(w, (7, 3)), policy.predict_mean(w, (7, 3)))
+    batch = stack_windows([w])
+    np.testing.assert_array_equal(policy.predict_mean(batch, (7, 3))[0],
+                                  policy.predict_mean(batch, (7, 3))[0])
 
 
 def test_zero_weights_give_zero_prediction():
@@ -78,7 +85,8 @@ def test_zero_weights_give_zero_prediction():
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.5, seed=8)
     policy.weights = np.zeros_like(policy.weights)
     for seed in range(5):
-        np.testing.assert_array_equal(policy.predict_mean(w, seed), np.zeros(4))
+        np.testing.assert_array_equal(policy.predict_mean(stack_windows([w]), seed)[0],
+                                      np.zeros(4))
 
 
 def test_log_probs_normalize():
@@ -183,7 +191,7 @@ def test_state_dim_mismatch_rejected():
     w = make_window([[1.0, 2.0, 3.0]], [0], [1.0])
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, seed=23)
     with pytest.raises(ValueError, match="dim mismatch"):
-        policy.encode(w)
+        policy.encode(stack_windows([w]))
 
 
 def test_serialization_round_trip():
@@ -191,8 +199,9 @@ def test_serialization_round_trip():
     w = random_window(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.3, seed=25)
     clone = LinearSoftmaxPolicy.from_json(policy.to_json())
-    np.testing.assert_array_equal(policy.encode(w), clone.encode(w))
-    np.testing.assert_array_equal(policy.predict_mean(w, 5), clone.predict_mean(w, 5))
+    batch = stack_windows([w])
+    np.testing.assert_array_equal(policy.encode(batch)[0], clone.encode(batch)[0])
+    np.testing.assert_array_equal(policy.predict_mean(batch, 5)[0], clone.predict_mean(batch, 5)[0])
     assert policy.action_log_prob(w, 0) == clone.action_log_prob(w, 0)
 
 

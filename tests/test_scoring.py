@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdreplay.geometry import encode_pool
 from qdreplay.policy import LinearSoftmaxPolicy
 from qdreplay.scoring import (
     Q_MIN,
+    QualityReport,
     QualityWeights,
     composite_quality,
     normalize_uncertainty,
@@ -14,7 +20,7 @@ from qdreplay.scoring import (
     rtg_quantiles,
     stage_coverage,
 )
-from qdreplay.windows import Episode, ReplayBuffer, Transition
+from qdreplay.windows import Episode, ReplayBuffer, Transition, discounted_window_return
 
 
 def test_quality_weights_must_sum_to_one():
@@ -56,6 +62,14 @@ def test_quantile_mean_is_half_without_ties():
 
 def test_uncertainty_zero_for_identical_passes():
     assert predictive_uncertainty([np.array([1.0, 2.0])] * 3) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.5]), st.floats(-1e6, 1e6)),
+                min_size=1, max_size=60))
+def test_rtg_quantiles_match_per_entry_quantile(returns):
+    expected = np.array([rtg_quantile(returns, i) for i in range(len(returns))])
+    np.testing.assert_array_equal(rtg_quantiles(returns), expected)
 
 
 def test_uncertainty_two_pass_example():
@@ -191,3 +205,71 @@ def test_composite_deterministic_for_seed():
     b = composite_quality(pool, QualityWeights(0.4, 0.3, 0.3), policy, passes=4, gamma=0.9, seed=7)
     np.testing.assert_array_equal(a.composite, b.composite)
     np.testing.assert_array_equal(a.uncertainty_raw, b.uncertainty_raw)
+
+
+def _random_pool(count, horizon, seed, dim=3):
+    """``count`` windows from random episodes with sparse 0/1 rewards, so returns tie."""
+    rng = np.random.default_rng(seed)
+    buf = ReplayBuffer(capacity=100_000, gamma=0.95)
+    for eid in range(max(count // 4, 2)):
+        length = int(rng.integers(horizon, horizon + 30))
+        buf.append_episode(Episode(id=eid, transitions=[
+            Transition(state=rng.standard_normal(dim), action=int(rng.integers(2)),
+                       reward=float(rng.random() < 0.2), stage_label=int(rng.integers(4)),
+                       done=(t == length - 1))
+            for t in range(length)
+        ]))
+    return buf.sample_candidate_pool(count, horizon, rng)
+
+
+def _per_window_scores(pool, weights, policy, passes, gamma, seed, smoothing_alpha):
+    """``encode_pool`` and ``composite_quality`` as one model call per window and pass.
+
+    This is the loop the batched scoring replaced, kept as the reference.
+    """
+    embeddings = np.stack([policy._step_features(w).mean(axis=0) for w in pool])
+    returns = np.array([discounted_window_return(w, gamma) for w in pool])
+    rtg_q = np.array([rtg_quantile(returns, i) for i in range(len(pool))])
+    raw = []
+    for w in pool:
+        predictions = []
+        for m in range(1, passes + 1):
+            feats = policy._step_features(w)
+            if policy.dropout_rate > 0.0:
+                feats = feats * policy._dropout_mask((seed, m))
+            predictions.append((feats @ policy.weights).mean(axis=0))
+        stack = np.stack(predictions)
+        centered = stack - stack.mean(axis=0)
+        raw.append(float(((centered ** 2).sum(axis=0) / (passes - 1)).sum()))
+    raw = np.array(raw)
+    u_norm = normalize_uncertainty(raw)
+    rho = stage_coverage([w.stage_label for w in pool], smoothing_alpha)
+    composite = weights.alpha * rtg_q + weights.beta * u_norm + weights.zeta * rho
+    return embeddings, QualityReport(rtg_q, raw, u_norm, rho, np.maximum(composite, Q_MIN))
+
+
+@pytest.mark.parametrize("count, horizon, actions, dropout, exact", [
+    (40, 8, 6, 0.2, True), (400, 8, 6, 0.2, True), (60, 2, 4, 0.5, True),
+    (50, 5, 6, 0.0, True), (60, 1, 6, 0.5, False), (60, 3, 3, 0.5, False),
+])
+def test_batched_scoring_matches_per_window_loop(count, horizon, actions, dropout, exact):
+    # Bit for bit at H >= 2 with at least 4 actions, which covers the loop's
+    # shapes (H = 8, 6 actions). A one-step window or a 2-3 column logit
+    # product takes another BLAS kernel per window, which rounds the same
+    # dot products differently, so those shapes agree to a few ulps.
+    pool = _random_pool(count, horizon, seed=count + horizon)
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=actions, dropout_rate=dropout,
+                                 seed=count)
+    weights = QualityWeights(0.4, 0.3, 0.3)
+    embeddings, expected = _per_window_scores(pool, weights, policy, passes=5, gamma=0.95,
+                                              seed=17, smoothing_alpha=1.0)
+    report = composite_quality(pool, weights, policy, passes=5, gamma=0.95, seed=17,
+                               smoothing_alpha=1.0)
+    pairs = [("embeddings", encode_pool(pool, policy), embeddings)] + [
+        (field.name, getattr(report, field.name), getattr(expected, field.name))
+        for field in fields(QualityReport)]
+    for name, actual, desired in pairs:
+        if exact:
+            np.testing.assert_array_equal(actual, desired, err_msg=name)
+        else:
+            np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-14, err_msg=name)

@@ -82,6 +82,17 @@ def test_non_finite_reward_rejected():
         Transition(state=np.zeros(2), action=0, reward=float("nan"))
 
 
+def test_episode_with_non_finite_state_rejected():
+    trs = [
+        Transition(state=np.zeros(2), action=0, reward=0.0),
+        Transition(state=np.array([0.0, np.inf]), action=0, reward=0.0, done=True),
+    ]
+    buf = ReplayBuffer(capacity=10, gamma=0.9)
+    with pytest.raises(ValueError, match="step 1: state must be finite"):
+        buf.append_episode(Episode(id=0, transitions=trs))
+    assert len(buf) == 0
+
+
 def test_episode_mixing_action_kinds_rejected():
     trs = [
         Transition(state=np.zeros(2), action=0, reward=0.0),
@@ -303,6 +314,7 @@ def _record(episode, t, action=1):
     ([_record(0, 0), {**_record(0, 1), "reward": float("inf")}], 2, "reward must be finite"),
     ([_record(0, 0), {**_record(0, 1), "stage": -1}], 2, "non-negative"),
     ([{**_record(0, 0), "done": True}, _record(0, 1)], 1, "done=True before the final"),
+    ([_record(0, 0), {**_record(0, 1), "state": [float("nan"), 1.0]}], 2, "state must be finite"),
 ])
 def test_load_jsonl_rejects_inconsistent_steps_and_actions(tmp_path, records, line, message):
     path = tmp_path / "bad.jsonl"
