@@ -13,12 +13,13 @@ from .kernels import (
 from .policy import LinearSoftmaxPolicy
 from .replay import WeightMode, mixed_sample, normalize_weights
 from .scoring import QualityWeights, composite_quality
-from .windows import Episode, ReplayBuffer, load_jsonl, save_jsonl
+from .windows import Episode, EpisodeArrays, ReplayBuffer, load_jsonl, save_jsonl
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Episode",
+    "EpisodeArrays",
     "LinearSoftmaxPolicy",
     "LoopConfig",
     "QualityWeights",

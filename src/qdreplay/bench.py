@@ -17,7 +17,7 @@ from .kernels import greedy_map  # noqa: F401  perfbench/tracing.py wraps it by 
 from .policy import LinearSoftmaxPolicy, SequencePolicy
 from .replay import WeightMode, mixed_sample, normalize_weights
 from .scoring import QualityWeights, composite_quality
-from .windows import Episode, ReplayBuffer, TrajectoryWindow, Transition
+from .windows import Episode, EpisodeArrays, ReplayBuffer, WindowBatch
 
 DIVERSITY_EPS = 1e-6
 
@@ -151,26 +151,25 @@ class ScriptedDemonstrator:
 
 def rollout(env: StageChainEnv, actor, rng: np.random.Generator,
             rtg_target: float = 1.0, greedy: bool = False):
-    """Run one episode; returns (transitions, success)."""
+    """Run one episode; returns (its steps as ``EpisodeArrays``, success)."""
     obs = env.reset()
     rtg_hint = rtg_target
-    transitions: list[Transition] = []
+    states, actions, rewards, stages = [], [], [], []
     success = False
     while True:
         action = actor.act(obs, rtg_hint, rng=rng, greedy=greedy)
         outcome = env.step(action, rng)
-        transitions.append(Transition(
-            state=obs,
-            action=action,
-            reward=outcome.reward,
-            stage_label=outcome.stage,
-            done=outcome.done,
-        ))
+        states.append(obs)
+        actions.append(action)
+        rewards.append(outcome.reward)
+        stages.append(outcome.stage)
         rtg_hint = max(rtg_hint - outcome.reward, 0.0)
         obs = outcome.obs
         success = success or outcome.success
         if outcome.done:
-            return transitions, success
+            done = np.arange(len(rewards)) == len(rewards) - 1
+            return EpisodeArrays(np.array(states), np.array(actions), np.array(rewards),
+                                 np.array(stages), done), success
 
 
 def evaluate_policy(policy, env: StageChainEnv, episodes: int, seed) -> float:
@@ -304,7 +303,7 @@ class WindowSelection(SelectionResult):
     not made by greedy MAP; ``logdet`` is the selection's log-det on ``kernel``.
     """
 
-    pool: list[TrajectoryWindow]
+    pool: WindowBatch
     embeddings: np.ndarray  # (N, d)
     similarity: np.ndarray  # (N, N) RBF similarity
     kernel: JointKernel
@@ -450,8 +449,8 @@ def run_loop(
     def select(rng: np.random.Generator) -> None:
         nonlocal selection
         selection = select_windows(buffer, policy, config, variant, rng, score_rng)
-        result.selected_stage_counts.update(selection.pool[i].stage_label
-                                            for i in selection.indices)
+        result.selected_stage_counts.update(
+            selection.pool.stage_labels[selection.indices].tolist())
 
     def refresh() -> None:
         select(pool_rng)
@@ -462,9 +461,8 @@ def run_loop(
             audit_callback(event)
 
     def selection_global_ids() -> np.ndarray:
-        selected = [selection.pool[i] for i in selection.indices]
-        return buffer.window_ids([w.episode_id for w in selected], [w.start for w in selected],
-                                 config.horizon)
+        pool, chosen = selection.pool, selection.indices
+        return buffer.window_ids(pool.episode_ids[chosen], pool.starts[chosen], config.horizon)
 
     for ep in range(config.episodes):
         transitions, _ = rollout(env, policy, collect_rng, config.rtg_target)

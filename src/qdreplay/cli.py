@@ -162,7 +162,7 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
     )
     selection = select_windows(buffer, policy, loop, Variant.FULL,
                                np.random.default_rng(pool_ss), np.random.default_rng(score_ss))
-    pool = selection.pool
+    pool, chosen = selection.pool, selection.indices
 
     provenance = _provenance(settings, seed)
     selection_path = settings.out / "selection.json"
@@ -170,8 +170,9 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
         "config_hash": settings.config_hash(),
         "seed": seed,
         "windows": [
-            {"episode": pool[i].episode_id, "start": pool[i].start}
-            for i in selection.indices
+            {"episode": episode, "start": start}
+            for episode, start in zip(pool.episode_ids[chosen].tolist(),
+                                      pool.starts[chosen].tolist())
         ],
     })
     selection_path.write_text(payload + "\n")

@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .policy import SequencePolicy
-from .windows import TrajectoryWindow, stack_windows
+from .windows import WindowBatch
 
 
-def encode_pool(pool: Sequence[TrajectoryWindow], model: SequencePolicy) -> np.ndarray:
-    """One deterministic embedding per window, (N, d), by one ``encode`` of the stacked pool."""
+def encode_pool(pool: WindowBatch, model: SequencePolicy) -> np.ndarray:
+    """One deterministic embedding per window, (N, d), by one ``encode`` of the pool."""
     if len(pool) == 0:
         raise ValueError("pool must be non-empty")
-    embeddings = np.asarray(model.encode(stack_windows(pool)), dtype=float)
+    embeddings = np.asarray(model.encode(pool), dtype=float)
     if not np.all(np.isfinite(embeddings)):
         raise ValueError("encoder produced non-finite embeddings")
     return embeddings

@@ -7,7 +7,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .windows import TrajectoryWindow, WindowBatch
+from .windows import WindowBatch
 
 PARAMS_FORMAT_VERSION = 1
 
@@ -25,8 +25,6 @@ class SequencePolicy(Protocol):
     def encode(self, batch: WindowBatch) -> np.ndarray: ...
 
     def predict_mean(self, batch: WindowBatch, pass_seed) -> np.ndarray: ...
-
-    def action_log_prob(self, window: TrajectoryWindow, step: int) -> float: ...
 
     def weighted_update(
         self, batch: WindowBatch, weights: Sequence[float], learning_rate: float
@@ -74,16 +72,6 @@ class LinearSoftmaxPolicy:
 
     # ---------------------------------------------------------------- features
 
-    def _step_inputs(self, window: TrajectoryWindow) -> np.ndarray:
-        if window.states.shape[1] != self.state_dim:
-            raise ValueError(
-                f"state dim mismatch: policy expects {self.state_dim}, window has {window.states.shape[1]}"
-            )
-        return np.hstack([window.states, window.rtg[:, None]])  # (H, d_s + 1)
-
-    def _step_features(self, window: TrajectoryWindow) -> np.ndarray:
-        return self._step_inputs(window) @ self.projection.T  # (H, feature_dim)
-
     def _batch_features(self, batch: WindowBatch) -> np.ndarray:
         """Projected features of all B*H steps, (B*H, feature_dim), by one matmul."""
         count, horizon, dim = batch.states.shape
@@ -122,17 +110,7 @@ class LinearSoftmaxPolicy:
         count, horizon = batch.rtg.shape
         return (feats @ self.weights).reshape(count, horizon, -1).mean(axis=1)
 
-    # ---------------------------------------------------------------- likelihoods
-
-    def action_log_probs(self, window: TrajectoryWindow, step: int) -> np.ndarray:
-        """Log-softmax over actions at one window step (deterministic pass)."""
-        if not 0 <= step < window.horizon:
-            raise ValueError(f"step {step} outside window of horizon {window.horizon}")
-        logits = self._step_features(window)[step] @ self.weights
-        return logits - _logsumexp(logits)
-
-    def action_log_prob(self, window: TrajectoryWindow, step: int) -> float:
-        return float(self.action_log_probs(window, step)[int(window.actions[step])])
+    # ---------------------------------------------------------------- acting
 
     def act(self, state: np.ndarray, rtg: float, rng: np.random.Generator | None = None,
             greedy: bool = False) -> int:

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .policy import SequencePolicy
-from .windows import TrajectoryWindow, discounted_window_return, stack_windows
+from .windows import WindowBatch
 
 # Floor keeping the joint kernel's diagonal strictly positive before
 # regularization; only affects tie-breaking among zero-quality windows.
@@ -115,7 +115,7 @@ def stage_coverage(stage_labels: Sequence[int], smoothing_alpha: float = 0.0) ->
 
 
 def composite_quality(
-    pool: Sequence[TrajectoryWindow],
+    pool: WindowBatch,
     weights: QualityWeights,
     model: SequencePolicy,
     passes: int,
@@ -128,19 +128,18 @@ def composite_quality(
     The stochastic passes reuse one dropout mask per pass index across all
     windows, keyed by (seed, m) for m = 1..passes, so reruns with the same
     seed reproduce bit-identically. The return component is the
-    window-truncated discounted reward sum.
+    window-truncated discounted reward sum; the coverage component scores
+    each window's majority stage.
     """
     if len(pool) == 0:
         raise ValueError("pool must be non-empty")
-    returns = np.array([discounted_window_return(w, gamma) for w in pool])
-    rtg_q = rtg_quantiles(returns)
+    rtg_q = rtg_quantiles(pool.returns(gamma))
 
-    batch = stack_windows(pool)
     raw = predictive_uncertainty(
-        [model.predict_mean(batch, (seed, m)) for m in range(1, passes + 1)])
+        [model.predict_mean(pool, (seed, m)) for m in range(1, passes + 1)])
     u_norm = normalize_uncertainty(raw)
 
-    rho = stage_coverage([w.stage_label for w in pool], smoothing_alpha)
+    rho = stage_coverage(pool.stage_labels, smoothing_alpha)
 
     q = weights.alpha * rtg_q + weights.beta * u_norm + weights.zeta * rho
     q = np.maximum(q, Q_MIN)

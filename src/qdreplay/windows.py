@@ -4,34 +4,34 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 
 @dataclass(frozen=True)
-class Transition:
-    """One environment step: state/action/reward plus a sub-task stage label."""
+class EpisodeArrays:
+    """One episode's steps as columns, row t being step t.
 
-    state: np.ndarray
-    action: int | np.ndarray
-    reward: float
-    stage_label: int = 0
-    done: bool = False
+    ``ReplayBuffer.append_episode`` checks and copies them; rewards and
+    states must be finite, stages non-negative, and only the last step done.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "state", np.asarray(self.state, dtype=float))
-        if not np.isfinite(self.reward):
-            raise ValueError(f"reward must be finite, got {self.reward}")
-        if self.stage_label < 0:
-            raise ValueError(f"stage_label must be non-negative, got {self.stage_label}")
+    states: np.ndarray   # (T, d_s)
+    actions: np.ndarray  # (T,) discrete or (T, d_a)
+    rewards: np.ndarray  # (T,)
+    stages: np.ndarray   # (T,) sub-task stage label of each step
+    done: np.ndarray     # (T,)
+
+    def __len__(self) -> int:
+        return len(self.rewards)
 
 
 @dataclass
 class Episode:
     id: int
-    transitions: list[Transition]
+    transitions: EpisodeArrays
 
     def __len__(self) -> int:
         return len(self.transitions)
@@ -39,7 +39,7 @@ class Episode:
 
 @dataclass(frozen=True)
 class TrajectoryWindow:
-    """A length-H contiguous slice of one episode.
+    """A length-H contiguous slice of one episode: one row of a ``WindowBatch``.
 
     ``rtg`` holds the discounted return-to-go computed to the end of the
     *episode*, so ``rtg[j] = rewards[j] + gamma * rtg[j+1]`` holds across the
@@ -58,33 +58,50 @@ class TrajectoryWindow:
 
 @dataclass(frozen=True)
 class WindowBatch:
-    """B windows of one horizon H as stacked arrays; row b is one window."""
+    """B windows of one horizon H as stacked arrays; row b is one window.
 
-    states: np.ndarray   # (B, H, d_s)
-    actions: np.ndarray  # (B, H) discrete or (B, H, d_a)
-    rewards: np.ndarray  # (B, H)
-    rtg: np.ndarray      # (B, H)
+    Window b is the slice ``[starts[b], starts[b] + H)`` of episode
+    ``episode_ids[b]``.
+    """
+
+    states: np.ndarray       # (B, H, d_s)
+    actions: np.ndarray      # (B, H) discrete or (B, H, d_a)
+    rewards: np.ndarray      # (B, H)
+    rtg: np.ndarray          # (B, H)
+    stages: np.ndarray       # (B, H)
+    episode_ids: np.ndarray  # (B,)
+    starts: np.ndarray       # (B,)
 
     def __len__(self) -> int:
         return self.states.shape[0]
 
+    def returns(self, gamma: float) -> np.ndarray:
+        """Discounted reward sum of each window, truncated to it: sum_j gamma^j * rewards[:, j]."""
+        return self.rewards @ gamma ** np.arange(self.rewards.shape[1])
 
-def stack_windows(windows: Sequence[TrajectoryWindow]) -> WindowBatch:
-    """Stack same-horizon windows into the batch layout ``ReplayBuffer.gather`` returns."""
-    return WindowBatch(
-        states=np.stack([w.states for w in windows]),
-        actions=np.stack([w.actions for w in windows]),
-        rewards=np.stack([w.rewards for w in windows]),
-        rtg=np.stack([w.rtg for w in windows]),
-    )
+    @property
+    def stage_labels(self) -> np.ndarray:
+        """Majority stage of each window, (B,); ties go to the smallest label."""
+        return _majority_stage(self.stages)
+
+    def __getitem__(self, index: int) -> TrajectoryWindow:
+        return TrajectoryWindow(
+            episode_id=int(self.episode_ids[index]),
+            start=int(self.starts[index]),
+            horizon=self.rtg.shape[1],
+            states=self.states[index],
+            actions=self.actions[index],
+            rewards=self.rewards[index],
+            rtg=self.rtg[index],
+            stage_label=int(_majority_stage(self.stages[[index]])[0]),
+        )
 
 
-def discounted_window_return(window: TrajectoryWindow, gamma: float) -> float:
-    """Discounted reward sum truncated to the window: sum_k gamma^k * r[k]."""
-    if window.horizon < 1:
-        raise ValueError("window horizon must be >= 1")
-    discounts = gamma ** np.arange(window.horizon)
-    return float(np.dot(discounts, window.rewards))
+def _majority_stage(stages: np.ndarray) -> np.ndarray:
+    """Most frequent label of each row of (B, H) stages, the smallest one on ties."""
+    counts = (stages[:, :, None] == stages[:, None, :]).sum(axis=2)  # count of each step's label
+    tied = counts == counts.max(axis=1, keepdims=True)
+    return np.where(tied, stages, np.iinfo(stages.dtype).max).min(axis=1)
 
 
 class NoValidWindowsError(ValueError):
@@ -218,16 +235,9 @@ class ReplayBuffer:
         return eid
 
     def append_episode(self, episode: Episode) -> None:
-        trs = episode.transitions
-        self._append(
-            ids=np.array([episode.id], dtype=np.int64),
-            lengths=np.array([len(trs)], dtype=np.int64),
-            states=np.array([tr.state for tr in trs], dtype=float),
-            actions=[tr.action for tr in trs],
-            rewards=np.array([tr.reward for tr in trs], dtype=float),
-            stages=np.array([tr.stage_label for tr in trs], dtype=np.int64),
-            done=np.array([tr.done for tr in trs], dtype=bool),
-        )
+        self._append(ids=np.array([episode.id], dtype=np.int64),
+                     lengths=np.array([len(episode)], dtype=np.int64),
+                     **vars(episode.transitions))
 
     def _append(self, ids: np.ndarray, lengths: np.ndarray, states: np.ndarray,
                 actions: Sequence, rewards: np.ndarray, stages: np.ndarray,
@@ -235,10 +245,16 @@ class ReplayBuffer:
         """Check whole episodes given as columns, store them, then evict.
 
         Episode ``ids[i]`` owns the next ``lengths[i]`` rows; ids are strictly
-        increasing. ``actions`` holds one action per row, not yet a column.
+        increasing. ``actions`` holds one action per row, a list or an array
+        whose rows are the actions, and is checked row by row for its kind.
         Every ingest rule on the rows lives here; one broken by a single row
-        raises ``_RowError`` with that row's position.
+        raises ``_RowError`` with that row's position. The rows are copied,
+        so the buffer never shares an array with its caller.
         """
+        states = np.array(states, dtype=float)
+        rewards = np.array(rewards, dtype=float)
+        stages = np.array(stages, dtype=np.int64)
+        done = np.array(done, dtype=bool)
         if lengths.min() < 1:
             raise ValueError("episode must contain at least one transition")
         longest = int(lengths.max())
@@ -252,6 +268,10 @@ class ReplayBuffer:
                 )
         if states.ndim != 2:
             raise ValueError(f"states must be vectors of one length, got shape {states.shape}")
+        total = int(lengths.sum())
+        if (len(states), len(actions)) != (total, total) or not (
+                rewards.shape == stages.shape == done.shape == (total,)):
+            raise ValueError(f"every column must hold one row per transition ({total})")
         stored = self._rows["actions"] if len(self._rows) else None
         if stored is not None and states.shape[1] != self.state_dim:
             raise ValueError(f"state dim mismatch: buffer has {self.state_dim}, "
@@ -353,6 +373,9 @@ class ReplayBuffer:
             actions=self._rows["actions"][rows],
             rewards=self._rows["rewards"][rows],
             rtg=self._rows["rtg"][rows],
+            stages=self._rows["stages"][rows],
+            episode_ids=self._episodes["id"][episode],
+            starts=start,
         )
 
     # ------------------------------------------------------------ windows
@@ -361,22 +384,6 @@ class ReplayBuffer:
         """Live-row slice of the stored episode at position ``episode``."""
         row = int(self._episodes["row"][episode]) - self._rows.first
         return slice(row, row + int(self._episodes["length"][episode]))
-
-    def _window(self, episode: int, start: int, horizon: int) -> TrajectoryWindow:
-        row = self._episode_rows(episode).start + start
-        rows = slice(row, row + horizon)
-        # Majority stage over the window; argmax breaks ties to the smallest label.
-        stage = int(np.bincount(self._rows["stages"][rows]).argmax())
-        return TrajectoryWindow(
-            episode_id=int(self._episodes["id"][episode]),
-            start=int(start),
-            horizon=horizon,
-            states=self._rows["states"][rows].copy(),
-            actions=self._rows["actions"][rows].copy(),
-            rewards=self._rows["rewards"][rows].copy(),
-            rtg=self._rows["rtg"][rows].copy(),
-            stage_label=stage,
-        )
 
     def materialize(self, episode_id: int, start: int, horizon: int) -> TrajectoryWindow:
         stored = self._episodes["id"]
@@ -388,9 +395,9 @@ class ReplayBuffer:
             raise ValueError(
                 f"window [{start}, {start + horizon}) out of range for episode of length {length}"
             )
-        return self._window(episode, start, horizon)
+        return self.gather([self._window_offsets(horizon)[episode] + start], horizon)[0]
 
-    def sample_candidate_pool(self, n: int, horizon: int, seed) -> list[TrajectoryWindow]:
+    def sample_candidate_pool(self, n: int, horizon: int, seed) -> WindowBatch:
         """Draw min(n, #valid starts) windows uniformly without replacement.
 
         ``seed`` may be an int or a numpy Generator; the draw is deterministic
@@ -402,9 +409,7 @@ class ReplayBuffer:
                 f"no valid windows: no stored episode has length >= {horizon}"
             )
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        chosen = rng.choice(total, size=min(int(n), total), replace=False)
-        episode, start = self._locate(chosen, horizon)
-        return [self._window(e, s, horizon) for e, s in zip(episode.tolist(), start.tolist())]
+        return self.gather(rng.choice(total, size=min(int(n), total), replace=False), horizon)
 
 
 class _EpisodeView(Sequence):
@@ -426,20 +431,8 @@ class _EpisodeView(Sequence):
             raise IndexError("episode index out of range")
         index %= len(self)
         rows, cols = buffer._episode_rows(index), buffer._rows
-        actions = cols["actions"][rows]
-        discrete = actions.dtype.kind == "i"
-        return Episode(id=int(buffer._episodes["id"][index]), transitions=[
-            Transition(
-                state=state.copy(),
-                action=int(action) if discrete else action.copy(),
-                reward=float(reward),
-                stage_label=int(stage),
-                done=bool(done),
-            )
-            for state, action, reward, stage, done in zip(
-                cols["states"][rows], actions, cols["rewards"][rows], cols["stages"][rows],
-                cols["done"][rows])
-        ])
+        return Episode(id=int(buffer._episodes["id"][index]), transitions=EpisodeArrays(
+            **{column.name: cols[column.name][rows].copy() for column in fields(EpisodeArrays)}))
 
 
 def save_jsonl(buffer: ReplayBuffer, path: str | Path) -> None:

@@ -31,7 +31,7 @@ from qdreplay.geometry import median_bandwidth, rbf_similarity
 from qdreplay.policy import LinearSoftmaxPolicy
 from qdreplay.replay import estimate_uniform_mean
 from qdreplay.scoring import predictive_uncertainty, rtg_quantile, stage_coverage
-from qdreplay.windows import Episode, ReplayBuffer, Transition, stack_windows
+from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
 
 
 def _report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -208,34 +208,31 @@ def test_criterion_7_gradient_check():
     step = 1e-5
     while probes < 50:
         horizon = int(rng.integers(2, 6))
-        states = [rng.standard_normal(3) for _ in range(horizon)]
+        states = np.array([rng.standard_normal(3) for _ in range(horizon)])
         actions = rng.integers(4, size=horizon)
         rewards = rng.random(horizon)
-        transitions = [
-            Transition(state=s, action=int(a), reward=float(r),
-                       done=(i == horizon - 1))
-            for i, (s, a, r) in enumerate(zip(states, actions, rewards))
-        ]
         buf = ReplayBuffer(capacity=100, gamma=0.9)
-        buf.append_episode(Episode(id=0, transitions=transitions))
-        window = buf.materialize(0, 0, horizon)
+        buf.append_episode(Episode(id=0, transitions=EpisodeArrays(
+            states, actions, rewards, np.zeros(horizon, dtype=np.int64),
+            np.arange(horizon) == horizon - 1)))
+        window = buf.gather([0], horizon)
         weights = [float(rng.uniform(0.5, 2.0))]
 
         policy = LinearSoftmaxPolicy(state_dim=3, action_count=4,
                                      seed=int(rng.integers(2 ** 31)))
         reference = LinearSoftmaxPolicy.from_json(policy.to_json())
         start = reference.get_params()
-        reference.weighted_update(stack_windows([window]), weights, learning_rate=1.0)
+        reference.weighted_update(window, weights, learning_rate=1.0)
         grad = start - reference.get_params()
 
         for index in rng.choice(start.size, size=5, replace=False):
             params = start.copy()
             params[index] += step
             policy.set_params(params)
-            hi = policy.batch_loss(stack_windows([window]), weights)
+            hi = policy.batch_loss(window, weights)
             params[index] -= 2 * step
             policy.set_params(params)
-            lo = policy.batch_loss(stack_windows([window]), weights)
+            lo = policy.batch_loss(window, weights)
             numeric = (hi - lo) / (2 * step)
             rel = abs(grad[index] - numeric) / max(abs(numeric), 1e-8)
             probes += 1
@@ -290,13 +287,11 @@ def _write_select_fixture(tmp_path):
     rng = np.random.default_rng(42)
     for eid in range(10):
         length = int(rng.integers(8, 14))
-        transitions = [
-            Transition(state=rng.standard_normal(4), action=int(rng.integers(4)),
-                       reward=float(rng.integers(0, 2)),
-                       stage_label=int(rng.integers(3)), done=(t == length - 1))
-            for t in range(length)
-        ]
-        buf.append_episode(Episode(id=eid, transitions=transitions))
+        steps = [(rng.standard_normal(4), int(rng.integers(4)), float(rng.integers(0, 2)),
+                  int(rng.integers(3))) for _ in range(length)]
+        states, actions, rewards, stages = (np.array(column) for column in zip(*steps))
+        buf.append_episode(Episode(id=eid, transitions=EpisodeArrays(
+            states, actions, rewards, stages, np.arange(length) == length - 1)))
     from qdreplay.windows import save_jsonl
 
     buffer_path = tmp_path / "buffer.jsonl"

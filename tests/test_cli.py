@@ -9,7 +9,7 @@ import pytest
 
 from qdreplay.bench import LoopConfig
 from qdreplay.cli import KNOWN_KEYS, build_parser, build_settings, main, parse_config_file
-from qdreplay.windows import Episode, ReplayBuffer, Transition, save_jsonl
+from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer, save_jsonl
 
 
 @pytest.fixture()
@@ -18,17 +18,11 @@ def buffer_file(tmp_path):
     rng = np.random.default_rng(0)
     for eid in range(8):
         length = int(rng.integers(8, 14))
-        transitions = [
-            Transition(
-                state=rng.standard_normal(4),
-                action=int(rng.integers(4)),
-                reward=float(rng.integers(0, 2)),
-                stage_label=int(rng.integers(3)),
-                done=(t == length - 1),
-            )
-            for t in range(length)
-        ]
-        buf.append_episode(Episode(id=eid, transitions=transitions))
+        steps = [(rng.standard_normal(4), int(rng.integers(4)), float(rng.integers(0, 2)),
+                  int(rng.integers(3))) for _ in range(length)]
+        states, actions, rewards, stages = (np.array(column) for column in zip(*steps))
+        buf.append_episode(Episode(id=eid, transitions=EpisodeArrays(
+            states, actions, rewards, stages, np.arange(length) == length - 1)))
     path = tmp_path / "buffer.jsonl"
     save_jsonl(buf, path)
     return path
@@ -51,6 +45,11 @@ def test_select_writes_expected_selection(tmp_path, buffer_file):
     assert len(payload["windows"]) == 5
     assert "config_hash" in payload and payload["seed"] == 3
     assert payload["logdet"] == pytest.approx(sum(payload["gains"]), abs=1e-9)
+    # Pinned picks: a refactor that moves them changes the command's output.
+    assert payload["indices"] == [3, 13, 2, 5, 11]
+    assert payload["windows"] == [{"episode": 3, "start": 0}, {"episode": 7, "start": 1},
+                                  {"episode": 3, "start": 2}, {"episode": 3, "start": 6},
+                                  {"episode": 4, "start": 4}]
 
 
 def test_select_rerun_is_byte_identical(tmp_path, buffer_file):
@@ -79,9 +78,9 @@ def test_select_kernel_dump_shape(tmp_path, buffer_file):
 
 def test_select_without_valid_windows_exits_3(tmp_path):
     buf = ReplayBuffer(capacity=100, gamma=1.0)
-    buf.append_episode(Episode(id=0, transitions=[
-        Transition(state=np.zeros(2), action=0, reward=0.0, done=True),
-    ]))
+    buf.append_episode(Episode(id=0, transitions=EpisodeArrays(
+        np.zeros((1, 2)), np.zeros(1, dtype=np.int64), np.zeros(1), np.zeros(1, dtype=np.int64),
+        np.ones(1, dtype=bool))))
     path = tmp_path / "short.jsonl"
     save_jsonl(buf, path)
     cfg = write_config(tmp_path, "horizon = 5\n")

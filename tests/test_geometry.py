@@ -11,39 +11,38 @@ from qdreplay.geometry import (
     rbf_similarity,
 )
 from qdreplay.policy import LinearSoftmaxPolicy
-from qdreplay.windows import Episode, ReplayBuffer, Transition
+from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
 
 
-def _single_window(state_rows, rewards, gamma=1.0):
-    trs = [
-        Transition(state=np.asarray(s, dtype=float), action=0, reward=float(r),
-                   done=(i == len(rewards) - 1))
-        for i, (s, r) in enumerate(zip(state_rows, rewards))
-    ]
-    buf = ReplayBuffer(capacity=100, gamma=gamma)
-    buf.append_episode(Episode(id=0, transitions=trs))
-    return buf.materialize(0, 0, len(rewards))
+def _pool(states, rewards):
+    """One single-step episode per (state, reward), gathered in order as length-1 windows."""
+    buf = ReplayBuffer(capacity=100, gamma=1.0)
+    for eid, (state, reward) in enumerate(zip(states, rewards)):
+        buf.append_episode(Episode(id=eid, transitions=EpisodeArrays(
+            np.array([state], dtype=float), np.zeros(1, dtype=np.int64), np.array([reward]),
+            np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))))
+    return buf.gather(np.arange(len(rewards)), 1)
 
 
 def test_identical_windows_identical_embeddings():
-    w = _single_window([[1.0, 2.0]], [0.5])
+    pool = _pool([[1.0, 2.0], [1.0, 2.0]], [0.5, 0.5])
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, feature_dim=5, seed=1)
-    a, b = encode_pool([w, w], policy)
+    a, b = encode_pool(pool, policy)
     np.testing.assert_array_equal(a, b)
 
 
 def test_encode_pool_shape_contract():
     rng = np.random.default_rng(2)
-    pool = [_single_window([rng.standard_normal(3)], [rng.random()]) for _ in range(7)]
+    pool = _pool(rng.standard_normal((7, 3)), rng.random(7))
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=3, feature_dim=6, seed=0)
     embeddings = encode_pool(pool, policy)
     assert embeddings.shape == (7, 6)
 
 
 def test_identity_encoder_returns_window_features():
-    w = _single_window([[1.5, -2.0]], [4.0])
+    pool = _pool([[1.5, -2.0]], [4.0])
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, projection=np.eye(3), seed=0)
-    emb = encode_pool([w], policy)[0]
+    emb = encode_pool(pool, policy)[0]
     np.testing.assert_allclose(emb, [1.5, -2.0, 4.0])
 
 

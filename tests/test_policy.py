@@ -4,119 +4,105 @@ import numpy as np
 import pytest
 
 from qdreplay.policy import LinearSoftmaxPolicy, _logsumexp_rows
-from qdreplay.windows import Episode, ReplayBuffer, Transition, stack_windows
+from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
 
 
-def make_window(states, actions, rewards, gamma=1.0):
-    trs = [
-        Transition(state=np.asarray(s, dtype=float), action=int(a), reward=float(r),
-                   done=(i == len(rewards) - 1))
-        for i, (s, a, r) in enumerate(zip(states, actions, rewards))
-    ]
-    buf = ReplayBuffer(capacity=100, gamma=gamma)
-    buf.append_episode(Episode(id=0, transitions=trs))
-    return buf.materialize(0, 0, len(rewards))
+def make_batch(episodes, gamma=1.0):
+    """A WindowBatch holding each (states, actions, rewards) episode as one whole window."""
+    buf = ReplayBuffer(capacity=1000, gamma=gamma)
+    for eid, (states, actions, rewards) in enumerate(episodes):
+        n = len(rewards)
+        buf.append_episode(Episode(id=eid, transitions=EpisodeArrays(
+            np.asarray(states, dtype=float), np.asarray(actions), np.asarray(rewards, dtype=float),
+            np.zeros(n, dtype=np.int64), np.arange(n) == n - 1)))
+    return buf.gather(np.arange(len(episodes)), len(episodes[0][2]))
 
 
-def random_window(rng, dim=3, horizon=4, actions=4):
-    return make_window(
-        [rng.standard_normal(dim) for _ in range(horizon)],
-        rng.integers(actions, size=horizon),
-        rng.random(horizon),
-        gamma=0.9,
-    )
+def random_episode(rng, dim=3, horizon=4, actions=4):
+    return ([rng.standard_normal(dim) for _ in range(horizon)],
+            rng.integers(actions, size=horizon),
+            rng.random(horizon))
+
+
+def random_batch(rng, count=1, **shape):
+    return make_batch([random_episode(rng, **shape) for _ in range(count)], gamma=0.9)
 
 
 def test_identity_projection_encodes_raw_features():
-    w = make_window([[2.0, -1.0]], [0], [3.0])
+    batch = make_batch([([[2.0, -1.0]], [0], [3.0])])
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, projection=np.eye(3), seed=0)
-    np.testing.assert_allclose(policy.encode(stack_windows([w]))[0], [2.0, -1.0, 3.0])
+    np.testing.assert_allclose(policy.encode(batch)[0], [2.0, -1.0, 3.0])
 
 
 def test_encode_is_deterministic():
     rng = np.random.default_rng(0)
-    w = random_window(rng)
+    batch = random_batch(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.5, seed=1)
-    batch = stack_windows([w])
     np.testing.assert_array_equal(policy.encode(batch)[0], policy.encode(batch)[0])
 
 
 def test_projection_null_feature_is_invisible():
     projection = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # second state dim dropped
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, projection=projection, seed=0)
-    a = make_window([[1.0, 5.0]], [0], [2.0])
-    b = make_window([[1.0, -8.0]], [0], [2.0])
-    np.testing.assert_array_equal(policy.encode(stack_windows([a]))[0],
-                                  policy.encode(stack_windows([b]))[0])
+    a, b = policy.encode(make_batch([([[1.0, 5.0]], [0], [2.0]), ([[1.0, -8.0]], [0], [2.0])]))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_predict_mean_without_dropout_ignores_seed():
     rng = np.random.default_rng(2)
-    w = random_window(rng)
+    batch = random_batch(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.0, seed=3)
-    batch = stack_windows([w])
     np.testing.assert_array_equal(policy.predict_mean(batch, 0)[0],
                                   policy.predict_mean(batch, 999)[0])
 
 
 def test_predict_mean_dropout_varies_with_seed():
-    w = make_window([[1.0, 1.0]], [0], [1.0])
+    batch = make_batch([([[1.0, 1.0]], [0], [1.0])])
     projection = np.eye(3)
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=2, dropout_rate=0.5,
                                  projection=projection, seed=4)
     policy.weights = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    batch = stack_windows([w])
     outputs = {tuple(np.round(policy.predict_mean(batch, seed)[0], 9)) for seed in range(32)}
     assert len(outputs) > 1
 
 
 def test_predict_mean_is_deterministic_per_pass_seed():
     rng = np.random.default_rng(5)
-    w = random_window(rng)
+    batch = random_batch(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.5, seed=6)
-    batch = stack_windows([w])
     np.testing.assert_array_equal(policy.predict_mean(batch, (7, 3))[0],
                                   policy.predict_mean(batch, (7, 3))[0])
 
 
 def test_zero_weights_give_zero_prediction():
     rng = np.random.default_rng(7)
-    w = random_window(rng)
+    batch = random_batch(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.5, seed=8)
     policy.weights = np.zeros_like(policy.weights)
     for seed in range(5):
-        np.testing.assert_array_equal(policy.predict_mean(stack_windows([w]), seed)[0],
+        np.testing.assert_array_equal(policy.predict_mean(batch, seed)[0],
                                       np.zeros(4))
-
-
-def test_log_probs_normalize():
-    rng = np.random.default_rng(9)
-    w = random_window(rng)
-    policy = LinearSoftmaxPolicy(state_dim=3, action_count=5, seed=10)
-    for step in range(w.horizon):
-        probs = np.exp(policy.action_log_probs(w, step))
-        assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_zero_learning_rate_leaves_parameters():
     rng = np.random.default_rng(11)
-    batch = [random_window(rng) for _ in range(3)]
+    batch = random_batch(rng, count=3)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=12)
     before = policy.get_params()
-    loss = policy.weighted_update(stack_windows(batch), [1.0, 1.0, 1.0], learning_rate=0.0)
+    loss = policy.weighted_update(batch, [1.0, 1.0, 1.0], learning_rate=0.0)
     assert loss > 0
     np.testing.assert_array_equal(policy.get_params(), before)
 
 
 def test_doubling_weight_doubles_the_step():
     rng = np.random.default_rng(13)
-    w = random_window(rng)
+    batch = random_batch(rng)
 
     policy_a = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=14)
     policy_b = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=14)
     start = policy_a.get_params()
-    policy_a.weighted_update(stack_windows([w]), [1.0], learning_rate=0.1)
-    policy_b.weighted_update(stack_windows([w]), [2.0], learning_rate=0.1)
+    policy_a.weighted_update(batch, [1.0], learning_rate=0.1)
+    policy_b.weighted_update(batch, [2.0], learning_rate=0.1)
     delta_a = policy_a.get_params() - start
     delta_b = policy_b.get_params() - start
     np.testing.assert_allclose(delta_b, 2.0 * delta_a, rtol=1e-12)
@@ -124,13 +110,13 @@ def test_doubling_weight_doubles_the_step():
 
 def test_weight_scaling_scales_gradient_exactly():
     rng = np.random.default_rng(15)
-    batch = [random_window(rng) for _ in range(2)]
+    batch = random_batch(rng, count=2)
     for c in (0.5, 3.0):
         policy_a = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=16)
         policy_b = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=16)
         start = policy_a.get_params()
-        policy_a.weighted_update(stack_windows(batch), [1.0, 2.0], learning_rate=1.0)
-        policy_b.weighted_update(stack_windows(batch), [c * 1.0, c * 2.0], learning_rate=1.0)
+        policy_a.weighted_update(batch, [1.0, 2.0], learning_rate=1.0)
+        policy_b.weighted_update(batch, [c * 1.0, c * 2.0], learning_rate=1.0)
         np.testing.assert_allclose(
             policy_b.get_params() - start, c * (policy_a.get_params() - start), rtol=1e-9
         )
@@ -138,13 +124,13 @@ def test_weight_scaling_scales_gradient_exactly():
 
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(17)
-    batch = [random_window(rng) for _ in range(3)]
+    batch = random_batch(rng, count=3)
     weights = [0.7, 1.4, 2.1]
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=18)
 
     reference = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=18)
     start = reference.get_params()
-    reference.weighted_update(stack_windows(batch), weights, learning_rate=1.0)
+    reference.weighted_update(batch, weights, learning_rate=1.0)
     grad = start - reference.get_params()  # lr=1 step equals the gradient
 
     step = 1e-5
@@ -154,9 +140,9 @@ def test_gradient_matches_central_differences():
             params[probe] += sign * step
             policy.set_params(params)
             if store == "hi":
-                hi = policy.batch_loss(stack_windows(batch), weights)
+                hi = policy.batch_loss(batch, weights)
             else:
-                lo = policy.batch_loss(stack_windows(batch), weights)
+                lo = policy.batch_loss(batch, weights)
         numeric = (hi - lo) / (2 * step)
         assert abs(grad[probe] - numeric) / max(abs(numeric), 1e-8) < 1e-4
 
@@ -164,45 +150,39 @@ def test_gradient_matches_central_differences():
 def test_loss_decreases_on_separable_batch():
     rng = np.random.default_rng(19)
     # action identity is readable from the state: separable mapping
-    batch = []
-    for a in (0, 1, 2):
-        s = np.zeros(3)
-        s[a] = 1.0
-        batch.append(make_window([s] * 4, [a] * 4, [0.0, 0.0, 0.0, 1.0]))
+    batch = make_batch([(np.tile(np.eye(3)[a], (4, 1)), [a] * 4, [0.0, 0.0, 0.0, 1.0])
+                        for a in (0, 1, 2)])
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=3, seed=20)
     weights = [1.0, 1.0, 1.0]
-    stacked = stack_windows(batch)
-    losses = [policy.weighted_update(stacked, weights, learning_rate=1e-2) for _ in range(50)]
+    losses = [policy.weighted_update(batch, weights, learning_rate=1e-2) for _ in range(50)]
     assert losses[-1] < losses[0]
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
 def test_weighted_update_rejects_bad_weights():
     rng = np.random.default_rng(21)
-    w = random_window(rng)
+    batch = random_batch(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=22)
     with pytest.raises(ValueError):
-        policy.weighted_update(stack_windows([w]), [-1.0], learning_rate=0.1)
+        policy.weighted_update(batch, [-1.0], learning_rate=0.1)
     with pytest.raises(ValueError):
-        policy.weighted_update(stack_windows([w]), [float("nan")], learning_rate=0.1)
+        policy.weighted_update(batch, [float("nan")], learning_rate=0.1)
 
 
 def test_state_dim_mismatch_rejected():
-    w = make_window([[1.0, 2.0, 3.0]], [0], [1.0])
+    batch = make_batch([([[1.0, 2.0, 3.0]], [0], [1.0])])
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, seed=23)
     with pytest.raises(ValueError, match="dim mismatch"):
-        policy.encode(stack_windows([w]))
+        policy.encode(batch)
 
 
 def test_serialization_round_trip():
     rng = np.random.default_rng(24)
-    w = random_window(rng)
+    batch = random_batch(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.3, seed=25)
     clone = LinearSoftmaxPolicy.from_json(policy.to_json())
-    batch = stack_windows([w])
     np.testing.assert_array_equal(policy.encode(batch)[0], clone.encode(batch)[0])
     np.testing.assert_array_equal(policy.predict_mean(batch, 5)[0], clone.predict_mean(batch, 5)[0])
-    assert policy.action_log_prob(w, 0) == clone.action_log_prob(w, 0)
 
 
 def test_serialization_rejects_unknown_version():
@@ -214,7 +194,8 @@ def test_serialization_rejects_unknown_version():
 
 def reference_update(policy, windows, weights, learning_rate):
     """weighted_update as a loop over windows: features are projected one window at a time."""
-    feats = np.vstack([policy._step_features(w) for w in windows])
+    feats = np.vstack([np.hstack([w.states, w.rtg[:, None]]) @ policy.projection.T
+                       for w in windows])
     targets = np.concatenate([np.asarray(w.actions, dtype=int) for w in windows])
     step_w = np.concatenate([np.full(w.horizon, float(x)) for w, x in zip(windows, weights)])
     logits = feats @ policy.weights
@@ -231,11 +212,12 @@ def reference_update(policy, windows, weights, learning_rate):
 @pytest.mark.parametrize("count", [1, 5, 32])
 def test_batched_update_matches_per_window_loop(horizon, count):
     rng = np.random.default_rng(100 * horizon + count)
-    windows = [random_window(rng, dim=8, horizon=horizon, actions=6) for _ in range(count)]
+    batch = random_batch(rng, count=count, dim=8, horizon=horizon, actions=6)
     weights = rng.uniform(0.5, 2.0, size=count)
     batched = LinearSoftmaxPolicy(state_dim=8, action_count=6, seed=27)
     looped = LinearSoftmaxPolicy(state_dim=8, action_count=6, seed=27)
-    loss = batched.weighted_update(stack_windows(windows), weights, learning_rate=0.1)
+    loss = batched.weighted_update(batch, weights, learning_rate=0.1)
+    windows = [batch[b] for b in range(count)]
     reference = reference_update(looped, windows, weights, learning_rate=0.1)
     if horizon >= 2:  # the same BLAS kernels run, so the bits match
         assert loss == reference

@@ -20,7 +20,7 @@ from qdreplay.scoring import (
     rtg_quantiles,
     stage_coverage,
 )
-from qdreplay.windows import Episode, ReplayBuffer, Transition, discounted_window_return
+from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
 
 
 def test_quality_weights_must_sum_to_one():
@@ -135,18 +135,14 @@ def test_stage_coverage_monotone_in_count():
 
 
 def _pool_from_rewards(rewards_per_window, stages, gamma=0.9, dim=2):
-    """One single-window episode per reward sequence."""
+    """One single-window episode per reward sequence, all of one length, as a pool."""
     buf = ReplayBuffer(capacity=1000, gamma=gamma)
-    windows = []
     for eid, (rewards, stage) in enumerate(zip(rewards_per_window, stages)):
-        trs = [
-            Transition(state=np.zeros(dim), action=0, reward=float(r), stage_label=stage,
-                       done=(i == len(rewards) - 1))
-            for i, r in enumerate(rewards)
-        ]
-        buf.append_episode(Episode(id=eid, transitions=trs))
-        windows.append(buf.materialize(eid, 0, len(rewards)))
-    return windows
+        n = len(rewards)
+        buf.append_episode(Episode(id=eid, transitions=EpisodeArrays(
+            np.zeros((n, dim)), np.zeros(n, dtype=np.int64), np.asarray(rewards, dtype=float),
+            np.full(n, stage), np.arange(n) == n - 1)))
+    return buf.gather(np.arange(len(stages)), len(rewards_per_window[0]))
 
 
 def _deterministic_policy(dim=2, dropout=0.0):
@@ -213,12 +209,11 @@ def _random_pool(count, horizon, seed, dim=3):
     buf = ReplayBuffer(capacity=100_000, gamma=0.95)
     for eid in range(max(count // 4, 2)):
         length = int(rng.integers(horizon, horizon + 30))
-        buf.append_episode(Episode(id=eid, transitions=[
-            Transition(state=rng.standard_normal(dim), action=int(rng.integers(2)),
-                       reward=float(rng.random() < 0.2), stage_label=int(rng.integers(4)),
-                       done=(t == length - 1))
-            for t in range(length)
-        ]))
+        steps = [(rng.standard_normal(dim), int(rng.integers(2)), float(rng.random() < 0.2),
+                  int(rng.integers(4))) for _ in range(length)]
+        states, actions, rewards, stages = (np.array(column) for column in zip(*steps))
+        buf.append_episode(Episode(id=eid, transitions=EpisodeArrays(
+            states, actions, rewards, stages, np.arange(length) == length - 1)))
     return buf.sample_candidate_pool(count, horizon, rng)
 
 
@@ -227,14 +222,17 @@ def _per_window_scores(pool, weights, policy, passes, gamma, seed, smoothing_alp
 
     This is the loop the batched scoring replaced, kept as the reference.
     """
-    embeddings = np.stack([policy._step_features(w).mean(axis=0) for w in pool])
-    returns = np.array([discounted_window_return(w, gamma) for w in pool])
+    windows = [pool[b] for b in range(len(pool))]
+    step_features = [np.hstack([w.states, w.rtg[:, None]]) @ policy.projection.T
+                     for w in windows]
+    embeddings = np.stack([feats.mean(axis=0) for feats in step_features])
+    returns = np.array([float(np.dot(gamma ** np.arange(w.horizon), w.rewards)) for w in windows])
     rtg_q = np.array([rtg_quantile(returns, i) for i in range(len(pool))])
     raw = []
-    for w in pool:
+    for w in windows:
         predictions = []
         for m in range(1, passes + 1):
-            feats = policy._step_features(w)
+            feats = np.hstack([w.states, w.rtg[:, None]]) @ policy.projection.T
             if policy.dropout_rate > 0.0:
                 feats = feats * policy._dropout_mask((seed, m))
             predictions.append((feats @ policy.weights).mean(axis=0))
@@ -243,7 +241,8 @@ def _per_window_scores(pool, weights, policy, passes, gamma, seed, smoothing_alp
         raw.append(float(((centered ** 2).sum(axis=0) / (passes - 1)).sum()))
     raw = np.array(raw)
     u_norm = normalize_uncertainty(raw)
-    rho = stage_coverage([w.stage_label for w in pool], smoothing_alpha)
+    rho = stage_coverage([np.bincount(stages).argmax() for stages in pool.stages],
+                         smoothing_alpha)
     composite = weights.alpha * rtg_q + weights.beta * u_norm + weights.zeta * rho
     return embeddings, QualityReport(rtg_q, raw, u_norm, rho, np.maximum(composite, Q_MIN))
 

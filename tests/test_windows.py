@@ -9,29 +9,35 @@ from hypothesis import strategies as st
 
 from qdreplay.windows import (
     Episode,
+    EpisodeArrays,
     JsonlParseError,
     NoValidWindowsError,
     ReplayBuffer,
-    Transition,
-    discounted_window_return,
     load_jsonl,
     save_jsonl,
 )
 
+COLUMNS = ("states", "actions", "rewards", "stages", "done")
 
-def make_episode(eid: int, length: int, dim: int = 3, rng=None, stage=0) -> Episode:
+
+def episode_of(eid: int, states, actions, rewards, stages=None, done=None) -> Episode:
+    """An episode from per-step values; stages default to 0 and done to the last step only."""
+    n = len(rewards)
+    return Episode(id=eid, transitions=EpisodeArrays(
+        states=np.asarray(states, dtype=float),
+        actions=actions,
+        rewards=np.asarray(rewards, dtype=float),
+        stages=np.zeros(n, dtype=np.int64) if stages is None else np.asarray(stages),
+        done=np.arange(n) == n - 1 if done is None else np.asarray(done),
+    ))
+
+
+def make_episode(eid: int, length: int, dim: int = 3, rng=None, stage=None) -> Episode:
+    """Random states, actions and rewards; random stages in 0..2 unless ``stage`` is given."""
     rng = rng or np.random.default_rng(eid)
-    transitions = [
-        Transition(
-            state=rng.standard_normal(dim),
-            action=int(rng.integers(4)),
-            reward=float(rng.random()),
-            stage_label=stage,
-            done=(t == length - 1),
-        )
-        for t in range(length)
-    ]
-    return Episode(id=eid, transitions=transitions)
+    stages = rng.integers(3, size=length) if stage is None else np.full(length, stage)
+    return episode_of(eid, rng.standard_normal((length, dim)), rng.integers(4, size=length),
+                      rng.random(length), stages)
 
 
 def test_append_to_empty_buffer():
@@ -62,12 +68,9 @@ def test_episode_larger_than_capacity_rejected():
 
 
 def test_done_before_final_transition_rejected():
-    trs = [
-        Transition(state=np.zeros(2), action=0, reward=0.0, done=True),
-        Transition(state=np.zeros(2), action=0, reward=0.0, done=True),
-    ]
+    episode = episode_of(0, np.zeros((2, 2)), [0, 0], [0.0, 0.0], done=[True, True])
     with pytest.raises(ValueError, match="done"):
-        ReplayBuffer(capacity=10, gamma=0.9).append_episode(Episode(id=0, transitions=trs))
+        ReplayBuffer(capacity=10, gamma=0.9).append_episode(episode)
 
 
 def test_episode_ids_strictly_increasing():
@@ -78,33 +81,68 @@ def test_episode_ids_strictly_increasing():
 
 
 def test_non_finite_reward_rejected():
-    with pytest.raises(ValueError, match="finite"):
-        Transition(state=np.zeros(2), action=0, reward=float("nan"))
+    buf = ReplayBuffer(capacity=10, gamma=0.9)
+    with pytest.raises(ValueError, match="step 1: reward must be finite"):
+        buf.append_episode(episode_of(0, np.zeros((2, 2)), [0, 0], [0.0, float("nan")]))
+    assert len(buf) == 0
+
+
+def test_negative_stage_rejected():
+    buf = ReplayBuffer(capacity=10, gamma=0.9)
+    with pytest.raises(ValueError, match="step 0: stage label must be non-negative"):
+        buf.append_episode(episode_of(0, np.zeros((2, 2)), [0, 0], [0.0, 0.0], stages=[-1, 0]))
+    assert len(buf) == 0
+
+
+@pytest.mark.parametrize("column", COLUMNS)
+def test_column_of_another_length_rejected(column):
+    episode = make_episode(0, 4)
+    short = dict(vars(episode.transitions), **{column: getattr(episode.transitions, column)[:3]})
+    buf = ReplayBuffer(capacity=10, gamma=0.9)
+    with pytest.raises(ValueError, match="one row per transition"):
+        buf.append_episode(Episode(id=0, transitions=EpisodeArrays(**short)))
+    assert len(buf) == 0
 
 
 def test_episode_with_non_finite_state_rejected():
-    trs = [
-        Transition(state=np.zeros(2), action=0, reward=0.0),
-        Transition(state=np.array([0.0, np.inf]), action=0, reward=0.0, done=True),
-    ]
     buf = ReplayBuffer(capacity=10, gamma=0.9)
     with pytest.raises(ValueError, match="step 1: state must be finite"):
-        buf.append_episode(Episode(id=0, transitions=trs))
+        buf.append_episode(episode_of(0, [[0.0, 0.0], [0.0, np.inf]], [0, 0], [0.0, 0.0]))
     assert len(buf) == 0
 
 
 def test_episode_mixing_action_kinds_rejected():
-    trs = [
-        Transition(state=np.zeros(2), action=0, reward=0.0),
-        Transition(state=np.zeros(2), action=np.array([0.5]), reward=0.0, done=True),
-    ]
+    episode = episode_of(0, np.zeros((2, 2)), [0, np.array([0.5])], [0.0, 0.0])
     with pytest.raises(ValueError, match="action is continuous"):
-        ReplayBuffer(capacity=10, gamma=0.9).append_episode(Episode(id=0, transitions=trs))
+        ReplayBuffer(capacity=10, gamma=0.9).append_episode(episode)
 
 
 def test_empty_episode_rejected():
     with pytest.raises(ValueError, match="at least one transition"):
-        ReplayBuffer(capacity=10, gamma=0.9).append_episode(Episode(id=0, transitions=[]))
+        ReplayBuffer(capacity=10, gamma=0.9).append_episode(
+            episode_of(0, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), []))
+
+
+def test_buffers_sharing_an_episode_do_not_share_rows():
+    """Each buffer copies what it stores: churn in one, or a caller's write, leaves the rest."""
+    episode = make_episode(0, 4)
+    original = {name: getattr(episode.transitions, name).copy() for name in COLUMNS}
+    kept = ReplayBuffer(capacity=100, gamma=0.9)
+    churned = ReplayBuffer(capacity=12, gamma=0.9)
+    kept.append_episode(episode)
+    churned.append_episode(episode)
+    before = kept.gather(np.arange(kept.window_count(2)), 2)
+    for eid in range(1, 12):  # evicts, grows and then compacts the columns in place
+        churned.append_episode(make_episode(eid, 4))
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(episode.transitions, name), original[name])
+        getattr(episode.transitions, name)[...] = 1  # the caller reuses its arrays
+    after = kept.gather(np.arange(kept.window_count(2)), 2)
+    for name in vars(before):
+        np.testing.assert_array_equal(getattr(after, name), getattr(before, name))
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(kept.episodes[0].transitions, name),
+                                      original[name])
 
 
 def test_empty_buffer_has_no_windows(tmp_path):
@@ -130,6 +168,7 @@ def test_rtg_recurrence_holds_within_episode():
         buf.append_episode(make_episode(eid, int(rng.integers(6, 15)), rng=rng))
     for eid, start in buf.valid_windows(5):
         w = buf.materialize(eid, start, 5)
+        assert (w.episode_id, w.start, w.horizon) == (eid, start, 5)
         for j in range(w.horizon - 1):
             expected = w.rewards[j] + buf.gamma * w.rtg[j + 1]
             assert w.rtg[j] == pytest.approx(expected, rel=1e-9)
@@ -148,7 +187,7 @@ def test_valid_start_count_is_length_minus_horizon_plus_one():
     buf.append_episode(make_episode(0, 10))
     pool = buf.sample_candidate_pool(100, 5, seed=0)
     assert len(pool) == 6
-    assert sorted(w.start for w in pool) == [0, 1, 2, 3, 4, 5]
+    assert sorted(pool.starts.tolist()) == [0, 1, 2, 3, 4, 5]
 
 
 def test_pool_draw_is_without_replacement():
@@ -156,7 +195,7 @@ def test_pool_draw_is_without_replacement():
     buf.append_episode(make_episode(0, 10))
     buf.append_episode(make_episode(1, 10))
     pool = buf.sample_candidate_pool(4, 5, seed=3)
-    pairs = [(w.episode_id, w.start) for w in pool]
+    pairs = list(zip(pool.episode_ids.tolist(), pool.starts.tolist()))
     assert len(pairs) == 4
     assert len(set(pairs)) == 4
 
@@ -165,9 +204,10 @@ def test_pool_sampling_deterministic_for_seed():
     buf = ReplayBuffer(capacity=100, gamma=0.9)
     buf.append_episode(make_episode(0, 12))
     buf.append_episode(make_episode(1, 12))
-    first = [(w.episode_id, w.start) for w in buf.sample_candidate_pool(5, 4, seed=42)]
-    second = [(w.episode_id, w.start) for w in buf.sample_candidate_pool(5, 4, seed=42)]
-    assert first == second
+    first = buf.sample_candidate_pool(5, 4, seed=42)
+    second = buf.sample_candidate_pool(5, 4, seed=42)
+    for name in vars(first):
+        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
 
 
 def test_no_valid_windows_is_an_error():
@@ -177,72 +217,95 @@ def test_no_valid_windows_is_an_error():
         buf.sample_candidate_pool(2, 5, seed=0)
 
 
-def _window_with_rewards(rewards, gamma=0.9):
-    trs = [
-        Transition(state=np.zeros(2), action=0, reward=float(r), done=(i == len(rewards) - 1))
-        for i, r in enumerate(rewards)
-    ]
-    buf = ReplayBuffer(capacity=100, gamma=gamma)
-    buf.append_episode(Episode(id=0, transitions=trs))
-    return buf.materialize(0, 0, len(rewards))
+def _window_returns(rewards, gamma):
+    """Returns of every length-3 window of one episode with the given rewards."""
+    buf = ReplayBuffer(capacity=100, gamma=0.9)
+    buf.append_episode(episode_of(0, np.zeros((len(rewards), 2)), [0] * len(rewards), rewards))
+    return buf.gather(np.arange(buf.window_count(3)), 3).returns(gamma)
 
 
 def test_discounted_return_undiscounted_sum():
-    w = _window_with_rewards([1, 1, 1])
-    assert discounted_window_return(w, 1.0) == pytest.approx(3.0)
+    np.testing.assert_allclose(_window_returns([1, 1, 1, 0, 0], 1.0), [3.0, 2.0, 1.0])
 
 
 def test_discounted_return_halving():
-    w = _window_with_rewards([1, 1, 1])
-    assert discounted_window_return(w, 0.5) == pytest.approx(1.75)
+    np.testing.assert_allclose(_window_returns([1, 1, 1, 0], 0.5), [1.75, 1.5])
 
 
 def test_discounted_return_zero_rewards():
-    w = _window_with_rewards([0, 0, 0])
     for gamma in (0.1, 0.5, 1.0):
-        assert discounted_window_return(w, gamma) == 0.0
+        assert _window_returns([0, 0, 0], gamma).tolist() == [0.0]
 
 
 def test_window_return_matches_rtg_only_at_episode_tail():
     buf = ReplayBuffer(capacity=100, gamma=0.8)
     buf.append_episode(make_episode(0, 6, rng=np.random.default_rng(5)))
-    tail = buf.materialize(0, 1, 5)  # ends exactly at the episode boundary
-    head = buf.materialize(0, 0, 5)
-    assert discounted_window_return(tail, 0.8) == pytest.approx(tail.rtg[0], rel=1e-9)
-    assert discounted_window_return(head, 0.8) != pytest.approx(head.rtg[0], rel=1e-9)
+    head, tail = buf.gather([0, 1], 5)  # tail ends exactly at the episode boundary
+    returns = buf.gather([0, 1], 5).returns(0.8)
+    assert returns[1] == pytest.approx(tail.rtg[0], rel=1e-9)
+    assert returns[0] != pytest.approx(head.rtg[0], rel=1e-9)
 
 
 def test_window_stage_label_majority_with_low_tie():
-    trs = [
-        Transition(state=np.zeros(2), action=0, reward=0.0, stage_label=s)
-        for s in [2, 2, 1, 1]
-    ]
     buf = ReplayBuffer(capacity=10, gamma=0.9)
-    buf.append_episode(Episode(id=0, transitions=trs))
+    buf.append_episode(episode_of(0, np.zeros((7, 2)), [0] * 7, [0.0] * 7,
+                                  stages=[2, 2, 1, 1, 0, 2, 2]))
     assert buf.materialize(0, 0, 4).stage_label == 1
+    assert buf.gather(np.arange(4), 4).stage_labels.tolist() == [1, 1, 1, 2]
 
 
-def test_jsonl_round_trip_and_deterministic_bytes(tmp_path):
-    buf = ReplayBuffer(capacity=100, gamma=0.9)
-    rng = np.random.default_rng(2)
-    buf.append_episode(make_episode(0, 6, rng=rng, stage=1))
-    buf.append_episode(make_episode(1, 4, rng=rng, stage=2))
-    path_a = tmp_path / "a.jsonl"
-    path_b = tmp_path / "b.jsonl"
-    save_jsonl(buf, path_a)
-    save_jsonl(buf, path_b)
-    assert path_a.read_bytes() == path_b.read_bytes()
+def _columns_equal(a, b):
+    for name in vars(a):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
 
-    loaded = load_jsonl(path_a, gamma=0.9)
-    assert len(loaded) == len(buf)
+
+@st.composite
+def _episode_columns(draw, state_dim, action_dim):
+    """One random episode's columns; ``action_dim`` None gives discrete actions."""
+    length = draw(st.integers(1, 8))
+    values = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    rows = st.lists(st.lists(values, min_size=length, max_size=length),
+                    min_size=1, max_size=1)
+    vectors = lambda dim: st.lists(st.lists(values, min_size=dim, max_size=dim),  # noqa: E731
+                                   min_size=length, max_size=length)
+    actions = (draw(st.lists(st.integers(0, 9), min_size=length, max_size=length))
+               if action_dim is None else np.array(draw(vectors(action_dim))))
+    return EpisodeArrays(
+        states=np.array(draw(vectors(state_dim))),
+        actions=np.asarray(actions),
+        rewards=np.array(draw(rows)[0]),
+        stages=np.array(draw(st.lists(st.integers(0, 4), min_size=length, max_size=length))),
+        done=np.arange(length) == length - 1,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), state_dim=st.integers(1, 3), action_dim=st.none() | st.integers(1, 3),
+       count=st.integers(1, 6), spare=st.integers(0, 30), gamma=st.floats(0.5, 1.0))
+def test_jsonl_round_trip_and_deterministic_bytes(tmp_path_factory, data, state_dim,
+                                                  action_dim, count, spare, gamma):
+    episodes = [data.draw(_episode_columns(state_dim, action_dim)) for _ in range(count)]
+    capacity = max(map(len, episodes)) + spare  # small spares evict the oldest episodes
+    buf = ReplayBuffer(capacity=capacity, gamma=gamma)
+    for eid, steps in enumerate(episodes):
+        buf.append_episode(Episode(id=2 * eid, transitions=steps))
+    tmp = tmp_path_factory.mktemp("jsonl")
+    save_jsonl(buf, tmp / "a.jsonl")
+    save_jsonl(buf, tmp / "b.jsonl")
+    assert (tmp / "a.jsonl").read_bytes() == (tmp / "b.jsonl").read_bytes()
+
+    loaded = load_jsonl(tmp / "a.jsonl", gamma=gamma)
+    assert len(loaded) == len(buf) and len(loaded.episodes) == len(buf.episodes)
     for orig, back in zip(buf.episodes, loaded.episodes):
         assert orig.id == back.id
-        for a, b in zip(orig.transitions, back.transitions):
-            np.testing.assert_allclose(a.state, b.state)
-            assert a.action == b.action
-            assert a.reward == pytest.approx(b.reward)
-            assert a.stage_label == b.stage_label
-            assert a.done == b.done
+        _columns_equal(orig.transitions, back.transitions)
+    for horizon in (1, 3):
+        assert loaded.window_count(horizon) == buf.window_count(horizon)
+        ids = np.arange(buf.window_count(horizon))
+        _columns_equal(buf.gather(ids, horizon), loaded.gather(ids, horizon))
+    save_jsonl(loaded, tmp / "c.jsonl")
+    assert (tmp / "c.jsonl").read_bytes() == (tmp / "a.jsonl").read_bytes()
 
 
 def test_jsonl_parse_error_carries_line_number(tmp_path):
@@ -252,25 +315,47 @@ def test_jsonl_parse_error_carries_line_number(tmp_path):
         load_jsonl(path)
 
 
-def _assert_gather_matches_materialize(buf, horizon):
-    pairs = buf.valid_windows(horizon)
+def _assert_gather_matches_materialize(buf, appended, horizon):
+    """``gather`` and ``materialize`` against slices of the appended episodes.
+
+    ``appended`` maps each episode id to the ``EpisodeArrays`` given to the
+    buffer; the windows are expected episode-major over the stored ids.
+    """
+    pairs = [(ep.id, start) for ep in buf.episodes
+             for start in range(len(ep) - horizon + 1)]
     batch = buf.gather(np.arange(len(pairs)), horizon)
     assert len(batch) == len(pairs)
+    assert batch.episode_ids.tolist() == [eid for eid, _ in pairs]
+    assert batch.starts.tolist() == [start for _, start in pairs]
     for b, (eid, start) in enumerate(pairs):
+        steps = appended[eid]
+        rtg, acc = np.zeros(len(steps)), 0.0
+        for t in range(len(steps) - 1, -1, -1):
+            acc = steps.rewards[t] + buf.gamma * acc
+            rtg[t] = acc
+        window = slice(start, start + horizon)
+        majority = int(np.bincount(steps.stages[window]).argmax())
         w = buf.materialize(eid, start, horizon)
-        np.testing.assert_array_equal(batch.states[b], w.states)
-        np.testing.assert_array_equal(batch.actions[b], w.actions)
-        np.testing.assert_array_equal(batch.rewards[b], w.rewards)
-        np.testing.assert_array_equal(batch.rtg[b], w.rtg)
+        assert (w.episode_id, w.start, w.stage_label) == (eid, start, majority)
+        assert batch.stage_labels[b] == majority
+        for got in (batch[b], w):
+            np.testing.assert_array_equal(got.states, steps.states[window])
+            np.testing.assert_array_equal(got.actions, steps.actions[window])
+            np.testing.assert_array_equal(got.rewards, steps.rewards[window])
+            np.testing.assert_array_equal(got.rtg, rtg[window])
+        np.testing.assert_array_equal(batch.stages[b], steps.stages[window])
 
 
 def test_gather_matches_materialize_through_fifo_eviction():
     buf = ReplayBuffer(capacity=60, gamma=0.9)
     rng = np.random.default_rng(3)
+    appended = {}
     for eid in range(40):  # enough appends to grow and compact the columns
-        buf.append_episode(make_episode(eid, int(rng.integers(1, 15)), rng=rng))
+        episode = make_episode(eid, int(rng.integers(1, 15)), rng=rng)
+        appended[eid] = episode.transitions
+        buf.append_episode(episode)
         for horizon in (1, 4):
-            _assert_gather_matches_materialize(buf, horizon)
+            _assert_gather_matches_materialize(buf, appended, horizon)
     assert buf.episodes[0].id > 0
 
 
@@ -283,9 +368,12 @@ def test_gather_matches_materialize_through_fifo_eviction():
 def test_window_ids_follow_episode_order_under_fifo(capacity, horizon, lengths):
     buf = ReplayBuffer(capacity=capacity, gamma=0.9)
     stored: list[tuple[int, int]] = []  # reference FIFO of (episode id, length)
+    appended = {}
     for eid, length in enumerate(lengths):
         length = min(length, capacity)
-        buf.append_episode(make_episode(eid, length, dim=2))
+        episode = make_episode(eid, length, dim=2)
+        appended[eid] = episode.transitions
+        buf.append_episode(episode)
         stored.append((eid, length))
         while sum(n for _, n in stored) > capacity:
             stored.pop(0)
@@ -298,7 +386,7 @@ def test_window_ids_follow_episode_order_under_fifo(capacity, horizon, lengths):
         assert ids.tolist() == list(range(len(expected)))
         evicted = list(range(stored[0][0]))
         assert buf.window_ids(evicted, [0] * len(evicted), horizon).size == 0
-    _assert_gather_matches_materialize(buf, horizon)
+    _assert_gather_matches_materialize(buf, appended, horizon)
 
 
 def _record(episode, t, action=1):
