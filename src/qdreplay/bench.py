@@ -29,15 +29,6 @@ class Variant(Enum):
     UNIFORM = "UNIFORM"
 
 
-@dataclass
-class StepOutcome:
-    obs: np.ndarray
-    reward: float
-    done: bool
-    stage: int       # ground-truth stage before the step
-    success: bool
-
-
 class StageChainEnv:
     """Sparse-reward chain of sub-task stages with skewed stage lengths.
 
@@ -98,7 +89,9 @@ class StageChainEnv:
         self._t = 0
         return self.observation()
 
-    def step(self, action: int, rng: np.random.Generator) -> StepOutcome:
+    def step(self, action: int,
+             rng: np.random.Generator) -> tuple[np.ndarray, float, bool, int, bool]:
+        """Execute ``action``; returns (obs, reward, done, stage before the step, success)."""
         if self._t >= self.t_max or self._stage >= self.num_stages:
             raise RuntimeError("step() called on a finished episode")
         stage_before = self._stage
@@ -114,7 +107,7 @@ class StageChainEnv:
         success = self._stage >= self.num_stages
         done = success or self._t >= self.t_max
         reward = 1.0 if success else 0.0
-        return StepOutcome(self.observation(), reward, done, stage_before, success)
+        return self.observation(), reward, done, stage_before, success
 
 
 class RandomPolicy:
@@ -158,18 +151,18 @@ def rollout(env: StageChainEnv, actor, rng: np.random.Generator,
     success = False
     while True:
         action = actor.act(obs, rtg_hint, rng=rng, greedy=greedy)
-        outcome = env.step(action, rng)
+        next_obs, reward, done, stage, reached = env.step(action, rng)
         states.append(obs)
         actions.append(action)
-        rewards.append(outcome.reward)
-        stages.append(outcome.stage)
-        rtg_hint = max(rtg_hint - outcome.reward, 0.0)
-        obs = outcome.obs
-        success = success or outcome.success
-        if outcome.done:
-            done = np.arange(len(rewards)) == len(rewards) - 1
+        rewards.append(reward)
+        stages.append(stage)
+        rtg_hint = max(rtg_hint - reward, 0.0)
+        obs = next_obs
+        success = success or reached
+        if done:
+            last = np.arange(len(rewards)) == len(rewards) - 1
             return EpisodeArrays(np.array(states), np.array(actions), np.array(rewards),
-                                 np.array(stages), done), success
+                                 np.array(stages), last), success
 
 
 def evaluate_policy(policy, env: StageChainEnv, episodes: int, seed) -> float:

@@ -10,6 +10,7 @@ import numpy as np
 from .windows import WindowBatch
 
 PARAMS_FORMAT_VERSION = 1
+ACT_CACHE_SIZE = 4096  # most (state, rtg) entries LinearSoftmaxPolicy.act keeps
 
 
 @runtime_checkable
@@ -39,6 +40,9 @@ class LinearSoftmaxPolicy:
     features to action logits. The window embedding is the mean of the
     projected step features (dropout disabled), so embeddings do not drift
     as the logit weights train.
+
+    ``weights`` is only ever rebound, never written in place: rebinding it
+    clears the memo of ``act``.
     """
 
     def __init__(
@@ -69,6 +73,16 @@ class LinearSoftmaxPolicy:
                 )
         self.feature_dim = self.projection.shape[0]
         self.weights = 0.1 * rng.standard_normal((self.feature_dim, self.action_count))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Feature-to-logit matrix, (feature_dim, action_count)."""
+        return self._weights
+
+    @weights.setter
+    def weights(self, value: np.ndarray) -> None:
+        self._weights = value
+        self._act_memo: dict[tuple[bytes, float], tuple[int, np.ndarray]] = {}
 
     # ---------------------------------------------------------------- features
 
@@ -114,11 +128,31 @@ class LinearSoftmaxPolicy:
 
     def act(self, state: np.ndarray, rtg: float, rng: np.random.Generator | None = None,
             greedy: bool = False) -> int:
-        logits = self.weights.T @ self.state_features(state, rtg)
+        """The argmax action if ``greedy`` or no ``rng``, else one drawn from the softmax.
+
+        Memoised per (state, rtg) until ``weights`` is rebound, at most
+        ``ACT_CACHE_SIZE`` entries, oldest out first. A sampled action takes
+        one ``rng.random()`` and inverts the softmax CDF at it, which is the
+        draw ``rng.choice(action_count, p=probs)`` makes: the same action and
+        the same generator state afterwards.
+        """
+        key = (np.asarray(state, dtype=float).tobytes(), float(rtg))
+        memo = self._act_memo
+        entry = memo.get(key)
+        if entry is None:
+            logits = self._weights.T @ self.state_features(state, rtg)
+            probs = np.exp(logits - _logsumexp(logits))
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
+            if not np.isfinite(cdf).all():
+                raise ValueError("action probabilities are not finite")
+            if len(memo) >= ACT_CACHE_SIZE:
+                del memo[next(iter(memo))]
+            entry = memo[key] = (int(np.argmax(logits)), cdf)
+        action, cdf = entry
         if greedy or rng is None:
-            return int(np.argmax(logits))
-        probs = np.exp(logits - _logsumexp(logits))
-        return int(rng.choice(self.action_count, p=probs / probs.sum()))
+            return action
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
     # ---------------------------------------------------------------- training
 

@@ -246,7 +246,9 @@ class ReplayBuffer:
 
         Episode ``ids[i]`` owns the next ``lengths[i]`` rows; ids are strictly
         increasing. ``actions`` holds one action per row, a list or an array
-        whose rows are the actions, and is checked row by row for its kind.
+        whose rows are the actions. A typed array has one kind, read off its
+        shape (1-D discrete, else continuous of the row shape); anything else
+        is checked row by row.
         Every ingest rule on the rows lives here; one broken by a single row
         raises ``_RowError`` with that row's position. The rows are copied,
         so the buffer never shares an array with its caller.
@@ -276,7 +278,10 @@ class ReplayBuffer:
         if stored is not None and states.shape[1] != self.state_dim:
             raise ValueError(f"state dim mismatch: buffer has {self.state_dim}, "
                              f"episode has {states.shape[1]}")
-        kinds = [_action_shape(action) for action in actions]
+        if isinstance(actions, np.ndarray) and actions.dtype != object:
+            kinds = [None if actions.ndim == 1 else actions.shape[1:]]  # every row's kind
+        else:
+            kinds = [_action_shape(action) for action in actions]
         kind = kinds[0] if stored is None else (
             None if stored.dtype.kind == "i" else stored.shape[1:])
         for row, action_kind in enumerate(kinds):

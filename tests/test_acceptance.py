@@ -120,7 +120,7 @@ def test_criterion_3_telescoping_and_complexity():
 
     sizes = [256, 512, 1024]
     k = 8
-    medians = []
+    fastest = []
     for n in sizes:
         kernel = _random_kernel(n, rng, eig_min=1.0, eig_max=4.0)
         reps = []
@@ -128,8 +128,8 @@ def test_criterion_3_telescoping_and_complexity():
             t0 = time.perf_counter()
             greedy_map(kernel, k)
             reps.append(time.perf_counter() - t0)
-        medians.append(float(np.median(reps)))
-    slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
+        fastest.append(min(reps))  # host pauses only lengthen a repeat
+    slope = float(np.polyfit(np.log(sizes), np.log(fastest), 1)[0])
     slope_ok = 1.7 <= slope <= 2.3
     _report(3, "sum of gains telescopes to logdet; runtime slope ~ N^2",
             telescoping_ok and slope_ok, f"slope={slope:.2f}")

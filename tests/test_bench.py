@@ -264,6 +264,24 @@ def test_selection_events_reference_valid_windows():
     assert [event["Y"] for event in result.selection_events] == [[16, 52], [45, 46]]
 
 
+# A tiny run that learns enough that its greedy evaluations succeed only in part.
+LEARNING = replace(TINY, learning_rate=0.1, pretrain_steps=60, episodes=6, eval_episodes=20)
+
+
+@pytest.mark.parametrize("variant, wins", [
+    (Variant.FULL, [7, 6, 6]),
+    (Variant.QUALITY_ONLY, [7, 6, 6]),
+    (Variant.DIVERSITY_ONLY, [20, 6, 6]),
+    (Variant.UNIFORM, [20, 6, 6]),
+])
+def test_success_rates_are_pinned(variant, wins):
+    # Pinned wins out of eval_episodes: drift in the collection or evaluation
+    # rollouts' random stream moves them even where the selected ids stay put.
+    result = run_loop(LEARNING, variant, seed=5)
+    assert [m.success_rate for m in result.metrics] == [
+        w / LEARNING.eval_episodes for w in wins]
+
+
 def test_selection_ids_lie_below_window_count_at_each_event(monkeypatch):
     import qdreplay.bench as bench
 

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdreplay.policy import LinearSoftmaxPolicy, _logsumexp_rows
+from qdreplay.policy import ACT_CACHE_SIZE, LinearSoftmaxPolicy, _logsumexp, _logsumexp_rows
 from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
 
 
@@ -225,3 +227,79 @@ def test_batched_update_matches_per_window_loop(horizon, count):
     else:  # a single-row product takes BLAS's vector path: rounding differs
         assert loss == pytest.approx(reference, rel=1e-12)
         np.testing.assert_allclose(batched.weights, looped.weights, rtol=1e-12, atol=1e-15)
+
+
+# ------------------------------------------------------------------------ act
+
+def reference_act(policy, state, rtg, rng=None, greedy=False):
+    """Unmemoised act: one projection and softmax per call, sampled by ``rng.choice``."""
+    logits = policy.weights.T @ policy.state_features(state, rtg)
+    if greedy or rng is None:
+        return int(np.argmax(logits))
+    probs = np.exp(logits - _logsumexp(logits))
+    return int(rng.choice(policy.action_count, p=probs / probs.sum()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.floats(1e-3, 1.0) | st.sampled_from([5e-324, 1e-300, 1e-17, 1e-9]),
+                  min_size=2, max_size=8),
+       seed=st.integers(0, 2 ** 63 - 1))
+def test_sampled_act_draws_as_rng_choice(p, seed):
+    """Same action as rng.choice(A, p) and the same generator state after it, memo hit or not."""
+    count = len(p)
+    policy = LinearSoftmaxPolicy(state_dim=count, action_count=count,
+                                 projection=np.eye(count, count + 1), seed=0)
+    policy.weights = np.eye(count)
+    state = np.log(p)  # the logits, so the softmax is p normalised
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert policy.act(state, 0.0, rng=ours) == reference_act(policy, state, 0.0, rng=theirs)
+        assert ours.random() == theirs.random()
+    assert policy.act(state, 0.0, greedy=True) == reference_act(policy, state, 0.0, greedy=True)
+
+
+def test_act_memo_is_dropped_when_weights_are_rebound():
+    rng = np.random.default_rng(41)
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=42)
+    states = rng.standard_normal((6, 3))
+    batch = random_batch(rng, count=4)
+    rebinds = [
+        lambda: None,
+        lambda: policy.weighted_update(batch, np.ones(4), learning_rate=50.0),
+        lambda: policy.set_params(rng.standard_normal(policy.weights.size)),
+        lambda: setattr(policy, "weights", -policy.weights),
+    ]
+    greedy_picks = []
+    for rebind in rebinds:
+        rebind()
+        picks = []
+        for state in states:
+            picks.append(reference_act(policy, state, 1.0, greedy=True))
+            assert policy.act(state, 1.0, greedy=True) == picks[-1]
+            ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+            assert ([policy.act(state, 1.0, rng=ours) for _ in range(10)]
+                    == [reference_act(policy, state, 1.0, rng=theirs) for _ in range(10)])
+        greedy_picks.append(picks)
+    # every rebind moved some greedy action, so a stale memo would have shown
+    assert all(before != after for before, after in zip(greedy_picks, greedy_picks[1:]))
+
+
+def test_act_memo_stays_within_its_cap():
+    rng = np.random.default_rng(43)
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=44)
+    states = rng.standard_normal((ACT_CACHE_SIZE + 100, 3))
+    for state in states:
+        assert policy.act(state, 1.0, greedy=True) == reference_act(policy, state, 1.0,
+                                                                    greedy=True)
+    assert len(policy._act_memo) <= ACT_CACHE_SIZE
+    for state in states[:200]:  # the oldest ones were evicted and come back right
+        ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+        assert policy.act(state, 1.0, rng=ours) == reference_act(policy, state, 1.0, rng=theirs)
+    assert len(policy._act_memo) <= ACT_CACHE_SIZE
+
+
+def test_act_rejects_non_finite_probabilities():
+    policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, seed=45)
+    policy.weights = np.full_like(policy.weights, np.nan)
+    with pytest.raises(ValueError, match="not finite"):
+        policy.act(np.ones(2), 1.0, rng=np.random.default_rng(0))

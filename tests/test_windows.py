@@ -117,6 +117,31 @@ def test_episode_mixing_action_kinds_rejected():
         ReplayBuffer(capacity=10, gamma=0.9).append_episode(episode)
 
 
+@pytest.mark.parametrize("stored, appended, message", [
+    (np.zeros(2, dtype=np.int64), np.zeros((2, 1)), r"continuous of shape \(1,\), expected discrete"),
+    (np.zeros((2, 1)), np.zeros(2, dtype=np.int64), r"discrete, expected continuous of shape \(1,\)"),
+    (np.zeros((2, 1)), np.zeros((2, 2)), r"shape \(2,\), expected continuous of shape \(1,\)"),
+])
+def test_action_array_of_another_kind_rejected(stored, appended, message):
+    """A typed action array has the kind a list of its rows has."""
+    for actions in (appended, list(appended)):
+        buf = ReplayBuffer(capacity=10, gamma=0.9)
+        buf.append_episode(episode_of(0, np.zeros((2, 2)), stored, [0.0, 0.0]))
+        with pytest.raises(ValueError, match=message):
+            buf.append_episode(episode_of(1, np.zeros((2, 2)), actions, [0.0, 0.0]))
+        assert len(buf) == 2
+
+
+@pytest.mark.parametrize("actions", [np.arange(3), np.arange(6.0).reshape(3, 2)])
+def test_action_array_is_stored_as_its_rows(actions):
+    by_array, by_rows = ReplayBuffer(capacity=10, gamma=0.9), ReplayBuffer(capacity=10, gamma=0.9)
+    by_array.append_episode(episode_of(0, np.zeros((3, 2)), actions, [0.0, 0.0, 0.0]))
+    by_rows.append_episode(episode_of(0, np.zeros((3, 2)), list(actions), [0.0, 0.0, 0.0]))
+    stored, expected = (buf.episodes[0].transitions.actions for buf in (by_array, by_rows))
+    assert stored.dtype == expected.dtype
+    np.testing.assert_array_equal(stored, expected)
+
+
 def test_empty_episode_rejected():
     with pytest.raises(ValueError, match="at least one transition"):
         ReplayBuffer(capacity=10, gamma=0.9).append_episode(
