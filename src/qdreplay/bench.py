@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import encode_pool, median_bandwidth, rbf_similarity
+from .geometry import encode_pool, median_bandwidth, pairwise_distances, rbf_similarity
 from .kernels import (DEFAULT_LAMBDA, JointKernel, SelectionResult, build_joint_kernel,
                       fast_greedy_map, log_det)
 from .kernels import greedy_map  # noqa: F401  perfbench/tracing.py wraps it by name here
@@ -204,11 +204,6 @@ def redundancy_metric(embeddings: np.ndarray, tau: float) -> float:
     return float(np.mean(d.min(axis=1) <= tau))
 
 
-def redundancy_threshold(pool_embeddings: np.ndarray) -> float:
-    """Default near-neighbor threshold: a tenth of the pool's median distance."""
-    return 0.1 * median_bandwidth(pool_embeddings)
-
-
 @dataclass
 class LoopConfig:
     """Knobs of the selection-and-replay loop plus the synthetic environment.
@@ -300,6 +295,7 @@ class WindowSelection(SelectionResult):
     embeddings: np.ndarray  # (N, d)
     similarity: np.ndarray  # (N, N) RBF similarity
     kernel: JointKernel
+    median_distance: float  # median_bandwidth of the pool, whatever sigma was used
 
 
 def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopConfig,
@@ -308,7 +304,9 @@ def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopCon
     """Draw a candidate pool from the buffer and select up to ``subset_size`` of it.
 
     Pool -> embeddings -> RBF similarity (median bandwidth unless ``sigma`` is
-    set) -> composite quality -> joint kernel -> selection. FULL and
+    set) -> composite quality -> joint kernel -> selection. The pairwise
+    distances are computed once, for the median and the similarity, and
+    dropped before the kernel is built. FULL and
     DIVERSITY_ONLY select by greedy MAP, QUALITY_ONLY takes the stable top-k
     by quality, and UNIFORM picks uniformly at random from ``pool_rng``.
     DIVERSITY_ONLY and UNIFORM use unit quality, so only FULL and
@@ -316,8 +314,11 @@ def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopCon
     """
     pool = buffer.sample_candidate_pool(config.pool_size, config.horizon, pool_rng)
     embeddings = encode_pool(pool, policy)
-    sigma = config.sigma if config.sigma is not None else median_bandwidth(embeddings)
-    similarity = rbf_similarity(embeddings, sigma)
+    distances = pairwise_distances(embeddings)
+    median = median_bandwidth(embeddings, distances=distances)
+    sigma = config.sigma if config.sigma is not None else median
+    similarity = rbf_similarity(embeddings, sigma, distances=distances)
+    del distances  # so it never coexists with the kernel
     if variant in (Variant.DIVERSITY_ONLY, Variant.UNIFORM):
         quality = np.ones(len(pool))
     else:
@@ -339,9 +340,9 @@ def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopCon
     else:
         greedy = fast_greedy_map(kernel.values, k)
         return WindowSelection(greedy.indices, greedy.gains, greedy.logdet,
-                               pool, embeddings, similarity, kernel)
+                               pool, embeddings, similarity, kernel, median)
     return WindowSelection(indices, [], log_det(kernel.values, indices),
-                           pool, embeddings, similarity, kernel)
+                           pool, embeddings, similarity, kernel, median)
 
 
 @dataclass
@@ -507,7 +508,7 @@ def _selection_quality_metrics(selection: WindowSelection) -> tuple[float, float
     """Diversity and redundancy of a selection within its pool."""
     chosen = selection.indices
     sub = selection.similarity[np.ix_(chosen, chosen)]
-    tau = redundancy_threshold(selection.embeddings)
+    tau = 0.1 * selection.median_distance
     return diversity_metric(sub), redundancy_metric(selection.embeddings[chosen], tau)
 
 

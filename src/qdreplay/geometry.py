@@ -29,25 +29,40 @@ def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
     return d + d.T
 
 
-def median_bandwidth(embeddings: np.ndarray) -> float:
-    """Median of all pairwise distances; falls back to 1 for duplicate-heavy pools."""
+def median_bandwidth(embeddings: np.ndarray, *, distances: np.ndarray | None = None) -> float:
+    """Median of all pairwise distances; falls back to 1 for duplicate-heavy pools.
+
+    ``distances``, if given, must be ``pairwise_distances(embeddings)``; it is
+    read, not rebuilt. The median is ``np.median``'s: the middle order
+    statistic, or the mean of the middle two, of one copy of the upper
+    triangle partitioned in place.
+    """
     z = np.asarray(embeddings, dtype=float)
-    if z.shape[0] < 2:
+    n = z.shape[0]
+    if n < 2:
         raise ValueError("median bandwidth needs at least 2 embeddings")
-    d = pairwise_distances(z)
-    upper = d[np.triu_indices(z.shape[0], k=1)]
-    sigma = float(np.median(upper))
+    d = pairwise_distances(z) if distances is None else distances
+    upper = d[np.arange(n)[:, None] < np.arange(n)]
+    middle = [(upper.size - 1) // 2, upper.size // 2]
+    upper.partition(middle)
+    sigma = float(np.mean(upper[middle[0]:middle[1] + 1]))
     return sigma if sigma > 0.0 else 1.0
 
 
-def rbf_similarity(embeddings: np.ndarray, sigma: float) -> np.ndarray:
+def rbf_similarity(embeddings: np.ndarray, sigma: float, *,
+                   distances: np.ndarray | None = None) -> np.ndarray:
     """S_ij = exp(-||z_i - z_j||^2 / sigma^2), with sigma the distance scale.
 
-    Symmetric with unit diagonal and entries in (0, 1].
+    Symmetric with unit diagonal and entries in (0, 1]. ``distances``, if
+    given, must be ``pairwise_distances(embeddings)``; it is read, not rebuilt.
     """
     if sigma <= 0:
         raise ValueError(f"bandwidth must be positive, got {sigma}")
-    d = pairwise_distances(embeddings)
-    values = np.exp(-(d ** 2) / (sigma ** 2))
+    d = pairwise_distances(embeddings) if distances is None else distances
+    # exp(-(d ** 2) / sigma ** 2) in place: the same arithmetic, one N x N array beside d
+    values = np.square(d)
+    np.negative(values, out=values)
+    values /= sigma ** 2
+    np.exp(values, out=values)
     np.fill_diagonal(values, 1.0)
     return values

@@ -1,7 +1,9 @@
 """Quality-diversity joint kernel and k-DPP subset selection.
 
 ``fast_greedy_map`` serves production-size pools in O(k^2 N) time and O(k N)
-memory. The O(k N^2) ``greedy_map`` it reproduces bit for bit, the exhaustive
+memory: it builds each pick's residual column as one row reduction over the
+kernel column and the earlier picks' downdate terms, O(k) numpy calls per
+run. The O(k N^2) ``greedy_map`` it reproduces bit for bit, the exhaustive
 optimizer, exact subset probabilities and the exact sampler are verification
 oracles; the last three are shipped behind size guards.
 """
@@ -151,11 +153,14 @@ def fast_greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
     Inference for DPP" (NeurIPS 2018). Only the residual diagonal and the
     residual column of each pick are kept, never the N x N residual, so a run
     costs O(k^2 N) time and O(k N) memory. A step picks as ``greedy_map``
-    does, rebuilds the pick's residual column from its kernel column and the
-    earlier picks' columns, and downdates the diagonal. Every entry
+    does and downdates the diagonal by the pick's residual column. That column
+    is one ``np.subtract.reduce`` down the rows of a work buffer: row 0 is the
+    kernel column, rows 1..t the earlier picks' downdate terms
+    ``columns[s] * columns[s, j] / pivots[s]``, made by one (t, N) multiply
+    and divide. The reduction subtracts them in row order, so every entry
     ``greedy_map`` reads gets the same floating-point operations in the same
-    order; the normalized Cholesky form (``C[:t, j] @ C[:t]``) would round
-    differently.
+    order, at O(k) numpy calls per run; the normalized Cholesky form
+    (``C[:t, j] @ C[:t]``) would round differently.
     """
     values = np.asarray(kernel, dtype=float)
     n = values.shape[0]
@@ -164,6 +169,7 @@ def fast_greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
     diagonal = np.diagonal(values).copy()
     columns = np.empty((k, n))  # residual column of each pick, when it was picked
     pivots = np.empty(k)
+    work = np.empty((k, n))  # kernel column, then one downdate term per earlier pick
     alive = np.ones(n, dtype=bool)
     indices: list[int] = []
     gains: list[float] = []
@@ -173,9 +179,11 @@ def fast_greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
         if diag[j] <= EPS_PD:
             break
         gains.append(float(np.log(diag[j])))
-        col = values[:, j].copy()
-        for s in range(step):
-            col -= (columns[s] * columns[s, j]) / pivots[s]
+        work[0] = values[:, j]
+        terms = work[1:step + 1]
+        np.multiply(columns[:step], columns[:step, j, None], out=terms)
+        terms /= pivots[:step, None]
+        col = np.subtract.reduce(work[:step + 1], axis=0)
         columns[step], pivots[step] = col, diag[j]
         diagonal -= (col * col) / diag[j]
         alive[j] = False

@@ -143,8 +143,8 @@ class _Columns:
 
     def extend(self, **blocks: np.ndarray) -> None:
         n = len(next(iter(blocks.values())))
-        if not self._arrays:
-            self._arrays = {name: np.asarray(block) for name, block in blocks.items()}
+        if not self._arrays:  # copied, so the columns never share memory with a block
+            self._arrays = {name: np.array(block) for name, block in blocks.items()}
             self._tail = n
             return
         size = len(next(iter(self._arrays.values())))
@@ -250,13 +250,14 @@ class ReplayBuffer:
         shape (1-D discrete, else continuous of the row shape); anything else
         is checked row by row.
         Every ingest rule on the rows lives here; one broken by a single row
-        raises ``_RowError`` with that row's position. The rows are copied,
-        so the buffer never shares an array with its caller.
+        raises ``_RowError`` with that row's position. Each column is copied
+        once, into the store, so the buffer never shares an array with its
+        caller.
         """
-        states = np.array(states, dtype=float)
-        rewards = np.array(rewards, dtype=float)
-        stages = np.array(stages, dtype=np.int64)
-        done = np.array(done, dtype=bool)
+        states = np.asarray(states, dtype=float)
+        rewards = np.asarray(rewards, dtype=float)
+        stages = np.asarray(stages, dtype=np.int64)
+        done = np.asarray(done, dtype=bool)
         if lengths.min() < 1:
             raise ValueError("episode must contain at least one transition")
         longest = int(lengths.max())
@@ -305,7 +306,7 @@ class ReplayBuffer:
         first_row = self._rows.first + len(self._rows)
         self._rows.extend(
             states=states,
-            actions=np.array(actions, dtype=np.int64 if kind is None else float),
+            actions=np.asarray(actions, dtype=np.int64 if kind is None else float),
             rewards=rewards,
             stages=stages,
             done=done,
@@ -534,10 +535,12 @@ def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.9
         else:
             problem = f"episode {episode[i]} has t={step[i]} where t={expected[i]} was expected"
         raise JsonlParseError(int(lines[i]), problem)
+    # Rebound, so the file-order columns are freed before the buffer copies these.
+    states, rewards, stages, done = states[order], rewards[order], stages[order], done[order]
+    actions = [actions[i] for i in order]
     try:
-        buffer._append(ids=ids, lengths=lengths, states=states[order],
-                       actions=[actions[i] for i in order], rewards=rewards[order],
-                       stages=stages[order], done=done[order])
+        buffer._append(ids=ids, lengths=lengths, states=states, actions=actions,
+                       rewards=rewards, stages=stages, done=done)
     except _RowError as exc:
         raise JsonlParseError(int(lines[exc.row]), str(exc)) from exc
     return buffer

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdreplay.geometry import (
     encode_pool,
     median_bandwidth,
+    pairwise_distances,
     rbf_similarity,
 )
 from qdreplay.policy import LinearSoftmaxPolicy
@@ -59,6 +62,40 @@ def test_median_bandwidth_duplicate_fallback():
 def test_median_bandwidth_single_pair():
     z = np.array([[0.0, 0.0], [3.0, 4.0]])
     assert median_bandwidth(z) == pytest.approx(5.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 40), dim=st.integers(1, 4), distinct=st.integers(1, 40),
+       integral=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_median_bandwidth_is_numpy_median_bit_for_bit(n, dim, distinct, integral, seed):
+    """n (n - 1) / 2 pairs runs over odd and even counts; rows drawn from
+    ``distinct`` points repeat. Integer points have exact distances, so tied
+    ones, and exact zeros down to the fallback to 1 for a single point."""
+    rng = np.random.default_rng(seed)
+    shape = (min(distinct, n), dim)
+    points = (rng.integers(-3, 4, size=shape).astype(float) if integral
+              else rng.standard_normal(shape) * rng.uniform(1e-3, 1e3))
+    z = points[rng.integers(len(points), size=n)]
+    d = pairwise_distances(z)
+    expected = float(np.median(d[np.triu_indices(n, k=1)]))
+    expected = expected if expected > 0.0 else 1.0
+    assert median_bandwidth(z) == expected
+    assert median_bandwidth(z, distances=d) == expected
+    np.testing.assert_array_equal(d, pairwise_distances(z))  # read, not written
+    if integral and len(points) == 1:
+        assert expected == 1.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_rbf_similarity_from_given_distances_is_identical(n, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, 3))
+    sigma = float(rng.uniform(0.1, 5.0))
+    d = pairwise_distances(z)
+    np.testing.assert_array_equal(rbf_similarity(z, sigma, distances=d),
+                                  rbf_similarity(z, sigma))
+    np.testing.assert_array_equal(d, pairwise_distances(z))
 
 
 def test_median_bandwidth_needs_two_points():

@@ -252,6 +252,21 @@ def test_fast_greedy_matches_on_early_stop_and_ties():
     assert fast_greedy_map(np.diag([2.0, 3.0, 3.0, 1.0]), 3).indices == [1, 2, 0]
 
 
+@pytest.mark.parametrize("n, k", [(400, 60), (1000, 150)])
+def test_fast_greedy_matches_greedy_map_at_production_sizes(n, k):
+    """The pool and subset sizes of the churn benchmark and beyond, where each
+    reduced column sums up to k - 1 downdate terms."""
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, 16))
+    joint = build_joint_kernel(rbf_similarity(z, median_bandwidth(z)),
+                               rng.uniform(0.05, 1.0, size=n)).values
+    assert_same_selection(joint, k)
+    b = rng.standard_normal((k // 3, n))
+    low_rank = b.T @ b
+    assert len(greedy_map(low_rank, k).indices) < k  # stops early, its rank used up
+    assert_same_selection(low_rank, k)
+
+
 def test_fast_greedy_peak_allocation_stays_below_one_n_by_n_array():
     n, k = 1500, 50
     rng = np.random.default_rng(8)

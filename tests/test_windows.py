@@ -170,6 +170,21 @@ def test_buffers_sharing_an_episode_do_not_share_rows():
                                       original[name])
 
 
+def test_first_append_into_an_empty_buffer_copies_every_column():
+    """Arrays already of the stored dtypes pass ingest uncopied; the store copies them."""
+    rng = np.random.default_rng(3)
+    episode = episode_of(0, rng.standard_normal((5, 3)), rng.integers(4, size=5).astype(np.int64),
+                         rng.random(5), rng.integers(3, size=5).astype(np.int64))
+    original = {name: getattr(episode.transitions, name).copy() for name in COLUMNS}
+    buf = ReplayBuffer(capacity=100, gamma=0.9)
+    buf.append_episode(episode)
+    for name in COLUMNS:
+        getattr(episode.transitions, name)[...] = 1  # the caller reuses its arrays
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(buf.episodes[0].transitions, name),
+                                      original[name])
+
+
 def test_empty_buffer_has_no_windows(tmp_path):
     buf = ReplayBuffer(capacity=10, gamma=0.9)
     assert len(buf) == 0 and len(buf.episodes) == 0 and buf.state_dim is None
