@@ -438,6 +438,7 @@ def run_loop(
 
     result = RunResult(variant=variant, seed=seed, metrics=[], selection_events=[])
     selection: WindowSelection | None = None
+    y_ids = np.zeros(0, dtype=np.int64)  # the selection's window ids in the buffer
     grad_step = 0
 
     def select(rng: np.random.Generator) -> None:
@@ -447,8 +448,10 @@ def run_loop(
             selection.pool.stage_labels[selection.indices].tolist())
 
     def refresh() -> None:
+        nonlocal y_ids
         select(pool_rng)
-        event = {"step": grad_step, "Y": selection_global_ids().tolist(),
+        y_ids = selection_global_ids()
+        event = {"step": grad_step, "Y": y_ids.tolist(),
                  "logdet": float(selection.logdet)}
         result.selection_events.append(event)
         if audit_callback:
@@ -462,24 +465,21 @@ def run_loop(
         transitions, _ = rollout(env, policy, collect_rng, config.rtg_target)
         buffer.append_episode(Episode(id=buffer.new_episode_id(), transitions=transitions))
         window_count = buffer.window_count(config.horizon)
+        if variant is not Variant.UNIFORM and selection is not None:
+            y_ids = selection_global_ids()  # eviction drops windows and shifts ids
 
         for _ in range(config.updates_per_episode):
-            if variant is not Variant.UNIFORM and (
-                selection is None or grad_step % config.refresh_period == 0
-            ):
-                refresh()
             if variant is Variant.UNIFORM:
                 batch = mixed_sample([], window_count, config.batch_size, 0.0, replay_rng)
             else:
-                y_ids = selection_global_ids()
+                if selection is None or grad_step % config.refresh_period == 0:
+                    refresh()
                 if not y_ids.size:  # selection fully evicted: rebuild off-cadence
                     refresh()
-                    y_ids = selection_global_ids()
                 batch = mixed_sample(y_ids, window_count, config.batch_size, config.eta,
                                      replay_rng)
             batch = normalize_weights(batch, config.weight_mode)
-            ids = [idx for idx, _ in batch.entries]
-            policy.weighted_update(buffer.gather(ids, config.horizon), batch.weights,
+            policy.weighted_update(buffer.gather(batch.ids, config.horizon), batch.weights,
                                    config.learning_rate)
             grad_step += 1
 

@@ -24,8 +24,9 @@ def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
     sq = np.sum(z ** 2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
     np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
-    d = np.triu(d, k=1)
+    np.sqrt(d2, out=d2)
+    d = np.triu(d2, k=1)
+    del d2  # so at most two N x N arrays coexist from here on
     return d + d.T
 
 

@@ -83,7 +83,8 @@ def build_joint_kernel(
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     root = np.sqrt(q)
-    values = (root[:, None] * s) * root[None, :]
+    values = root[:, None] * s
+    values *= root[None, :]
     values[np.diag_indices_from(values)] += lam
     return JointKernel(values=values, lam=float(lam))
 

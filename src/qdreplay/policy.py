@@ -182,7 +182,7 @@ class LinearSoftmaxPolicy:
         if len(batch) == 0:
             return 0.0
         w = np.asarray(weights, dtype=float)
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        if not np.isfinite(w).all() or (w <= 0).any():
             raise ValueError("weights must be positive and finite")
         feats, targets, step_w = self._batch_terms(batch, w)
         logits = feats @ self.weights
@@ -191,7 +191,7 @@ class LinearSoftmaxPolicy:
         probs = np.exp(logits - logz[:, None])
         probs[np.arange(len(targets)), targets] -= 1.0
         grad = feats.T @ (probs * step_w[:, None])
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise ValueError("non-finite gradient in weighted_update")
         self.weights = self.weights - learning_rate * grad
         return loss
@@ -241,5 +241,6 @@ def _logsumexp(x: np.ndarray) -> float:
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=1, keepdims=True)
+    # Row max down a transposed copy's contiguous axis: exact, and m + log(sum) drops a zero's sign.
+    m = np.ascontiguousarray(x.T).max(axis=0)[:, None]
     return (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))).ravel()

@@ -3,16 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-class Source(Enum):
-    SELECTED = "SELECTED"
-    GLOBAL = "GLOBAL"
 
 
 class WeightMode(Enum):
@@ -22,22 +17,23 @@ class WeightMode(Enum):
 
 @dataclass(frozen=True)
 class MixedBatch:
-    """Sampled window indices with per-entry mixture probabilities and weights.
+    """The window ids of one gradient step, with mixture probabilities and weights.
 
-    ``probabilities[i]`` is the total per-draw probability of the entry's
-    window under the selected/global mixture, independent of which stream
-    actually produced it; ``weights[i]`` is (1/|D|) / p_i.
+    ``ids`` (int64) go to ``ReplayBuffer.gather`` as they are. ``probabilities[i]``
+    is the per-draw probability of window ``ids[i]`` under the whole mixture,
+    whichever stream (``from_selection[i]``) drew it; ``weights[i]`` is (1/|D|) / p_i.
     """
 
-    entries: list[tuple[int, Source]]
-    eta: float
+    ids: np.ndarray
+    from_selection: np.ndarray
     probabilities: np.ndarray
     weights: np.ndarray
+    eta: float
     selection_size: int
     pool_size: int
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
 
 def inclusion_probability(in_selection: bool, selection_size: int, pool_size: int,
@@ -57,7 +53,8 @@ def mixed_sample(
     """Compose a batch: floor(eta*B) draws from the selection, rest from the pool.
 
     Both sub-batches draw uniformly with replacement; that keeps the
-    per-draw probability formula exact. Deterministic given the seed.
+    per-draw probability formula exact. The selection's draws come first in
+    ``ids``. Deterministic given the seed.
     """
     if pool_size <= 0:
         raise ValueError("pool_size must be positive")
@@ -65,51 +62,49 @@ def mixed_sample(
         raise ValueError("batch_size must be >= 1")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    selection = [int(i) for i in selection]
-    if eta > 0.0 and not selection:
+    selection = np.asarray(selection, dtype=np.int64)
+    if eta > 0.0 and not selection.size:
         raise ValueError("selection must be non-empty when eta > 0")
-    if any(not 0 <= i < pool_size for i in selection):
+    if ((selection < 0) | (selection >= pool_size)).any():
         raise ValueError("selection indices must lie inside the pool")
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n_selected = math.floor(eta * batch_size)
-    n_global = batch_size - n_selected
-
-    entries: list[tuple[int, Source]] = []
+    ids = np.empty(batch_size, dtype=np.int64)
     if n_selected:
-        picks = rng.integers(0, len(selection), size=n_selected)
-        entries.extend((selection[p], Source.SELECTED) for p in picks)
-    if n_global:
-        picks = rng.integers(0, pool_size, size=n_global)
-        entries.extend((int(p), Source.GLOBAL) for p in picks)
+        ids[:n_selected] = selection[rng.integers(0, selection.size, size=n_selected)]
+    if n_selected < batch_size:
+        ids[n_selected:] = rng.integers(0, pool_size, size=batch_size - n_selected)
 
-    in_y = set(selection)
-    probs = np.array([
-        inclusion_probability(idx in in_y, max(len(selection), 1), pool_size, eta)
-        for idx, _ in entries
-    ])
-    weights = (1.0 / pool_size) / probs
+    size = max(selection.size, 1)
+    in_selection = (ids[:, None] == selection).any(axis=1)
+    probs = np.where(in_selection, inclusion_probability(True, size, pool_size, eta),
+                     inclusion_probability(False, size, pool_size, eta))
     return MixedBatch(
-        entries=entries,
-        eta=float(eta),
+        ids=ids,
+        from_selection=np.arange(batch_size) < n_selected,
         probabilities=probs,
-        weights=weights,
-        selection_size=len(selection),
+        weights=(1.0 / pool_size) / probs,
+        eta=float(eta),
+        selection_size=selection.size,
         pool_size=pool_size,
     )
 
 
 def normalize_weights(batch: MixedBatch, mode: WeightMode = WeightMode.RAW) -> MixedBatch:
     """RAW keeps the unbiased weights; MEAN_ONE rescales to batch-mean 1."""
-    if np.any(batch.weights <= 0):
+    weights = batch.weights
+    if (weights <= 0).any():
         raise ValueError("batch weights must be positive")
-    if mode is WeightMode.RAW or len(batch) == 0:
+    if mode is WeightMode.RAW or not weights.size:
         return batch
-    return replace(batch, weights=batch.weights / batch.weights.mean())
+    return MixedBatch(batch.ids, batch.from_selection, batch.probabilities,
+                      weights / weights.mean(), batch.eta, batch.selection_size,
+                      batch.pool_size)
 
 
 def estimate_uniform_mean(
-    f: Callable[[int], float] | Sequence[float],
+    f: Sequence[float],
     selection: Sequence[int],
     pool_size: int,
     batch_size: int,
@@ -120,14 +115,15 @@ def estimate_uniform_mean(
     """RAW-weighted Monte Carlo estimate of the uniform pool mean of f.
 
     Debiasing check helper: averages omega_i * f(i) over ``trials`` batches,
-    which converges to mean(f) over the whole pool.
+    one weighted sum of ``f[batch.ids]`` per batch, which converges to
+    mean(f) over the whole pool.
     """
-    values = f if callable(f) else np.asarray(f, dtype=float).__getitem__
+    values = np.asarray(f, dtype=float)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     total = 0.0
     count = 0
     for _ in range(trials):
         batch = mixed_sample(selection, pool_size, batch_size, eta, rng)
-        total += sum(w * values(idx) for w, (idx, _) in zip(batch.weights, batch.entries))
+        total += float(batch.weights @ values[batch.ids])
         count += len(batch)
     return total / count

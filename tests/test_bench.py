@@ -266,10 +266,12 @@ def test_selection_carries_the_pool_median_under_a_fixed_sigma():
 def test_full_selection_peak_allocation_at_pool_1500():
     """The distances are computed once and dropped before the kernel is built.
 
-    Before the shared distance pass the peak read 55.0 to 56.0 MiB here, 3.20
-    to 3.26 arrays of N x N floats, set by the distance matrix's own
-    construction and by the kernel build (S, a temporary and L). Keeping the
-    distance matrix alive through the kernel build reads 4.08.
+    ``pairwise_distances`` takes its square root in place and frees the
+    squared distances before the transpose-add, and ``build_joint_kernel``
+    does its second multiply in place, so the peak reads 2.38 arrays of
+    N x N floats (40.9 MiB). With the extra squared-distance array and
+    kernel temporary it read 3.20 (55.0 MiB); keeping the distance matrix
+    alive through the kernel build as well read 4.08.
     """
     n = 1500
     cfg = replace(LoopConfig(), pool_size=n, subset_size=225)
@@ -287,7 +289,7 @@ def test_full_selection_peak_allocation_at_pool_1500():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.27 * n * n * 8
+    assert peak <= 2.45 * n * n * 8
 
 
 def test_selection_events_reference_valid_windows():
@@ -341,6 +343,43 @@ def test_selection_ids_lie_below_window_count_at_each_event(monkeypatch):
     result = run_loop(cfg, Variant.FULL, seed=5, audit_callback=audit)
     assert len(checked) == len(result.selection_events) > 0
     assert buffers[0].episodes[0].id > 0
+
+
+def test_selection_stream_follows_its_windows_through_eviction(monkeypatch):
+    """Y's window ids are mapped again after every append, not only at a refresh.
+
+    FIFO eviction shifts every later window id, so each ``mixed_sample`` call
+    must get the ids of the last refresh's windows that are still stored.
+    """
+    import qdreplay.bench as bench
+
+    buffers = []
+
+    class RecordingBuffer(bench.ReplayBuffer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            buffers.append(self)
+
+    monkeypatch.setattr(bench, "ReplayBuffer", RecordingBuffer)
+    cfg = replace(TINY, episodes=8, capacity=80)  # evicts between refreshes
+    original = bench.mixed_sample
+    refreshed, shifted = [], []
+
+    def windows(ids):
+        batch = buffers[0].gather(np.asarray(ids, dtype=np.int64), cfg.horizon)
+        return list(zip(batch.episode_ids.tolist(), batch.starts.tolist()))
+
+    def mixed_sample(selection, *args):
+        stored = {episode.id for episode in buffers[0].episodes}
+        ids, chosen = refreshed[-1]
+        assert windows(selection) == [w for w in chosen if w[0] in stored]
+        shifted.append(list(selection) != ids)
+        return original(selection, *args)
+
+    monkeypatch.setattr(bench, "mixed_sample", mixed_sample)
+    run_loop(cfg, Variant.FULL, seed=5,
+             audit_callback=lambda event: refreshed.append((event["Y"], windows(event["Y"]))))
+    assert len(shifted) == cfg.episodes * cfg.updates_per_episode and any(shifted)
 
 
 def test_loop_runs_without_warmup_episodes():

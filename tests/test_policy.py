@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qdreplay.policy import ACT_CACHE_SIZE, LinearSoftmaxPolicy, _logsumexp, _logsumexp_rows
 from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
@@ -303,3 +304,21 @@ def test_act_rejects_non_finite_probabilities():
     policy.weights = np.full_like(policy.weights, np.nan)
     with pytest.raises(ValueError, match="not finite"):
         policy.act(np.ones(2), 1.0, rng=np.random.default_rng(0))
+
+
+def _row_max_logsumexp(x):
+    """The row logsumexp with the row max taken along axis 1, written out."""
+    m = x.max(axis=1, keepdims=True)
+    return (m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))).ravel()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_logsumexp_rows_matches_the_row_max_formula_bit_for_bit(data):
+    actions = data.draw(st.integers(2, 16), label="actions")
+    rows = data.draw(st.integers(1, 300), label="rows")
+    values = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 2.5, -2.5, 1e3, -1e3])
+    x = data.draw(hnp.arrays(np.float64, (rows, actions), elements=values), label="x")
+    if data.draw(st.booleans(), label="fortran order"):
+        x = np.asfortranarray(x)
+    assert _logsumexp_rows(x).tobytes() == _row_max_logsumexp(x).tobytes()

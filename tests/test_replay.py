@@ -7,7 +7,6 @@ import pytest
 
 from qdreplay.replay import (
     MixedBatch,
-    Source,
     WeightMode,
     estimate_uniform_mean,
     inclusion_probability,
@@ -18,7 +17,7 @@ from qdreplay.replay import (
 
 def test_eta_zero_is_plain_uniform_replay():
     batch = mixed_sample([], pool_size=30, batch_size=12, eta=0.0, seed=0)
-    assert all(src is Source.GLOBAL for _, src in batch.entries)
+    assert not batch.from_selection.any()
     np.testing.assert_array_equal(batch.weights, 1.0)
     np.testing.assert_allclose(batch.probabilities, 1 / 30)
 
@@ -26,7 +25,7 @@ def test_eta_zero_is_plain_uniform_replay():
 def test_worked_probability_example():
     selection = list(range(10))
     batch = mixed_sample(selection, pool_size=100, batch_size=20, eta=0.5, seed=1)
-    for (idx, _), p, w in zip(batch.entries, batch.probabilities, batch.weights):
+    for idx, p, w in zip(batch.ids, batch.probabilities, batch.weights):
         if idx in set(selection):
             assert p == pytest.approx(0.055)
             assert w == pytest.approx(0.01 / 0.055)
@@ -37,14 +36,14 @@ def test_worked_probability_example():
 
 def test_selection_equal_to_pool_gives_unit_weights():
     batch = mixed_sample(list(range(8)), pool_size=8, batch_size=16, eta=1.0, seed=2)
-    assert all(src is Source.SELECTED for _, src in batch.entries)
+    assert batch.from_selection.all()
     np.testing.assert_allclose(batch.weights, 1.0)
 
 
 def test_sub_batch_sizes_follow_floor_rule():
     batch = mixed_sample(list(range(5)), pool_size=50, batch_size=10, eta=0.7, seed=3)
-    selected = [e for e in batch.entries if e[1] is Source.SELECTED]
-    globals_ = [e for e in batch.entries if e[1] is Source.GLOBAL]
+    selected = batch.ids[batch.from_selection]
+    globals_ = batch.ids[~batch.from_selection]
     assert len(selected) == math.floor(0.7 * 10) == 7
     assert len(globals_) == 3
 
@@ -62,7 +61,7 @@ def test_probabilities_sum_to_one_over_pool():
 
 def test_global_only_weight_bound():
     batch = mixed_sample([0, 1], pool_size=25, batch_size=40, eta=0.6, seed=4)
-    for (idx, _), w in zip(batch.entries, batch.weights):
+    for idx, w in zip(batch.ids, batch.weights):
         if idx not in {0, 1}:
             assert w == pytest.approx(1 / (1 - 0.6))
 
@@ -72,8 +71,9 @@ def test_source_flag_records_stream_but_probability_is_mixture():
     selection = [0]
     batch = mixed_sample(selection, pool_size=2, batch_size=400, eta=0.5, seed=5)
     global_hits = [
-        (p, w) for (idx, src), p, w in zip(batch.entries, batch.probabilities, batch.weights)
-        if src is Source.GLOBAL and idx == 0
+        (p, w) for idx, sel, p, w in zip(batch.ids, batch.from_selection, batch.probabilities,
+                                         batch.weights)
+        if not sel and idx == 0
     ]
     assert global_hits  # with 200 global draws from 2 windows this must occur
     expected_p = 0.5 / 1 + 0.5 / 2
@@ -95,20 +95,21 @@ def test_empty_pool_rejected():
 def test_sampling_deterministic_per_seed():
     a = mixed_sample([1, 2], pool_size=9, batch_size=6, eta=0.5, seed=11)
     b = mixed_sample([1, 2], pool_size=9, batch_size=6, eta=0.5, seed=11)
-    assert a.entries == b.entries
+    np.testing.assert_array_equal(a.ids, b.ids)
+    np.testing.assert_array_equal(a.from_selection, b.from_selection)
 
 
 def test_normalize_mean_one_uniform():
     batch = mixed_sample([], pool_size=4, batch_size=2, eta=0.0, seed=0)
-    batch = MixedBatch(batch.entries, batch.eta, batch.probabilities,
-                       np.array([2.0, 2.0]), batch.selection_size, batch.pool_size)
+    batch = MixedBatch(batch.ids, batch.from_selection, batch.probabilities,
+                       np.array([2.0, 2.0]), batch.eta, batch.selection_size, batch.pool_size)
     np.testing.assert_allclose(normalize_weights(batch, WeightMode.MEAN_ONE).weights, [1.0, 1.0])
 
 
 def test_normalize_mean_one_rescale():
     batch = mixed_sample([], pool_size=4, batch_size=2, eta=0.0, seed=0)
-    batch = MixedBatch(batch.entries, batch.eta, batch.probabilities,
-                       np.array([1.0, 3.0]), batch.selection_size, batch.pool_size)
+    batch = MixedBatch(batch.ids, batch.from_selection, batch.probabilities,
+                       np.array([1.0, 3.0]), batch.eta, batch.selection_size, batch.pool_size)
     np.testing.assert_allclose(normalize_weights(batch, WeightMode.MEAN_ONE).weights, [0.5, 1.5])
 
 
@@ -145,3 +146,58 @@ def test_raw_weights_debias_to_uniform_mean():
     var_glob = np.var(x, ddof=0)
     se = math.sqrt((eta * var_sel + (1 - eta) * var_glob) / (batch_size * trials))
     assert abs(estimate - truth) <= 4 * se
+
+
+# Exact outputs of the per-entry implementation (a list of (id, stream) tuples
+# and one probability per entry), taken before mixed_sample returned arrays:
+# (selection, pool_size, batch_size, eta, seed) -> ids, from_selection,
+# probabilities, RAW weights, MEAN_ONE weights.
+PINNED_BATCHES = [
+    # eta = 0: plain uniform replay
+    (([], 7, 5, 0.0, 21),
+     [2, 5, 2, 4, 3], [False] * 5, [0.14285714285714285] * 5, [1.0] * 5, [1.0] * 5),
+    # eta = 1: every draw from the selection
+    (([3, 5, 8], 10, 6, 1.0, 22),
+     [8, 5, 5, 3, 8, 3], [True] * 6, [0.3333333333333333] * 6, [0.30000000000000004] * 6,
+     [1.0] * 6),
+    # windows of Y drawn through the global stream keep the mixture probability
+    (([0, 2], 4, 8, 0.5, 23),
+     [0, 2, 0, 2, 1, 0, 2, 0], [True] * 4 + [False] * 4,
+     [0.375] * 4 + [0.125] + [0.375] * 3,
+     [0.6666666666666666] * 4 + [2.0] + [0.6666666666666666] * 3,
+     [0.8] * 4 + [2.4000000000000004] + [0.8] * 3),
+    # eta * B = 4.9: four selection draws, and a global draw that hits Y
+    (([1, 4, 6], 9, 7, 0.7, 24),
+     [4, 1, 6, 4, 7, 5, 1], [True] * 4 + [False] * 3,
+     [0.26666666666666666] * 4 + [0.03333333333333334] * 2 + [0.26666666666666666],
+     [0.41666666666666663] * 4 + [3.3333333333333326] * 2 + [0.41666666666666663],
+     [0.33333333333333337] * 4 + [2.6666666666666665] * 2 + [0.33333333333333337]),
+    # eta * B = 1.75, with a window listed twice in Y
+    (([2, 2, 11], 12, 5, 0.35, 25),
+     [2, 1, 10, 0, 2], [True] + [False] * 4,
+     [0.17083333333333334] + [0.05416666666666667] * 3 + [0.17083333333333334],
+     [0.4878048780487805] + [1.5384615384615383] * 3 + [0.4878048780487805],
+     [0.436241610738255] + [1.3758389261744965] * 3 + [0.436241610738255]),
+    # eta * B = 4.05, and (1 - eta) / N rounds otherwise than (1 - eta) * (1 / N)
+    (([0, 3, 5, 6], 7, 9, 0.45, 26),
+     [6, 3, 5, 0, 2, 0, 2, 4, 5], [True] * 4 + [False] * 5,
+     [0.1910714285714286] * 4 + [0.07857142857142858, 0.1910714285714286]
+     + [0.07857142857142858] * 2 + [0.1910714285714286],
+     [0.747663551401869] * 4 + [1.818181818181818, 0.747663551401869]
+     + [1.818181818181818] * 2 + [0.747663551401869],
+     [0.676923076923077] * 4 + [1.6461538461538463, 0.676923076923077]
+     + [1.6461538461538463] * 2 + [0.676923076923077]),
+]
+
+
+@pytest.mark.parametrize("args, ids, from_selection, probabilities, weights, mean_one",
+                         PINNED_BATCHES)
+def test_mixed_sample_is_pinned(args, ids, from_selection, probabilities, weights, mean_one):
+    batch = mixed_sample(*args)
+    assert batch.ids.dtype == np.int64 and batch.from_selection.dtype == bool
+    assert batch.ids.tolist() == ids
+    assert batch.from_selection.tolist() == from_selection
+    assert batch.probabilities.tolist() == probabilities
+    assert batch.weights.tolist() == weights
+    assert normalize_weights(batch, WeightMode.MEAN_ONE).weights.tolist() == mean_one
+    assert (batch.selection_size, batch.pool_size) == (len(args[0]), args[1])
