@@ -293,8 +293,8 @@ class WindowSelection(SelectionResult):
 
     pool: WindowBatch
     embeddings: np.ndarray  # (N, d)
-    similarity: np.ndarray  # (N, N) RBF similarity
-    kernel: JointKernel
+    similarity: np.ndarray  # (N, N) RBF similarity, the array ``kernel`` holds
+    kernel: JointKernel  # L as its factors; ``kernel.values`` builds it
     median_distance: float  # median_bandwidth of the pool, whatever sigma was used
 
 
@@ -305,10 +305,12 @@ def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopCon
 
     Pool -> embeddings -> RBF similarity (median bandwidth unless ``sigma`` is
     set) -> composite quality -> joint kernel -> selection. The pairwise
-    distances are computed once, for the median and the similarity, and
-    dropped before the kernel is built. FULL and
-    DIVERSITY_ONLY select by greedy MAP, QUALITY_ONLY takes the stable top-k
-    by quality, and UNIFORM picks uniformly at random from ``pool_rng``.
+    distances are computed once, read for the median, and turned into the
+    similarity in place, the one N x N array of the selection. FULL and
+    DIVERSITY_ONLY select by greedy MAP, which reads the kernel one column at
+    a time, QUALITY_ONLY takes the stable top-k by quality, and UNIFORM picks
+    uniformly at random from ``pool_rng``; their logdet reads only the picks'
+    block of the kernel.
     DIVERSITY_ONLY and UNIFORM use unit quality, so only FULL and
     QUALITY_ONLY draw a scoring seed from ``score_rng``.
     """
@@ -317,8 +319,7 @@ def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopCon
     distances = pairwise_distances(embeddings)
     median = median_bandwidth(embeddings, distances=distances)
     sigma = config.sigma if config.sigma is not None else median
-    similarity = rbf_similarity(embeddings, sigma, distances=distances)
-    del distances  # so it never coexists with the kernel
+    similarity = rbf_similarity(embeddings, sigma, distances=distances)  # in place
     if variant in (Variant.DIVERSITY_ONLY, Variant.UNIFORM):
         quality = np.ones(len(pool))
     else:
@@ -338,10 +339,10 @@ def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopCon
     elif variant is Variant.UNIFORM:
         indices = pool_rng.choice(len(pool), size=k, replace=False).tolist()
     else:
-        greedy = fast_greedy_map(kernel.values, k)
+        greedy = fast_greedy_map(kernel, k)
         return WindowSelection(greedy.indices, greedy.gains, greedy.logdet,
                                pool, embeddings, similarity, kernel, median)
-    return WindowSelection(indices, [], log_det(kernel.values, indices),
+    return WindowSelection(indices, [], log_det(kernel.submatrix(indices), range(k)),
                            pool, embeddings, similarity, kernel, median)
 
 

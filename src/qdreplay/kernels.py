@@ -1,11 +1,15 @@
 """Quality-diversity joint kernel and k-DPP subset selection.
 
-``fast_greedy_map`` serves production-size pools in O(k^2 N) time and O(k N)
-memory: it builds each pick's residual column as one row reduction over the
-kernel column and the earlier picks' downdate terms, O(k) numpy calls per
-run. The O(k N^2) ``greedy_map`` it reproduces bit for bit, the exhaustive
-optimizer, exact subset probabilities and the exact sampler are verification
-oracles; the last three are shipped behind size guards.
+``JointKernel`` holds L's factors, the similarity, sqrt(quality) and lambda,
+and builds the N x N L only when ``values`` is read. ``fast_greedy_map``
+serves production-size pools in O(k^2 N) time and O(k N) memory beside the
+similarity: on a ``JointKernel`` it reads L's diagonal and the column of each
+pick, each entry by ``build_joint_kernel``'s arithmetic, and builds each
+pick's residual column as one row reduction over the kernel column and the
+earlier picks' downdate terms, O(k) numpy calls per run. The O(k N^2)
+``greedy_map`` it reproduces bit for bit, the exhaustive optimizer, exact
+subset probabilities and the exact sampler are verification oracles; the
+last three are shipped behind size guards.
 """
 
 from __future__ import annotations
@@ -31,8 +35,38 @@ EIG_RANK_TOL = 1e-10
 
 @dataclass
 class JointKernel:
-    values: np.ndarray
+    """L = diag(sqrt q) S diag(sqrt q) + lam I, kept as its factors.
+
+    ``similarity`` is held, not copied, and must not change while the kernel
+    is in use. Every entry of L that is read is computed as
+    ``(sqrt(q_i) * S_ij) * sqrt(q_j)``, plus ``lam`` on the diagonal.
+    """
+
+    similarity: np.ndarray
+    root_quality: np.ndarray
     lam: float
+
+    @property
+    def values(self) -> np.ndarray:
+        """L as a new N x N array, built at each read."""
+        return _joint_values(self.similarity, self.root_quality, self.lam)
+
+    def submatrix(self, indices: Sequence[int]) -> np.ndarray:
+        """L's rows and columns at ``indices`` (distinct), without building L."""
+        idx = np.asarray(indices, dtype=np.int64)
+        return _joint_values(self.similarity[np.ix_(idx, idx)], self.root_quality[idx], self.lam)
+
+    def diagonal(self) -> np.ndarray:
+        """L's diagonal as a new array."""
+        root = self.root_quality
+        return root * np.diagonal(self.similarity) * root + self.lam
+
+    def column(self, j: int, out: np.ndarray) -> np.ndarray:
+        """Write L's column j into ``out`` and return it."""
+        np.multiply(self.root_quality, self.similarity[:, j], out=out)
+        out *= self.root_quality[j]
+        out[j] += self.lam
+        return out
 
     def write_csv(self, path: str | Path, header_comment: str | None = None) -> None:
         """Row-major dump preceded by a one-line (N, lambda) header."""
@@ -40,9 +74,16 @@ class JointKernel:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
             writer = csv.writer(fh)
-            writer.writerow([self.values.shape[0], repr(float(self.lam))])
+            writer.writerow([len(self.root_quality), repr(float(self.lam))])
             for row in self.values:
                 writer.writerow([repr(float(x)) for x in row])
+
+
+def _joint_values(similarity: np.ndarray, root: np.ndarray, lam: float) -> np.ndarray:
+    values = root[:, None] * similarity
+    values *= root[None, :]
+    values[np.diag_indices_from(values)] += lam
+    return values
 
 
 @dataclass
@@ -70,7 +111,8 @@ def build_joint_kernel(
 
     Each entry's association strength is the similarity modulated by the
     geometric mean of the two windows' qualities, so low-quality items lose
-    influence on the whole diversity structure.
+    influence on the whole diversity structure. The result holds ``similarity``
+    and sqrt(quality); L itself is built only when ``values`` is read.
     """
     s = np.asarray(similarity, dtype=float)
     q = np.asarray(quality, dtype=float)
@@ -82,11 +124,7 @@ def build_joint_kernel(
         raise ValueError("quality scores must be strictly positive (floor upstream)")
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    root = np.sqrt(q)
-    values = root[:, None] * s
-    values *= root[None, :]
-    values[np.diag_indices_from(values)] += lam
-    return JointKernel(values=values, lam=float(lam))
+    return JointKernel(similarity=s, root_quality=np.sqrt(q), lam=float(lam))
 
 
 def log_det(kernel: np.ndarray, subset: Sequence[int]) -> float:
@@ -147,13 +185,15 @@ def greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
     return SelectionResult(indices=indices, gains=gains, logdet=float(sum(gains)))
 
 
-def fast_greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
+def fast_greedy_map(kernel: np.ndarray | JointKernel, k: int) -> SelectionResult:
     """Greedy MAP with ``greedy_map``'s indices, gains and logdet, bit for bit.
 
     The column-at-a-time greedy of Chen, Zhang & Zhou, "Fast Greedy MAP
     Inference for DPP" (NeurIPS 2018). Only the residual diagonal and the
     residual column of each pick are kept, never the N x N residual, so a run
-    costs O(k^2 N) time and O(k N) memory. A step picks as ``greedy_map``
+    costs O(k^2 N) time and O(k N) memory. ``kernel`` is L as a matrix, or a
+    ``JointKernel``, of which only the diagonal and the picks' columns are
+    computed, so L is never built. A step picks as ``greedy_map``
     does and downdates the diagonal by the pick's residual column. That column
     is one ``np.subtract.reduce`` down the rows of a work buffer: row 0 is the
     kernel column, rows 1..t the earlier picks' downdate terms
@@ -163,11 +203,17 @@ def fast_greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
     order, at O(k) numpy calls per run; the normalized Cholesky form
     (``C[:t, j] @ C[:t]``) would round differently.
     """
-    values = np.asarray(kernel, dtype=float)
-    n = values.shape[0]
+    if isinstance(kernel, JointKernel):
+        diagonal, column = kernel.diagonal(), kernel.column
+    else:
+        values = np.asarray(kernel, dtype=float)
+        diagonal = np.diagonal(values).copy()
+
+        def column(j: int, out: np.ndarray) -> None:
+            out[:] = values[:, j]
+    n = diagonal.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    diagonal = np.diagonal(values).copy()
     columns = np.empty((k, n))  # residual column of each pick, when it was picked
     pivots = np.empty(k)
     work = np.empty((k, n))  # kernel column, then one downdate term per earlier pick
@@ -180,7 +226,7 @@ def fast_greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
         if diag[j] <= EPS_PD:
             break
         gains.append(float(np.log(diag[j])))
-        work[0] = values[:, j]
+        column(j, work[0])
         terms = work[1:step + 1]
         np.multiply(columns[:step], columns[:step, j, None], out=terms)
         terms /= pivots[:step, None]

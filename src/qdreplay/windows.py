@@ -472,10 +472,27 @@ class JsonlParseError(ValueError):
         self.line_number = line_number
 
 
+_JSON_KINDS = {"integer": (int,), "number": (int, float), "bool": (bool,)}
+
+
+def _json_typed(rec: dict, key: str, kind: str, default=None):
+    """``rec[key]`` (or ``default`` when absent), if it is a JSON value of ``kind``.
+
+    A kind is "integer" (not a bool, not a float such as 1.0), "number" (an
+    integer or a float, not a bool) or "bool".
+    """
+    value = rec[key] if default is None else rec.get(key, default)
+    if type(value) not in _JSON_KINDS[kind]:
+        raise TypeError(f"{key} must be a JSON {kind}, got {json.dumps(value)}")
+    return value
+
+
 def _action_from_json(value) -> int | np.ndarray:
     if isinstance(value, list):
         return np.asarray(value, dtype=float)
-    return np.int64(int(value))  # raises here, on its line, when out of the int64 range
+    if type(value) is not int:
+        raise TypeError(f"action must be a JSON integer or a list, got {json.dumps(value)}")
+    return np.int64(value)  # raises here, on its line, when out of the int64 range
 
 
 def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.99) -> ReplayBuffer:
@@ -483,8 +500,10 @@ def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.9
 
     Lines may come in any order; within an episode, ``t`` must run 0, 1, ...
     without duplicates or gaps. The episodes then pass the same checks as
-    ``ReplayBuffer.append_episode``. A violation raises ``JsonlParseError``
-    naming the offending line.
+    ``ReplayBuffer.append_episode``. ``episode``, ``t``, ``stage`` and a
+    discrete action must be JSON integers, ``reward`` a JSON number and
+    ``done`` a JSON bool; ``stage`` and ``done`` default to 0 and false. A
+    violation raises ``JsonlParseError`` naming the offending line.
     """
     with open(path) as fh:
         count = sum(1 for line in fh if line.strip())
@@ -510,10 +529,11 @@ def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.9
                     raise ValueError(f"state has {len(state)} entries, expected {states.shape[1]}")
                 states[n] = state
                 actions.append(_action_from_json(rec["action"]))
-                rewards[n] = float(rec["reward"])
-                stages[n] = int(rec.get("stage", 0))
-                episode[n], step[n] = int(rec["episode"]), int(rec["t"])
-                done[n] = bool(rec.get("done", False))
+                rewards[n] = _json_typed(rec, "reward", "number")
+                stages[n] = _json_typed(rec, "stage", "integer", 0)
+                episode[n] = _json_typed(rec, "episode", "integer")
+                step[n] = _json_typed(rec, "t", "integer")
+                done[n] = _json_typed(rec, "done", "bool", False)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise JsonlParseError(lineno, str(exc)) from exc
             lines[n] = lineno

@@ -264,14 +264,15 @@ def test_selection_carries_the_pool_median_under_a_fixed_sigma():
 
 
 def test_full_selection_peak_allocation_at_pool_1500():
-    """The distances are computed once and dropped before the kernel is built.
+    """The selection keeps one N x N array: the distances, then the similarity.
 
-    ``pairwise_distances`` takes its square root in place and frees the
-    squared distances before the transpose-add, and ``build_joint_kernel``
-    does its second multiply in place, so the peak reads 2.38 arrays of
-    N x N floats (40.9 MiB). With the extra squared-distance array and
-    kernel temporary it read 3.20 (55.0 MiB); keeping the distance matrix
-    alive through the kernel build as well read 4.08.
+    ``pairwise_distances`` builds the distances inside the Gram product,
+    ``median_bandwidth`` reads them by row blocks, ``rbf_similarity`` turns
+    them into the similarity in place, and greedy MAP reads the kernel one
+    column at a time beside its two (k, N) buffers, so the peak reads 1.39
+    arrays of N x N floats (23.8 MiB). With a second distance array, the
+    median's copy of the upper triangle and the built kernel it read 2.38;
+    with the extra squared-distance array and kernel temporary, 3.20.
     """
     n = 1500
     cfg = replace(LoopConfig(), pool_size=n, subset_size=225)
@@ -289,7 +290,7 @@ def test_full_selection_peak_allocation_at_pool_1500():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.45 * n * n * 8
+    assert peak <= 1.45 * n * n * 8
 
 
 def test_selection_events_reference_valid_windows():

@@ -112,6 +112,18 @@ def test_mixed_action_kinds_exit_2_with_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_wrongly_typed_scalar_exits_2_with_line_before_output(tmp_path, capsys):
+    path = tmp_path / "typed.jsonl"
+    path.write_text(
+        '{"episode": 0, "t": 0, "state": [0.0], "action": 1, "reward": 0.0}\n'
+        '{"episode": 0, "t": 1, "state": [0.0], "action": 1, "reward": 0.0, "done": "false"}\n'
+    )
+    out = tmp_path / "out"
+    assert main(["select", str(path), "--out", str(out)]) == 2
+    assert "line 2: done must be a JSON bool" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_state_exits_2_with_line_before_output(tmp_path, capsys):
     path = tmp_path / "nan.jsonl"
     path.write_text(

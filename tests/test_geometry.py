@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdreplay import geometry
 from qdreplay.geometry import (
     encode_pool,
     median_bandwidth,
@@ -64,26 +65,90 @@ def test_median_bandwidth_single_pair():
     assert median_bandwidth(z) == pytest.approx(5.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(2, 40), dim=st.integers(1, 4), distinct=st.integers(1, 40),
-       integral=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_median_bandwidth_is_numpy_median_bit_for_bit(n, dim, distinct, integral, seed):
-    """n (n - 1) / 2 pairs runs over odd and even counts; rows drawn from
-    ``distinct`` points repeat. Integer points have exact distances, so tied
-    ones, and exact zeros down to the fallback to 1 for a single point."""
-    rng = np.random.default_rng(seed)
+def _points(rng, n, dim, distinct, integral):
+    """n rows drawn from ``distinct`` points, integer-valued or Gaussian at a random scale."""
     shape = (min(distinct, n), dim)
     points = (rng.integers(-3, 4, size=shape).astype(float) if integral
               else rng.standard_normal(shape) * rng.uniform(1e-3, 1e3))
-    z = points[rng.integers(len(points), size=n)]
+    return points[rng.integers(len(points), size=n)]
+
+
+def _full_matrix_distances(z):
+    """The distances as one full-matrix formula: Gram form, clip, root, triu plus transpose."""
+    sq = np.sum(z ** 2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
+    d = np.triu(np.sqrt(np.maximum(d2, 0.0)), k=1)
+    return d + d.T
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3 * geometry._ROW_BLOCK), dim=st.integers(1, 16),
+       distinct=st.integers(1, 200), integral=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_pairwise_distances_in_place_is_the_full_matrix_formula_bit_for_bit(
+        n, dim, distinct, integral, seed):
+    """From one row to more than two row blocks, with repeated rows, whose
+    Gram-form distances need not be exact zeros."""
+    z = _points(np.random.default_rng(seed), n, dim, distinct, integral)
+    assert pairwise_distances(z).tobytes() == _full_matrix_distances(z).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 150), dim=st.integers(1, 4), distinct=st.integers(1, 40),
+       integral=st.booleans(), sample_size=st.sampled_from([1, 10, 200, geometry._SAMPLE_SIZE]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_median_bandwidth_is_numpy_median_bit_for_bit(n, dim, distinct, integral, sample_size,
+                                                      seed):
+    """n (n - 1) / 2 pairs runs over odd and even counts and up to three row
+    blocks. Up to the sample size one pass takes every pair; smaller samples
+    stride over the pairs, and bracket wide or miss.
+    Rows drawn from ``distinct`` points repeat. Integer points have exact
+    distances, so tied ones, and exact zeros down to the fallback to 1 for a
+    single point."""
+    z = _points(np.random.default_rng(seed), n, dim, distinct, integral)
     d = pairwise_distances(z)
     expected = float(np.median(d[np.triu_indices(n, k=1)]))
     expected = expected if expected > 0.0 else 1.0
-    assert median_bandwidth(z) == expected
-    assert median_bandwidth(z, distances=d) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_SAMPLE_SIZE", sample_size)
+        assert median_bandwidth(z) == expected
+        assert median_bandwidth(z, distances=d) == expected
     np.testing.assert_array_equal(d, pairwise_distances(z))  # read, not written
-    if integral and len(points) == 1:
+    if integral and distinct == 1:
         assert expected == 1.0
+
+
+def _count_passes(monkeypatch):
+    """Record the (low, high) bracket of every pass ``median_bandwidth`` makes."""
+    passes = []
+    upper_between = geometry._upper_between
+
+    def spy(d, low, high):
+        passes.append((low, high))
+        return upper_between(d, low, high)
+    monkeypatch.setattr(geometry, "_upper_between", spy)
+    return passes
+
+
+def test_median_bracket_from_a_strided_sample_holds_the_middle_ranks(monkeypatch):
+    """At n = 600 the 179,700 pairs are sampled at every eleventh one, and
+    the one bracketed pass finds the middle ranks."""
+    passes = _count_passes(monkeypatch)
+    z = np.random.default_rng(3).standard_normal((600, 16))
+    d = pairwise_distances(z)
+    assert median_bandwidth(z, distances=d) == float(np.median(d[np.triu_indices(600, k=1)]))
+    assert len(passes) == 1 and -np.inf < passes[0][0] < passes[0][1] < np.inf
+
+
+def test_median_bracket_miss_falls_back_to_one_full_pass(monkeypatch):
+    """A negative margin makes the bracket empty, so a second pass takes every pair."""
+    passes = _count_passes(monkeypatch)
+    monkeypatch.setattr(geometry, "_SAMPLE_SIZE", 1000)
+    monkeypatch.setattr(geometry, "_BRACKET_MARGIN", -10.0)
+    z = np.random.default_rng(4).standard_normal((150, 3))
+    d = pairwise_distances(z)
+    assert median_bandwidth(z, distances=d) == float(np.median(d[np.triu_indices(150, k=1)]))
+    assert len(passes) == 2 and passes[0][0] > passes[0][1]
+    assert passes[1] == (-np.inf, np.inf)
 
 
 @settings(max_examples=50, deadline=None)
@@ -93,9 +158,9 @@ def test_rbf_similarity_from_given_distances_is_identical(n, seed):
     z = rng.standard_normal((n, 3))
     sigma = float(rng.uniform(0.1, 5.0))
     d = pairwise_distances(z)
-    np.testing.assert_array_equal(rbf_similarity(z, sigma, distances=d),
-                                  rbf_similarity(z, sigma))
-    np.testing.assert_array_equal(d, pairwise_distances(z))
+    s = rbf_similarity(z, sigma, distances=d)
+    assert s is d  # turned into the similarity in place
+    np.testing.assert_array_equal(s, rbf_similarity(z, sigma))
 
 
 def test_median_bandwidth_needs_two_points():

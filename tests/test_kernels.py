@@ -244,6 +244,56 @@ def test_fast_greedy_matches_greedy_map_bit_for_bit(shape, n, data, seed):
     assert_same_selection(kernel, n)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 60), distinct=st.integers(1, 60), lam=st.sampled_from([0.0, 1e-3, 0.05]),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_fast_greedy_on_joint_kernel_matches_greedy_map_on_its_values(n, distinct, lam, data,
+                                                                      seed):
+    """Columns computed on demand from S, sqrt(q) and lambda are L's columns,
+    bit for bit, so the picks, gains and logdet are ``greedy_map``'s on the
+    built L. Rows drawn from ``distinct`` points repeat; at lam = 0 a
+    duplicate adds no residual, so greedy stops early."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((min(distinct, n), 3)) * rng.uniform(0.1, 10.0)
+    z = points[rng.integers(len(points), size=n)]
+    joint = build_joint_kernel(rbf_similarity(z, median_bandwidth(z)),
+                               rng.uniform(1e-3, 1.0, size=n), lam)
+    values = joint.values
+    assert joint.diagonal().tobytes() == np.diagonal(values).tobytes()
+    j = data.draw(st.integers(0, n - 1), label="column")
+    assert joint.column(j, np.empty(n)).tobytes() == values[:, j].tobytes()
+    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="subset")
+    assert joint.submatrix(subset).tobytes() == values[np.ix_(subset, subset)].tobytes()
+    for k in (data.draw(st.integers(1, n), label="k"), n):
+        fast, reference = fast_greedy_map(joint, k), greedy_map(values, k)
+        assert fast.indices == reference.indices
+        assert fast.gains == reference.gains
+        assert fast.logdet == reference.logdet
+
+
+def test_fast_greedy_on_joint_kernel_stops_early_on_duplicates():
+    z = np.repeat(np.random.default_rng(5).standard_normal((3, 4)), 4, axis=0)
+    joint = build_joint_kernel(rbf_similarity(z, 1.0), np.linspace(0.2, 1.0, 12), lam=0.0)
+    fast, reference = fast_greedy_map(joint, 12), greedy_map(joint.values, 12)
+    assert len(fast.indices) == 3
+    assert (fast.indices, fast.gains, fast.logdet) == (reference.indices, reference.gains,
+                                                       reference.logdet)
+
+
+def test_joint_kernel_values_are_the_entrywise_formula():
+    """L_ij = (sqrt(q_i) * S_ij) * sqrt(q_j), plus lam on the diagonal, built at each read."""
+    rng = np.random.default_rng(6)
+    s = random_similarity(30, rng)
+    q = rng.uniform(0.05, 1.0, size=30)
+    joint = build_joint_kernel(s, q, 0.01)
+    root = np.sqrt(q)
+    expected = root[:, None] * s * root[None, :]
+    expected[np.diag_indices(30)] += 0.01
+    assert joint.values.tobytes() == expected.tobytes()
+    assert joint.values is not joint.values
+    assert joint.similarity is s  # held, not copied
+
+
 def test_fast_greedy_matches_on_early_stop_and_ties():
     v = np.array([[1.0, 2.0]])
     result = fast_greedy_map(v.T @ v, 2)

@@ -443,6 +443,18 @@ def _record(episode, t, action=1):
     ([_record(0, 0), {**_record(0, 1), "stage": -1}], 2, "non-negative"),
     ([{**_record(0, 0), "done": True}, _record(0, 1)], 1, "done=True before the final"),
     ([_record(0, 0), {**_record(0, 1), "state": [float("nan"), 1.0]}], 2, "state must be finite"),
+    # Scalars of the wrong JSON type are rejected, not converted.
+    ([_record(0, 0), _record(0, 1, action=1.5)], 2, "action must be a JSON integer"),
+    ([_record(0, 0), _record(0, 1, action=True)], 2, "action must be a JSON integer"),
+    ([_record(0, 0), {**_record(0, 1), "stage": 1.7}], 2, "stage must be a JSON integer"),
+    ([_record(0, 0), {**_record(0, 1), "stage": 1.0}], 2, "stage must be a JSON integer"),
+    ([_record(0, 0), {**_record(0, 1), "t": 0.5}], 2, "t must be a JSON integer"),
+    ([_record(0, 0), {**_record(0, 1), "episode": "0"}], 2, "episode must be a JSON integer"),
+    ([_record(0, 0), {**_record(0, 1), "episode": False}], 2, "episode must be a JSON integer"),
+    ([_record(0, 0), {**_record(0, 1), "reward": "1"}], 2, "reward must be a JSON number"),
+    ([_record(0, 0), {**_record(0, 1), "reward": True}], 2, "reward must be a JSON number"),
+    ([_record(0, 0), {**_record(0, 1), "done": "false"}], 2, "done must be a JSON bool"),
+    ([_record(0, 0), {**_record(0, 1), "done": 0}], 2, "done must be a JSON bool"),
 ])
 def test_load_jsonl_rejects_inconsistent_steps_and_actions(tmp_path, records, line, message):
     path = tmp_path / "bad.jsonl"
