@@ -169,7 +169,7 @@ def evaluate_policy(policy, env: StageChainEnv, episodes: int, seed) -> float:
     """Fraction of greedy-action rollouts that reach task success."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     wins = 0
     for _ in range(episodes):
         _, success = rollout(env, policy, rng, greedy=True)
@@ -293,8 +293,7 @@ class WindowSelection(SelectionResult):
 
     pool: WindowBatch
     embeddings: np.ndarray  # (N, d)
-    similarity: np.ndarray  # (N, N) RBF similarity, the array ``kernel`` holds
-    kernel: JointKernel  # L as its factors; ``kernel.values`` builds it
+    kernel: JointKernel  # L as its factors, the RBF similarity among them; ``.values`` builds L
     median_distance: float  # median_bandwidth of the pool, whatever sigma was used
 
 
@@ -341,9 +340,9 @@ def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopCon
     else:
         greedy = fast_greedy_map(kernel, k)
         return WindowSelection(greedy.indices, greedy.gains, greedy.logdet,
-                               pool, embeddings, similarity, kernel, median)
+                               pool, embeddings, kernel, median)
     return WindowSelection(indices, [], log_det(kernel.submatrix(indices), range(k)),
-                           pool, embeddings, similarity, kernel, median)
+                           pool, embeddings, kernel, median)
 
 
 @dataclass
@@ -508,7 +507,7 @@ def run_loop(
 def _selection_quality_metrics(selection: WindowSelection) -> tuple[float, float]:
     """Diversity and redundancy of a selection within its pool."""
     chosen = selection.indices
-    sub = selection.similarity[np.ix_(chosen, chosen)]
+    sub = selection.kernel.similarity[np.ix_(chosen, chosen)]
     tau = 0.1 * selection.median_distance
     return diversity_metric(sub), redundancy_metric(selection.embeddings[chosen], tau)
 

@@ -2,14 +2,15 @@
 
 ``JointKernel`` holds L's factors, the similarity, sqrt(quality) and lambda,
 and builds the N x N L only when ``values`` is read. ``fast_greedy_map``
-serves production-size pools in O(k^2 N) time and O(k N) memory beside the
-similarity: on a ``JointKernel`` it reads L's diagonal and the column of each
-pick, each entry by ``build_joint_kernel``'s arithmetic, and builds each
+takes a ``JointKernel`` and serves production-size pools in O(k^2 N) time and
+O(k N) memory beside the similarity: it reads L's diagonal and the column of
+each pick, each entry by ``build_joint_kernel``'s arithmetic, and builds each
 pick's residual column as one row reduction over the kernel column and the
-earlier picks' downdate terms, O(k) numpy calls per run. The O(k N^2)
-``greedy_map`` it reproduces bit for bit, the exhaustive optimizer, exact
-subset probabilities and the exact sampler are verification oracles; the
-last three are shipped behind size guards.
+earlier picks' downdate terms, O(k) numpy calls per run. A plain L goes in as
+``build_joint_kernel(L, np.ones(n), 0.0)``, whose entries are L's bits. The
+O(k N^2) ``greedy_map`` it reproduces bit for bit, the exhaustive optimizer,
+exact subset probabilities and the exact sampler are verification oracles;
+the last three are shipped behind size guards.
 """
 
 from __future__ import annotations
@@ -185,32 +186,25 @@ def greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
     return SelectionResult(indices=indices, gains=gains, logdet=float(sum(gains)))
 
 
-def fast_greedy_map(kernel: np.ndarray | JointKernel, k: int) -> SelectionResult:
+def fast_greedy_map(kernel: JointKernel, k: int) -> SelectionResult:
     """Greedy MAP with ``greedy_map``'s indices, gains and logdet, bit for bit.
 
     The column-at-a-time greedy of Chen, Zhang & Zhou, "Fast Greedy MAP
     Inference for DPP" (NeurIPS 2018). Only the residual diagonal and the
     residual column of each pick are kept, never the N x N residual, so a run
-    costs O(k^2 N) time and O(k N) memory. ``kernel`` is L as a matrix, or a
-    ``JointKernel``, of which only the diagonal and the picks' columns are
-    computed, so L is never built. A step picks as ``greedy_map``
-    does and downdates the diagonal by the pick's residual column. That column
-    is one ``np.subtract.reduce`` down the rows of a work buffer: row 0 is the
-    kernel column, rows 1..t the earlier picks' downdate terms
-    ``columns[s] * columns[s, j] / pivots[s]``, made by one (t, N) multiply
-    and divide. The reduction subtracts them in row order, so every entry
+    costs O(k^2 N) time and O(k N) memory. Of ``kernel`` only the diagonal and
+    the picks' columns are computed, so L is never built; a plain matrix L goes
+    in as ``build_joint_kernel(L, np.ones(n), 0.0)``. A step picks as
+    ``greedy_map`` does and downdates the diagonal by the pick's residual
+    column. That column is one ``np.subtract.reduce`` down the rows of a work
+    buffer: row 0 is the kernel column, rows 1..t the earlier picks' downdate
+    terms ``columns[s] * columns[s, j] / pivots[s]``, made by one (t, N)
+    multiply and divide. The reduction subtracts them in row order, so every entry
     ``greedy_map`` reads gets the same floating-point operations in the same
     order, at O(k) numpy calls per run; the normalized Cholesky form
     (``C[:t, j] @ C[:t]``) would round differently.
     """
-    if isinstance(kernel, JointKernel):
-        diagonal, column = kernel.diagonal(), kernel.column
-    else:
-        values = np.asarray(kernel, dtype=float)
-        diagonal = np.diagonal(values).copy()
-
-        def column(j: int, out: np.ndarray) -> None:
-            out[:] = values[:, j]
+    diagonal = kernel.diagonal()
     n = diagonal.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -226,7 +220,7 @@ def fast_greedy_map(kernel: np.ndarray | JointKernel, k: int) -> SelectionResult
         if diag[j] <= EPS_PD:
             break
         gains.append(float(np.log(diag[j])))
-        column(j, work[0])
+        kernel.column(j, work[0])
         terms = work[1:step + 1]
         np.multiply(columns[:step], columns[:step, j, None], out=terms)
         terms /= pivots[:step, None]
@@ -303,7 +297,7 @@ def kdpp_sample(kernel: np.ndarray, k: int, seed) -> list[int]:
     rank = int(np.count_nonzero(eigvals > EIG_RANK_TOL))
     if not 1 <= k <= rank:
         raise ValueError(f"k={k} exceeds numerical rank {rank}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     table = _esp_table(eigvals, k)
     chosen_vectors = _sample_eigenvector_subset(eigvals, k, table, rng)
     return _sample_from_projection(eigvecs[:, chosen_vectors], rng)

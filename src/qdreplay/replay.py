@@ -28,9 +28,6 @@ class MixedBatch:
     from_selection: np.ndarray
     probabilities: np.ndarray
     weights: np.ndarray
-    eta: float
-    selection_size: int
-    pool_size: int
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -68,7 +65,7 @@ def mixed_sample(
     if ((selection < 0) | (selection >= pool_size)).any():
         raise ValueError("selection indices must lie inside the pool")
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n_selected = math.floor(eta * batch_size)
     ids = np.empty(batch_size, dtype=np.int64)
     if n_selected:
@@ -85,9 +82,6 @@ def mixed_sample(
         from_selection=np.arange(batch_size) < n_selected,
         probabilities=probs,
         weights=(1.0 / pool_size) / probs,
-        eta=float(eta),
-        selection_size=selection.size,
-        pool_size=pool_size,
     )
 
 
@@ -99,8 +93,7 @@ def normalize_weights(batch: MixedBatch, mode: WeightMode = WeightMode.RAW) -> M
     if mode is WeightMode.RAW or not weights.size:
         return batch
     return MixedBatch(batch.ids, batch.from_selection, batch.probabilities,
-                      weights / weights.mean(), batch.eta, batch.selection_size,
-                      batch.pool_size)
+                      weights / weights.mean())
 
 
 def estimate_uniform_mean(
@@ -119,7 +112,7 @@ def estimate_uniform_mean(
     mean(f) over the whole pool.
     """
     values = np.asarray(f, dtype=float)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     total = 0.0
     count = 0
     for _ in range(trials):

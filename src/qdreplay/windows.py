@@ -16,6 +16,8 @@ class EpisodeArrays:
 
     ``ReplayBuffer.append_episode`` checks and copies them; rewards and
     states must be finite, stages non-negative, and only the last step done.
+    ``actions`` may be anything ``np.asarray`` turns into one array: 1-D is
+    discrete, anything else continuous of its row shape.
     """
 
     states: np.ndarray   # (T, d_s)
@@ -165,13 +167,9 @@ class _Columns:
         self.first += n
 
 
-def _action_shape(action) -> tuple[int, ...] | None:
-    """None for a discrete action, the array shape of a continuous one."""
-    return np.shape(action) if isinstance(action, (list, np.ndarray)) else None
-
-
-def _action_kind(shape: tuple[int, ...] | None) -> str:
-    return "discrete" if shape is None else f"continuous of shape {shape}"
+def _action_kind(shape: tuple[int, ...]) -> str:
+    """Name of the action kind whose row shape is ``shape``: () is discrete."""
+    return f"continuous of shape {shape}" if shape else "discrete"
 
 
 def _reverse_rtg(rewards: np.ndarray, lengths: np.ndarray, gamma: float) -> np.ndarray:
@@ -245,15 +243,20 @@ class ReplayBuffer:
         """Check whole episodes given as columns, store them, then evict.
 
         Episode ``ids[i]`` owns the next ``lengths[i]`` rows; ids are strictly
-        increasing. ``actions`` holds one action per row, a list or an array
-        whose rows are the actions. A typed array has one kind, read off its
-        shape (1-D discrete, else continuous of the row shape); anything else
-        is checked row by row.
-        Every ingest rule on the rows lives here; one broken by a single row
-        raises ``_RowError`` with that row's position. Each column is copied
-        once, into the store, so the buffer never shares an array with its
-        caller.
+        increasing. ``actions`` holds one action per row and is taken as
+        ``np.asarray`` makes it: 1-D is discrete (stored as int64), anything
+        else continuous of the row shape (stored as float). That one kind must
+        match the stored column's; a ragged sequence has no kind and is
+        rejected. Every ingest rule on the rows lives here; one broken by a
+        single row raises ``_RowError`` with that row's position. Each column
+        is copied once, into the store, so the buffer never shares an array
+        with its caller.
         """
+        try:
+            actions = np.asarray(actions)
+        except ValueError as exc:  # numpy's message for a ragged sequence names no action
+            raise ValueError("actions must have one kind: all discrete, or all "
+                             "continuous of one shape") from exc
         states = np.asarray(states, dtype=float)
         rewards = np.asarray(rewards, dtype=float)
         stages = np.asarray(stages, dtype=np.int64)
@@ -279,16 +282,10 @@ class ReplayBuffer:
         if stored is not None and states.shape[1] != self.state_dim:
             raise ValueError(f"state dim mismatch: buffer has {self.state_dim}, "
                              f"episode has {states.shape[1]}")
-        if isinstance(actions, np.ndarray) and actions.dtype != object:
-            kinds = [None if actions.ndim == 1 else actions.shape[1:]]  # every row's kind
-        else:
-            kinds = [_action_shape(action) for action in actions]
-        kind = kinds[0] if stored is None else (
-            None if stored.dtype.kind == "i" else stored.shape[1:])
-        for row, action_kind in enumerate(kinds):
-            if action_kind != kind:
-                raise _RowError(row, f"action is {_action_kind(action_kind)}, "
-                                     f"expected {_action_kind(kind)}")
+        kind = actions.shape[1:]
+        if stored is not None and kind != stored.shape[1:]:
+            raise ValueError(f"action is {_action_kind(kind)}, "
+                             f"expected {_action_kind(stored.shape[1:])}")
         step = np.arange(len(rewards)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         problems = {
             "state must be finite": ~np.isfinite(states).all(axis=1),
@@ -306,7 +303,7 @@ class ReplayBuffer:
         first_row = self._rows.first + len(self._rows)
         self._rows.extend(
             states=states,
-            actions=np.asarray(actions, dtype=np.int64 if kind is None else float),
+            actions=actions.astype(float if kind else np.int64, copy=False),
             rewards=rewards,
             stages=stages,
             done=done,
@@ -414,7 +411,7 @@ class ReplayBuffer:
             raise NoValidWindowsError(
                 f"no valid windows: no stored episode has length >= {horizon}"
             )
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         return self.gather(rng.choice(total, size=min(int(n), total), replace=False), horizon)
 
 
@@ -473,6 +470,7 @@ class JsonlParseError(ValueError):
 
 
 _JSON_KINDS = {"integer": (int,), "number": (int, float), "bool": (bool,)}
+_NUMBER_TYPES = frozenset(_JSON_KINDS["number"])
 
 
 def _json_typed(rec: dict, key: str, kind: str, default=None):
@@ -487,12 +485,9 @@ def _json_typed(rec: dict, key: str, kind: str, default=None):
     return value
 
 
-def _action_from_json(value) -> int | np.ndarray:
-    if isinstance(value, list):
-        return np.asarray(value, dtype=float)
-    if type(value) is not int:
-        raise TypeError(f"action must be a JSON integer or a list, got {json.dumps(value)}")
-    return np.int64(value)  # raises here, on its line, when out of the int64 range
+def _number_list(value) -> bool:
+    """Whether ``value`` is a JSON list of numbers: no strings, bools, nulls or lists."""
+    return type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
 
 
 def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.99) -> ReplayBuffer:
@@ -502,15 +497,18 @@ def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.9
     without duplicates or gaps. The episodes then pass the same checks as
     ``ReplayBuffer.append_episode``. ``episode``, ``t``, ``stage`` and a
     discrete action must be JSON integers, ``reward`` a JSON number and
-    ``done`` a JSON bool; ``stage`` and ``done`` default to 0 and false. A
-    violation raises ``JsonlParseError`` naming the offending line.
+    ``done`` a JSON bool; ``stage`` and ``done`` default to 0 and false.
+    ``state`` and a continuous action are lists of JSON numbers. The first
+    line fixes the state width and the action kind: an integer makes the
+    actions discrete (int64), a list of d numbers continuous (float, d per
+    row). A violation raises ``JsonlParseError`` naming the offending line.
     """
     with open(path) as fh:
         count = sum(1 for line in fh if line.strip())
     episode, step, lines, stages = (np.empty(count, dtype=np.int64) for _ in range(4))
     rewards, done = np.empty(count), np.empty(count, dtype=bool)
-    states = None  # allocated at the first record, whose state fixes the width
-    actions = []
+    states = actions = None  # allocated at the first record, which fixes their row shapes
+    n = 0  # records read
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -520,15 +518,25 @@ def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.9
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise JsonlParseError(lineno, f"invalid JSON ({exc.msg})") from exc
-            n = len(actions)
             try:
-                state = rec["state"]
+                state, action = rec["state"], rec["action"]
+                if not _number_list(state):
+                    raise TypeError("state must be a list of JSON numbers, "
+                                    f"got {json.dumps(state)}")
+                if type(action) is not int and not _number_list(action):
+                    raise TypeError("action must be a JSON integer or a list of JSON numbers, "
+                                    f"got {json.dumps(action)}")
+                shape = (len(action),) if type(action) is list else ()
                 if states is None:
                     states = np.empty((count, len(state)))
+                    actions = np.empty((count, *shape), dtype=float if shape else np.int64)
                 if len(state) != states.shape[1]:
                     raise ValueError(f"state has {len(state)} entries, expected {states.shape[1]}")
+                if shape != actions.shape[1:]:
+                    raise ValueError(f"action is {_action_kind(shape)}, "
+                                     f"expected {_action_kind(actions.shape[1:])}")
                 states[n] = state
-                actions.append(_action_from_json(rec["action"]))
+                actions[n] = action  # an integer outside int64 raises here, on its line
                 rewards[n] = _json_typed(rec, "reward", "number")
                 stages[n] = _json_typed(rec, "stage", "integer", 0)
                 episode[n] = _json_typed(rec, "episode", "integer")
@@ -537,6 +545,7 @@ def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.9
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise JsonlParseError(lineno, str(exc)) from exc
             lines[n] = lineno
+            n += 1
     if capacity is None:
         capacity = max(count, 1)
     buffer = ReplayBuffer(capacity=capacity, gamma=gamma)
@@ -556,8 +565,8 @@ def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.9
             problem = f"episode {episode[i]} has t={step[i]} where t={expected[i]} was expected"
         raise JsonlParseError(int(lines[i]), problem)
     # Rebound, so the file-order columns are freed before the buffer copies these.
-    states, rewards, stages, done = states[order], rewards[order], stages[order], done[order]
-    actions = [actions[i] for i in order]
+    states, actions = states[order], actions[order]
+    rewards, stages, done = rewards[order], stages[order], done[order]
     try:
         buffer._append(ids=ids, lengths=lengths, states=states, actions=actions,
                        rewards=rewards, stages=stages, done=done)

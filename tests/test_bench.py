@@ -213,11 +213,12 @@ def _quality(selection, policy):
 def test_full_selection_is_greedy_map_on_its_kernel():
     selection, policy = _select(Variant.FULL)
     z = selection.embeddings
-    np.testing.assert_array_equal(selection.similarity, rbf_similarity(z, median_bandwidth(z)))
+    np.testing.assert_array_equal(selection.kernel.similarity,
+                                  rbf_similarity(z, median_bandwidth(z)))
     quality = _quality(selection, policy)
     root = np.sqrt(quality)
     np.testing.assert_allclose(selection.kernel.values,
-                               root[:, None] * selection.similarity * root[None, :]
+                               root[:, None] * selection.kernel.similarity * root[None, :]
                                + SELECT.lam * np.eye(SELECT.pool_size))
     greedy = greedy_map(selection.kernel.values, SELECT.subset_size)
     assert selection.indices == greedy.indices
@@ -239,8 +240,8 @@ def test_diversity_only_uses_constant_quality_kernel():
     untouched = score_rng.bit_generator.state
     selection, _ = _select(Variant.DIVERSITY_ONLY, score_rng)
     assert score_rng.bit_generator.state == untouched  # no quality scored
-    np.testing.assert_allclose(selection.kernel.values,
-                               selection.similarity + SELECT.lam * np.eye(SELECT.pool_size))
+    np.testing.assert_allclose(selection.kernel.values, selection.kernel.similarity
+                               + SELECT.lam * np.eye(SELECT.pool_size))
     assert selection.indices == greedy_map(selection.kernel.values, SELECT.subset_size).indices
 
 
@@ -260,7 +261,7 @@ def test_selection_carries_the_pool_median_under_a_fixed_sigma():
     selection, _ = _select(Variant.FULL, config=cfg)
     z = selection.embeddings
     assert selection.median_distance == median_bandwidth(z) != cfg.sigma
-    np.testing.assert_array_equal(selection.similarity, rbf_similarity(z, cfg.sigma))
+    np.testing.assert_array_equal(selection.kernel.similarity, rbf_similarity(z, cfg.sigma))
 
 
 def test_full_selection_peak_allocation_at_pool_1500():

@@ -34,6 +34,11 @@ def random_psd_kernel(n: int, rng: np.random.Generator, eig_min=0.2, eig_max=5.0
     return (kernel + kernel.T) / 2.0
 
 
+def as_joint(kernel: np.ndarray):
+    """A plain L as ``fast_greedy_map`` takes it: unit quality and lam 0 leave L's bits."""
+    return build_joint_kernel(kernel, np.ones(len(kernel)), 0.0)
+
+
 # ------------------------------------------------------------------ joint kernel
 
 def test_identity_inputs_give_identity_kernel():
@@ -194,11 +199,11 @@ def test_greedy_early_stop_on_rank_deficient_kernel():
 
 
 def test_greedy_k_validation():
-    for select in (greedy_map, fast_greedy_map):
+    for select, kernel in ((greedy_map, np.eye(3)), (fast_greedy_map, as_joint(np.eye(3)))):
         with pytest.raises(ValueError):
-            select(np.eye(3), 0)
+            select(kernel, 0)
         with pytest.raises(ValueError):
-            select(np.eye(3), 4)
+            select(kernel, 4)
 
 
 # ------------------------------------------------------------------ fast greedy
@@ -229,7 +234,7 @@ def shaped_kernel(shape: str, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def assert_same_selection(kernel: np.ndarray, k: int) -> None:
-    fast, reference = fast_greedy_map(kernel, k), greedy_map(kernel, k)
+    fast, reference = fast_greedy_map(as_joint(kernel), k), greedy_map(kernel, k)
     assert fast.indices == reference.indices
     assert fast.gains == reference.gains
     assert fast.logdet == reference.logdet
@@ -296,10 +301,10 @@ def test_joint_kernel_values_are_the_entrywise_formula():
 
 def test_fast_greedy_matches_on_early_stop_and_ties():
     v = np.array([[1.0, 2.0]])
-    result = fast_greedy_map(v.T @ v, 2)
+    result = fast_greedy_map(as_joint(v.T @ v), 2)
     assert result.indices == [1] and len(result.gains) == 1
-    assert fast_greedy_map(np.eye(4), 2).indices == [0, 1]
-    assert fast_greedy_map(np.diag([2.0, 3.0, 3.0, 1.0]), 3).indices == [1, 2, 0]
+    assert fast_greedy_map(as_joint(np.eye(4)), 2).indices == [0, 1]
+    assert fast_greedy_map(as_joint(np.diag([2.0, 3.0, 3.0, 1.0])), 3).indices == [1, 2, 0]
 
 
 @pytest.mark.parametrize("n, k", [(400, 60), (1000, 150)])
@@ -324,10 +329,10 @@ def test_fast_greedy_peak_allocation_stays_below_one_n_by_n_array():
     kernel = build_joint_kernel(rbf_similarity(z, median_bandwidth(z)),
                                 rng.uniform(0.1, 1.0, size=n)).values
     peaks = {}
-    for select in (fast_greedy_map, greedy_map):
+    for select, argument in ((fast_greedy_map, as_joint(kernel)), (greedy_map, kernel)):
         tracemalloc.start()
         try:
-            select(kernel, k)
+            select(argument, k)
             peaks[select] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

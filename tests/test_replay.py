@@ -101,15 +101,13 @@ def test_sampling_deterministic_per_seed():
 
 def test_normalize_mean_one_uniform():
     batch = mixed_sample([], pool_size=4, batch_size=2, eta=0.0, seed=0)
-    batch = MixedBatch(batch.ids, batch.from_selection, batch.probabilities,
-                       np.array([2.0, 2.0]), batch.eta, batch.selection_size, batch.pool_size)
+    batch = MixedBatch(batch.ids, batch.from_selection, batch.probabilities, np.array([2.0, 2.0]))
     np.testing.assert_allclose(normalize_weights(batch, WeightMode.MEAN_ONE).weights, [1.0, 1.0])
 
 
 def test_normalize_mean_one_rescale():
     batch = mixed_sample([], pool_size=4, batch_size=2, eta=0.0, seed=0)
-    batch = MixedBatch(batch.ids, batch.from_selection, batch.probabilities,
-                       np.array([1.0, 3.0]), batch.eta, batch.selection_size, batch.pool_size)
+    batch = MixedBatch(batch.ids, batch.from_selection, batch.probabilities, np.array([1.0, 3.0]))
     np.testing.assert_allclose(normalize_weights(batch, WeightMode.MEAN_ONE).weights, [0.5, 1.5])
 
 
@@ -200,4 +198,3 @@ def test_mixed_sample_is_pinned(args, ids, from_selection, probabilities, weight
     assert batch.probabilities.tolist() == probabilities
     assert batch.weights.tolist() == weights
     assert normalize_weights(batch, WeightMode.MEAN_ONE).weights.tolist() == mean_one
-    assert (batch.selection_size, batch.pool_size) == (len(args[0]), args[1])

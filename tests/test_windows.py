@@ -113,7 +113,7 @@ def test_episode_with_non_finite_state_rejected():
 
 def test_episode_mixing_action_kinds_rejected():
     episode = episode_of(0, np.zeros((2, 2)), [0, np.array([0.5])], [0.0, 0.0])
-    with pytest.raises(ValueError, match="action is continuous"):
+    with pytest.raises(ValueError, match="actions must have one kind"):
         ReplayBuffer(capacity=10, gamma=0.9).append_episode(episode)
 
 
@@ -335,17 +335,21 @@ def test_jsonl_round_trip_and_deterministic_bytes(tmp_path_factory, data, state_
     save_jsonl(buf, tmp / "b.jsonl")
     assert (tmp / "a.jsonl").read_bytes() == (tmp / "b.jsonl").read_bytes()
 
-    loaded = load_jsonl(tmp / "a.jsonl", gamma=gamma)
-    assert len(loaded) == len(buf) and len(loaded.episodes) == len(buf.episodes)
-    for orig, back in zip(buf.episodes, loaded.episodes):
-        assert orig.id == back.id
-        _columns_equal(orig.transitions, back.transitions)
-    for horizon in (1, 3):
-        assert loaded.window_count(horizon) == buf.window_count(horizon)
-        ids = np.arange(buf.window_count(horizon))
-        _columns_equal(buf.gather(ids, horizon), loaded.gather(ids, horizon))
-    save_jsonl(loaded, tmp / "c.jsonl")
-    assert (tmp / "c.jsonl").read_bytes() == (tmp / "a.jsonl").read_bytes()
+    # Lines may come in any order: a permuted dump loads to the same columns.
+    lines = (tmp / "a.jsonl").read_text().splitlines(keepends=True)
+    (tmp / "p.jsonl").write_text("".join(data.draw(st.permutations(lines), label="order")))
+    for name in ("a.jsonl", "p.jsonl"):
+        loaded = load_jsonl(tmp / name, gamma=gamma)
+        assert len(loaded) == len(buf) and len(loaded.episodes) == len(buf.episodes)
+        for orig, back in zip(buf.episodes, loaded.episodes):
+            assert orig.id == back.id
+            _columns_equal(orig.transitions, back.transitions)
+        for horizon in (1, 3):
+            assert loaded.window_count(horizon) == buf.window_count(horizon)
+            ids = np.arange(buf.window_count(horizon))
+            _columns_equal(buf.gather(ids, horizon), loaded.gather(ids, horizon))
+        save_jsonl(loaded, tmp / "c.jsonl")
+        assert (tmp / "c.jsonl").read_bytes() == (tmp / "a.jsonl").read_bytes()
 
 
 def test_jsonl_parse_error_carries_line_number(tmp_path):
@@ -455,6 +459,20 @@ def _record(episode, t, action=1):
     ([_record(0, 0), {**_record(0, 1), "reward": True}], 2, "reward must be a JSON number"),
     ([_record(0, 0), {**_record(0, 1), "done": "false"}], 2, "done must be a JSON bool"),
     ([_record(0, 0), {**_record(0, 1), "done": 0}], 2, "done must be a JSON bool"),
+    # So are the entries of a state or a continuous action.
+    ([_record(0, 0), {**_record(0, 1), "state": ["1.5", 1.0]}], 2,
+     "state must be a list of JSON numbers"),
+    ([_record(0, 0), {**_record(0, 1), "state": [True, 1.0]}], 2,
+     "state must be a list of JSON numbers"),
+    ([_record(0, 0, action=[0.5]), _record(0, 1, action=["0.5"])], 2,
+     "action must be a JSON integer or a list of JSON numbers"),
+    ([_record(0, 0, action=[0.5, 0.5]), _record(0, 1, action=[0.5, False])], 2,
+     "action must be a JSON integer or a list of JSON numbers"),
+    # The first line fixes the action kind, and a continuous action's width.
+    ([_record(0, 0, action=[0.5]), _record(0, 1)], 2,
+     r"action is discrete, expected continuous of shape \(1,\)"),
+    ([_record(0, 0, action=[0.5]), _record(0, 1, action=[0.5, 0.5])], 2,
+     r"shape \(2,\), expected continuous of shape \(1,\)"),
 ])
 def test_load_jsonl_rejects_inconsistent_steps_and_actions(tmp_path, records, line, message):
     path = tmp_path / "bad.jsonl"
