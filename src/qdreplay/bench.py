@@ -136,10 +136,7 @@ class ScriptedDemonstrator:
     def act(self, state, rtg, rng=None, greedy: bool = False) -> int:
         if rng is not None and rng.random() < self.epsilon:
             return int(rng.integers(self.env.action_count))
-        stage = int(np.argmax(state[: self.env.num_stages]))
-        if state[: self.env.num_stages].max() == 0.0:
-            stage = self.env.num_stages - 1
-        return self.env.correct_action(stage)
+        return self.env.correct_action(int(np.argmax(state[: self.env.num_stages])))
 
 
 def rollout(env: StageChainEnv, actor, rng: np.random.Generator,

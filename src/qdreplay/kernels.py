@@ -129,10 +129,12 @@ def build_joint_kernel(
 
 
 def log_det(kernel: np.ndarray, subset: Sequence[int]) -> float:
-    """log det of the principal submatrix via Cholesky.
+    """log det of the principal submatrix, by LAPACK's Cholesky factorization.
 
-    Returns 0 for the empty subset and -inf when a pivot falls at or below
-    the singularity threshold.
+    Returns 0 for the empty subset, and -inf when the factorization fails
+    (the submatrix is not positive definite) or a squared pivot falls at or
+    below the singularity threshold; otherwise the sum of the logs of the
+    squared pivots.
     """
     values = np.asarray(kernel, dtype=float)
     idx = list(subset)
@@ -140,19 +142,14 @@ def log_det(kernel: np.ndarray, subset: Sequence[int]) -> float:
         return 0.0
     if len(set(idx)) != len(idx) or min(idx) < 0 or max(idx) >= values.shape[0]:
         raise ValueError(f"invalid subset {idx} for kernel of size {values.shape[0]}")
-    a = values[np.ix_(idx, idx)].astype(float, copy=True)
-    m = len(idx)
-    acc = 0.0
-    for j in range(m):
-        pivot = a[j, j]
-        if pivot <= CHOL_EPS:
-            return -math.inf
-        acc += math.log(pivot)
-        root = math.sqrt(pivot)
-        a[j, j:] /= root
-        if j + 1 < m:
-            a[j + 1:, j + 1:] -= np.outer(a[j, j + 1:], a[j, j + 1:])
-    return acc
+    try:
+        factor = np.linalg.cholesky(values[np.ix_(idx, idx)])
+    except np.linalg.LinAlgError:
+        return -math.inf
+    pivots = np.diagonal(factor) ** 2
+    if (pivots <= CHOL_EPS).any():
+        return -math.inf
+    return float(np.log(pivots).sum())
 
 
 def greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:

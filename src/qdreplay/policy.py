@@ -2,18 +2,15 @@
 
 from __future__ import annotations
 
-import json
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from .windows import WindowBatch
 
-PARAMS_FORMAT_VERSION = 1
 ACT_CACHE_SIZE = 4096  # most (state, rtg) entries LinearSoftmaxPolicy.act keeps
 
 
-@runtime_checkable
 class SequencePolicy(Protocol):
     """What the selection pipeline needs from a policy model.
 
@@ -157,23 +154,26 @@ class LinearSoftmaxPolicy:
     # ---------------------------------------------------------------- training
 
     def _batch_terms(self, batch: WindowBatch, weights: np.ndarray):
-        """Step features (B*H, feature_dim), taken actions and per-step weights."""
+        """One forward pass: the weighted NLL of the taken actions, the step
+        features (B*H, feature_dim) and the NLL's gradient in the logits."""
         count, horizon = batch.rtg.shape
         feats = self._batch_features(batch)
         if weights.shape != (count,):
             raise ValueError(f"expected {count} weights, got shape {weights.shape}")
-        targets = np.asarray(batch.actions, dtype=int).reshape(count * horizon)
-        return feats, targets, np.repeat(weights, horizon)
+        taken = (np.arange(count * horizon), np.asarray(batch.actions, dtype=int).ravel())
+        step_w = np.repeat(weights, horizon)
+        logits = feats @ self.weights
+        logz = _logsumexp_rows(logits)
+        loss = float(np.dot(step_w, logz - logits[taken]))
+        probs = np.exp(logits - logz[:, None])
+        probs[taken] -= 1.0
+        return loss, feats, probs * step_w[:, None]
 
     def batch_loss(self, batch: WindowBatch, weights: Sequence[float]) -> float:
         """Weighted negative log-likelihood of the taken actions."""
         if len(batch) == 0:
             return 0.0
-        feats, targets, step_w = self._batch_terms(batch, np.asarray(weights, dtype=float))
-        logits = feats @ self.weights
-        logz = _logsumexp_rows(logits)
-        nll = logz - logits[np.arange(len(targets)), targets]
-        return float(np.dot(step_w, nll))
+        return self._batch_terms(batch, np.asarray(weights, dtype=float))[0]
 
     def weighted_update(
         self, batch: WindowBatch, weights: Sequence[float], learning_rate: float
@@ -184,55 +184,12 @@ class LinearSoftmaxPolicy:
         w = np.asarray(weights, dtype=float)
         if not np.isfinite(w).all() or (w <= 0).any():
             raise ValueError("weights must be positive and finite")
-        feats, targets, step_w = self._batch_terms(batch, w)
-        logits = feats @ self.weights
-        logz = _logsumexp_rows(logits)
-        loss = float(np.dot(step_w, logz - logits[np.arange(len(targets)), targets]))
-        probs = np.exp(logits - logz[:, None])
-        probs[np.arange(len(targets)), targets] -= 1.0
-        grad = feats.T @ (probs * step_w[:, None])
+        loss, feats, dlogits = self._batch_terms(batch, w)
+        grad = feats.T @ dlogits
         if not np.isfinite(grad).all():
             raise ValueError("non-finite gradient in weighted_update")
         self.weights = self.weights - learning_rate * grad
         return loss
-
-    # ---------------------------------------------------------------- serialization
-
-    def get_params(self) -> np.ndarray:
-        return self.weights.ravel().copy()
-
-    def set_params(self, flat: np.ndarray) -> None:
-        self.weights = np.asarray(flat, dtype=float).reshape(self.weights.shape).copy()
-
-    def to_json(self) -> str:
-        payload = {
-            "format_version": PARAMS_FORMAT_VERSION,
-            "state_dim": self.state_dim,
-            "action_count": self.action_count,
-            "feature_dim": self.feature_dim,
-            "dropout_rate": self.dropout_rate,
-            "projection": self.projection.ravel().tolist(),
-            "weights": self.weights.ravel().tolist(),
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearSoftmaxPolicy":
-        payload = json.loads(text)
-        version = payload.get("format_version")
-        if version != PARAMS_FORMAT_VERSION:
-            raise ValueError(f"unsupported parameter format version {version}")
-        policy = cls(
-            state_dim=payload["state_dim"],
-            action_count=payload["action_count"],
-            feature_dim=payload["feature_dim"],
-            dropout_rate=payload["dropout_rate"],
-            projection=np.asarray(payload["projection"]).reshape(
-                payload["feature_dim"], payload["state_dim"] + 1
-            ),
-        )
-        policy.set_params(np.asarray(payload["weights"]))
-        return policy
 
 
 def _logsumexp(x: np.ndarray) -> float:

@@ -17,7 +17,8 @@ class EpisodeArrays:
     ``ReplayBuffer.append_episode`` checks and copies them; rewards and
     states must be finite, stages non-negative, and only the last step done.
     ``actions`` may be anything ``np.asarray`` turns into one array: 1-D is
-    discrete, anything else continuous of its row shape.
+    discrete and must be of integer dtype, anything else continuous of its
+    row shape with finite entries.
     """
 
     states: np.ndarray   # (T, d_s)
@@ -244,13 +245,13 @@ class ReplayBuffer:
 
         Episode ``ids[i]`` owns the next ``lengths[i]`` rows; ids are strictly
         increasing. ``actions`` holds one action per row and is taken as
-        ``np.asarray`` makes it: 1-D is discrete (stored as int64), anything
-        else continuous of the row shape (stored as float). That one kind must
-        match the stored column's; a ragged sequence has no kind and is
-        rejected. Every ingest rule on the rows lives here; one broken by a
-        single row raises ``_RowError`` with that row's position. Each column
-        is copied once, into the store, so the buffer never shares an array
-        with its caller.
+        ``np.asarray`` makes it: 1-D is discrete (integer dtype, stored as
+        int64), anything else continuous of the row shape (finite, stored as
+        float). That one kind must match the stored column's; a ragged
+        sequence has no kind and is rejected. Every ingest rule on the rows
+        lives here; one broken by a single row raises ``_RowError`` with that
+        row's position. Each column is copied once, into the store, so the
+        buffer never shares an array with its caller.
         """
         try:
             actions = np.asarray(actions)
@@ -283,12 +284,15 @@ class ReplayBuffer:
             raise ValueError(f"state dim mismatch: buffer has {self.state_dim}, "
                              f"episode has {states.shape[1]}")
         kind = actions.shape[1:]
+        if not kind and not np.issubdtype(actions.dtype, np.integer):
+            raise ValueError(f"discrete actions must be integers, got dtype {actions.dtype}")
         if stored is not None and kind != stored.shape[1:]:
             raise ValueError(f"action is {_action_kind(kind)}, "
                              f"expected {_action_kind(stored.shape[1:])}")
         step = np.arange(len(rewards)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         problems = {
             "state must be finite": ~np.isfinite(states).all(axis=1),
+            "action must be finite": ~np.isfinite(actions.reshape(total, -1)).all(axis=1),
             "reward must be finite": ~np.isfinite(rewards),
             "stage label must be non-negative": stages < 0,
             "done=True before the final transition": done & (step < np.repeat(lengths - 1,

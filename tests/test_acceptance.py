@@ -6,6 +6,7 @@ inline) and enforces the stated tolerance and runtime budget.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -220,18 +221,18 @@ def test_criterion_7_gradient_check():
 
         policy = LinearSoftmaxPolicy(state_dim=3, action_count=4,
                                      seed=int(rng.integers(2 ** 31)))
-        reference = LinearSoftmaxPolicy.from_json(policy.to_json())
-        start = reference.get_params()
+        reference = copy.deepcopy(policy)
+        start = reference.weights.ravel().copy()
         reference.weighted_update(window, weights, learning_rate=1.0)
-        grad = start - reference.get_params()
+        grad = start - reference.weights.ravel().copy()
 
         for index in rng.choice(start.size, size=5, replace=False):
             params = start.copy()
             params[index] += step
-            policy.set_params(params)
+            policy.weights = params.reshape(policy.weights.shape)
             hi = policy.batch_loss(window, weights)
             params[index] -= 2 * step
-            policy.set_params(params)
+            policy.weights = params.reshape(policy.weights.shape)
             lo = policy.batch_loss(window, weights)
             numeric = (hi - lo) / (2 * step)
             rel = abs(grad[index] - numeric) / max(abs(numeric), 1e-8)

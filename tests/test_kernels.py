@@ -107,18 +107,25 @@ def test_log_det_conventions():
 def test_log_det_singular_sentinel():
     dup = np.array([[1.0, 1.0], [1.0, 1.0]])
     assert log_det(dup, [0, 1]) == -math.inf
+    # LAPACK factors this one, but its second squared pivot is below CHOL_EPS.
+    assert log_det(np.diag([1.0, 1e-13]), [0, 1]) == -math.inf
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    assert log_det(indefinite, [0, 1]) == -math.inf
 
 
-def test_log_det_matches_slogdet_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        n = int(rng.integers(2, 12))
-        kernel = random_psd_kernel(n, rng)
-        size = int(rng.integers(1, n + 1))
-        subset = list(rng.choice(n, size=size, replace=False))
-        sign, expected = np.linalg.slogdet(kernel[np.ix_(subset, subset)])
-        assert sign > 0
-        assert log_det(kernel, subset) == pytest.approx(expected, abs=1e-8)
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), smallest=st.floats(1e-6, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_log_det_matches_slogdet_oracle(n, smallest, seed, data):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigvals = np.append(rng.uniform(smallest, 5.0, size=n - 1), smallest)
+    kernel = (q * eigvals) @ q.T
+    kernel = (kernel + kernel.T) / 2.0
+    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    sign, expected = np.linalg.slogdet(kernel[np.ix_(subset, subset)])
+    assert sign > 0
+    assert log_det(kernel, subset) == pytest.approx(expected, rel=1e-9)
 
 
 def test_log_det_volume_interpretation():

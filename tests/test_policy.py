@@ -91,10 +91,10 @@ def test_zero_learning_rate_leaves_parameters():
     rng = np.random.default_rng(11)
     batch = random_batch(rng, count=3)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=12)
-    before = policy.get_params()
+    before = policy.weights.ravel().copy()
     loss = policy.weighted_update(batch, [1.0, 1.0, 1.0], learning_rate=0.0)
     assert loss > 0
-    np.testing.assert_array_equal(policy.get_params(), before)
+    np.testing.assert_array_equal(policy.weights.ravel().copy(), before)
 
 
 def test_doubling_weight_doubles_the_step():
@@ -103,11 +103,11 @@ def test_doubling_weight_doubles_the_step():
 
     policy_a = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=14)
     policy_b = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=14)
-    start = policy_a.get_params()
+    start = policy_a.weights.ravel().copy()
     policy_a.weighted_update(batch, [1.0], learning_rate=0.1)
     policy_b.weighted_update(batch, [2.0], learning_rate=0.1)
-    delta_a = policy_a.get_params() - start
-    delta_b = policy_b.get_params() - start
+    delta_a = policy_a.weights.ravel().copy() - start
+    delta_b = policy_b.weights.ravel().copy() - start
     np.testing.assert_allclose(delta_b, 2.0 * delta_a, rtol=1e-12)
 
 
@@ -117,12 +117,11 @@ def test_weight_scaling_scales_gradient_exactly():
     for c in (0.5, 3.0):
         policy_a = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=16)
         policy_b = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=16)
-        start = policy_a.get_params()
+        start = policy_a.weights.ravel().copy()
         policy_a.weighted_update(batch, [1.0, 2.0], learning_rate=1.0)
         policy_b.weighted_update(batch, [c * 1.0, c * 2.0], learning_rate=1.0)
-        np.testing.assert_allclose(
-            policy_b.get_params() - start, c * (policy_a.get_params() - start), rtol=1e-9
-        )
+        np.testing.assert_allclose(policy_b.weights.ravel().copy() - start,
+                                   c * (policy_a.weights.ravel().copy() - start), rtol=1e-9)
 
 
 def test_gradient_matches_central_differences():
@@ -132,16 +131,16 @@ def test_gradient_matches_central_differences():
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=18)
 
     reference = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=18)
-    start = reference.get_params()
+    start = reference.weights.ravel().copy()
     reference.weighted_update(batch, weights, learning_rate=1.0)
-    grad = start - reference.get_params()  # lr=1 step equals the gradient
+    grad = start - reference.weights.ravel().copy()  # lr=1 step equals the gradient
 
     step = 1e-5
     for probe in rng.choice(start.size, size=10, replace=False):
         for sign, store in ((+1, "hi"), (-1, "lo")):
             params = start.copy()
             params[probe] += sign * step
-            policy.set_params(params)
+            policy.weights = params.reshape(policy.weights.shape)
             if store == "hi":
                 hi = policy.batch_loss(batch, weights)
             else:
@@ -177,22 +176,6 @@ def test_state_dim_mismatch_rejected():
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, seed=23)
     with pytest.raises(ValueError, match="dim mismatch"):
         policy.encode(batch)
-
-
-def test_serialization_round_trip():
-    rng = np.random.default_rng(24)
-    batch = random_batch(rng)
-    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.3, seed=25)
-    clone = LinearSoftmaxPolicy.from_json(policy.to_json())
-    np.testing.assert_array_equal(policy.encode(batch)[0], clone.encode(batch)[0])
-    np.testing.assert_array_equal(policy.predict_mean(batch, 5)[0], clone.predict_mean(batch, 5)[0])
-
-
-def test_serialization_rejects_unknown_version():
-    policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, seed=26)
-    payload = policy.to_json().replace('"format_version": 1', '"format_version": 99')
-    with pytest.raises(ValueError, match="version"):
-        LinearSoftmaxPolicy.from_json(payload)
 
 
 def reference_update(policy, windows, weights, learning_rate):
@@ -267,7 +250,7 @@ def test_act_memo_is_dropped_when_weights_are_rebound():
     rebinds = [
         lambda: None,
         lambda: policy.weighted_update(batch, np.ones(4), learning_rate=50.0),
-        lambda: policy.set_params(rng.standard_normal(policy.weights.size)),
+        lambda: setattr(policy, "weights", rng.standard_normal(policy.weights.shape)),
         lambda: setattr(policy, "weights", -policy.weights),
     ]
     greedy_picks = []

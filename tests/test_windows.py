@@ -111,6 +111,18 @@ def test_episode_with_non_finite_state_rejected():
     assert len(buf) == 0
 
 
+@pytest.mark.parametrize("actions, message", [
+    (np.array([0.5, 1.7]), "discrete actions must be integers, got dtype float64"),
+    (np.array([[0.5], [np.inf]]), "step 1: action must be finite"),
+    (np.array([[0.5, np.nan], [0.5, 0.5]]), "step 0: action must be finite"),
+])
+def test_episode_with_bad_actions_rejected(actions, message):
+    buf = ReplayBuffer(capacity=10, gamma=0.9)
+    with pytest.raises(ValueError, match=message):
+        buf.append_episode(episode_of(0, np.zeros((2, 2)), actions, [0.0, 0.0]))
+    assert len(buf) == 0
+
+
 def test_episode_mixing_action_kinds_rejected():
     episode = episode_of(0, np.zeros((2, 2)), [0, np.array([0.5])], [0.0, 0.0])
     with pytest.raises(ValueError, match="actions must have one kind"):
@@ -473,6 +485,11 @@ def _record(episode, t, action=1):
      r"action is discrete, expected continuous of shape \(1,\)"),
     ([_record(0, 0, action=[0.5]), _record(0, 1, action=[0.5, 0.5])], 2,
      r"shape \(2,\), expected continuous of shape \(1,\)"),
+    # A continuous action's entries must be finite, as a state's are.
+    ([_record(0, 0, action=[0.5]), _record(0, 1, action=[float("inf")])], 2,
+     "action must be finite"),
+    ([_record(0, 0, action=[0.5]), _record(0, 1, action=[float("nan")])], 2,
+     "action must be finite"),
 ])
 def test_load_jsonl_rejects_inconsistent_steps_and_actions(tmp_path, records, line, message):
     path = tmp_path / "bad.jsonl"
