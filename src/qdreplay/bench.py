@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -359,21 +360,6 @@ class RunResult:
     selection_events: list[dict]
     selected_stage_counts: Counter = field(default_factory=Counter)
 
-    def final_success(self) -> float:
-        return self.metrics[-1].success_rate if self.metrics else 0.0
-
-    def mean_diversity(self) -> float:
-        return float(np.mean([m.diversity for m in self.metrics])) if self.metrics else 0.0
-
-    def mean_redundancy(self) -> float:
-        return float(np.mean([m.redundancy for m in self.metrics])) if self.metrics else 0.0
-
-    def stage_frequency(self, stage: int) -> float:
-        total = sum(self.selected_stage_counts.values())
-        if total == 0:
-            return 0.0
-        return self.selected_stage_counts.get(stage, 0) / total
-
 
 def run_loop(
     config: LoopConfig,
@@ -509,72 +495,46 @@ def _selection_quality_metrics(selection: WindowSelection) -> tuple[float, float
     return diversity_metric(sub), redundancy_metric(selection.embeddings[chosen], tau)
 
 
-@dataclass
-class VariantSummary:
-    variant: Variant
-    seeds: list[int]
-    success: list[float]
-    diversity: list[float]
-    redundancy: list[float]
-    rare_stage_freq: list[float]
-
-    @staticmethod
-    def _ci(values: Sequence[float]) -> float:
-        arr = np.asarray(values, dtype=float)
-        if arr.size < 2:
-            return 0.0
-        return float(1.96 * arr.std(ddof=1) / math.sqrt(arr.size))
-
-    def row(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "success_mean": float(np.mean(self.success)),
-            "success_ci": self._ci(self.success),
-            "redundancy_mean": float(np.mean(self.redundancy)),
-            "redundancy_ci": self._ci(self.redundancy),
-            "diversity_mean": float(np.mean(self.diversity)),
-            "diversity_ci": self._ci(self.diversity),
-            "rare_stage_mean": float(np.mean(self.rare_stage_freq)),
-            "rare_stage_ci": self._ci(self.rare_stage_freq),
-        }
+ABLATION_COLUMNS = ("success", "redundancy", "diversity", "rare_stage")
 
 
-@dataclass
-class AblationResult:
-    summaries: dict[Variant, VariantSummary]
-    runs: list[RunResult]
+def mean_and_ci(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and 1.96 * standard error of ``values``; the ci is 0.0 below two values."""
+    arr = np.asarray(values, dtype=float)
+    ci = float(1.96 * arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size >= 2 else 0.0
+    return float(np.mean(arr)), ci
 
 
 def run_ablation(
     config: LoopConfig,
     seeds: Sequence[int],
-    variants: Sequence[Variant] = tuple(Variant),
     metrics_callback: Callable[[Variant, int, RunMetrics], None] | None = None,
-    audit_callback: Callable[[Variant, int, dict], None] | None = None,
-) -> AblationResult:
-    """Run every variant on every seed; aggregate mean and 1.96*stderr per metric."""
+) -> dict[Variant, dict[str, list[float]]]:
+    """Run every variant on every seed; per variant, one value per seed in each column.
+
+    ``success`` is the last evaluation's success rate, ``redundancy`` and
+    ``diversity`` the means over the evaluations, and ``rare_stage`` the final
+    stage's share of every selected window. A run with no evaluation, or no
+    selected window, reads 0.0.
+    """
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
     rare_stage = config.num_stages - 1
-    runs: list[RunResult] = []
-    summaries: dict[Variant, VariantSummary] = {}
-    for variant in variants:
-        summary = VariantSummary(variant, seeds, [], [], [], [])
+    columns: dict[Variant, dict[str, list[float]]] = {}
+    for variant in Variant:
+        columns[variant] = {name: [] for name in ABLATION_COLUMNS}
         for seed in seeds:
-            result = run_loop(
-                config,
-                variant,
-                seed,
-                metrics_callback=(lambda m, v=variant, s=seed: metrics_callback(v, s, m))
-                if metrics_callback else None,
-                audit_callback=(lambda e, v=variant, s=seed: audit_callback(v, s, e))
-                if audit_callback else None,
-            )
-            runs.append(result)
-            summary.success.append(result.final_success())
-            summary.diversity.append(result.mean_diversity())
-            summary.redundancy.append(result.mean_redundancy())
-            summary.rare_stage_freq.append(result.stage_frequency(rare_stage))
-        summaries[variant] = summary
-    return AblationResult(summaries=summaries, runs=runs)
+            result = run_loop(config, variant, seed, metrics_callback=partial(
+                metrics_callback, variant, seed) if metrics_callback else None)
+            metrics, stages = result.metrics, result.selected_stage_counts
+            selected = sum(stages.values())
+            values = {
+                "success": metrics[-1].success_rate if metrics else 0.0,
+                "redundancy": float(np.mean([m.redundancy for m in metrics])) if metrics else 0.0,
+                "diversity": float(np.mean([m.diversity for m in metrics])) if metrics else 0.0,
+                "rare_stage": stages[rare_stage] / selected if selected else 0.0,
+            }
+            for name, value in values.items():
+                columns[variant][name].append(value)
+    return columns

@@ -12,7 +12,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .bench import LoopConfig, Variant, run_ablation, run_loop, select_windows
+from .bench import (ABLATION_COLUMNS, LoopConfig, Variant, mean_and_ci, run_ablation, run_loop,
+                    select_windows)
 # Unused here; the benchmark's tracer wraps these stage functions by name in this module too.
 from .geometry import encode_pool, median_bandwidth, rbf_similarity  # noqa: F401
 from .kernels import build_joint_kernel, greedy_map  # noqa: F401
@@ -166,7 +167,7 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
 
     provenance = _provenance(settings, seed)
     selection_path = settings.out / "selection.json"
-    payload = selection.to_json(extra={
+    payload = {
         "config_hash": settings.config_hash(),
         "seed": seed,
         "windows": [
@@ -174,8 +175,11 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
             for episode, start in zip(pool.episode_ids[chosen].tolist(),
                                       pool.starts[chosen].tolist())
         ],
-    })
-    selection_path.write_text(payload + "\n")
+        "indices": selection.indices,
+        "gains": selection.gains,
+        "logdet": selection.logdet,
+    }
+    selection_path.write_text(json.dumps(payload) + "\n")
     if kernel_dump:
         selection.kernel.write_csv(settings.out / "kernel.csv", header_comment=provenance)
     print(f"wrote {selection_path} ({len(selection.indices)} windows)")
@@ -239,30 +243,20 @@ def cmd_ablate(settings: RunSettings) -> int:
             metrics_fh.write(_metrics_row(variant, seed, point) + "\n")
             metrics_fh.flush()
 
-        result = run_ablation(settings.loop, settings.seeds, metrics_callback=on_metrics)
+        columns = run_ablation(settings.loop, settings.seeds, metrics_callback=on_metrics)
 
-    columns = [
-        "variant", "success_mean", "success_ci", "redundancy_mean", "redundancy_ci",
-        "diversity_mean", "diversity_ci", "rare_stage_mean", "rare_stage_ci",
-    ]
+    stats = {variant: [mean_and_ci(column[name]) for name in ABLATION_COLUMNS]
+             for variant, column in columns.items()}
+    header = ",".join(["variant", *(f"{name}_mean,{name}_ci" for name in ABLATION_COLUMNS)])
     with open(table_path, "w") as fh:
-        fh.write(f"# {provenance}\n")
-        fh.write(",".join(columns) + "\n")
-        for variant in Variant:
-            row = result.summaries[variant].row()
-            fh.write(",".join(
-                row["variant"] if col == "variant" else repr(row[col]) for col in columns
-            ) + "\n")
+        fh.write(f"# {provenance}\n{header}\n")
+        for variant, pairs in stats.items():
+            fh.write(",".join([variant.value, *(f"{mean!r},{ci!r}" for mean, ci in pairs)]) + "\n")
 
-    print(f"{'variant':<15} {'success':>16} {'redundancy':>16} {'diversity':>16}")
-    for variant in Variant:
-        row = result.summaries[variant].row()
-        print(
-            f"{row['variant']:<15}"
-            f" {row['success_mean']:>8.3f} ±{row['success_ci']:<6.3f}"
-            f" {row['redundancy_mean']:>8.3f} ±{row['redundancy_ci']:<6.3f}"
-            f" {row['diversity_mean']:>8.3f} ±{row['diversity_ci']:<6.3f}"
-        )
+    print(f"{'variant':<15}" + "".join(f" {name:>16}" for name in ABLATION_COLUMNS[:3]))
+    for variant, pairs in stats.items():
+        print(f"{variant.value:<15}"
+              + "".join(f" {mean:>8.3f} ±{ci:<6.3f}" for mean, ci in pairs[:3]))
     print(f"wrote {table_path} and {metrics_path}")
     return EXIT_OK
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,15 +91,6 @@ class SelectionResult:
     indices: list[int]
     gains: list[float]
     logdet: float
-
-    def to_json(self, extra: dict | None = None) -> str:
-        payload = dict(extra) if extra else {}
-        payload.update({
-            "indices": self.indices,
-            "gains": self.gains,
-            "logdet": self.logdet,
-        })
-        return json.dumps(payload)
 
 
 def build_joint_kernel(

@@ -164,7 +164,11 @@ class LinearSoftmaxPolicy:
         step_w = np.repeat(weights, horizon)
         logits = feats @ self.weights
         logz = _logsumexp_rows(logits)
-        loss = float(np.dot(step_w, logz - logits[taken]))
+        try:
+            picked = logits[taken]
+        except IndexError as exc:
+            raise ValueError(f"actions must lie in [0, {self.action_count})") from exc
+        loss = float(np.dot(step_w, logz - picked))
         probs = np.exp(logits - logz[:, None])
         probs[taken] -= 1.0
         return loss, feats, probs * step_w[:, None]

@@ -245,9 +245,9 @@ class ReplayBuffer:
 
         Episode ``ids[i]`` owns the next ``lengths[i]`` rows; ids are strictly
         increasing. ``actions`` holds one action per row and is taken as
-        ``np.asarray`` makes it: 1-D is discrete (integer dtype, stored as
-        int64), anything else continuous of the row shape (finite, stored as
-        float). That one kind must match the stored column's; a ragged
+        ``np.asarray`` makes it: 1-D is discrete (non-negative integers,
+        stored as int64), anything else continuous of the row shape (finite,
+        stored as float). That one kind must match the stored column's; a ragged
         sequence has no kind and is rejected. Every ingest rule on the rows
         lives here; one broken by a single row raises ``_RowError`` with that
         row's position. Each column is copied once, into the store, so the
@@ -293,6 +293,8 @@ class ReplayBuffer:
         problems = {
             "state must be finite": ~np.isfinite(states).all(axis=1),
             "action must be finite": ~np.isfinite(actions.reshape(total, -1)).all(axis=1),
+            "discrete action must be non-negative": (actions < 0) if not kind
+            else np.zeros(total, dtype=bool),
             "reward must be finite": ~np.isfinite(rewards),
             "stage label must be non-negative": stages < 0,
             "done=True before the final transition": done & (step < np.repeat(lengths - 1,
@@ -494,7 +496,7 @@ def _number_list(value) -> bool:
     return type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
 
 
-def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.99) -> ReplayBuffer:
+def load_jsonl(path: str | Path, gamma: float = 0.99) -> ReplayBuffer:
     """Rebuild a buffer from the JSON-lines transition format.
 
     Lines may come in any order; within an episode, ``t`` must run 0, 1, ...
@@ -550,9 +552,7 @@ def load_jsonl(path: str | Path, capacity: int | None = None, gamma: float = 0.9
                 raise JsonlParseError(lineno, str(exc)) from exc
             lines[n] = lineno
             n += 1
-    if capacity is None:
-        capacity = max(count, 1)
-    buffer = ReplayBuffer(capacity=capacity, gamma=gamma)
+    buffer = ReplayBuffer(capacity=max(count, 1), gamma=gamma)
     if count == 0:
         return buffer
 

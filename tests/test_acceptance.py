@@ -249,21 +249,21 @@ def test_criterion_8_ablation_ordering():
     start = time.perf_counter()
     config = LoopConfig()
     seeds = [1, 2, 3, 4, 5]
-    result = run_ablation(config, seeds)
+    columns = run_ablation(config, seeds)
     med = {
         variant: {
-            "success": float(np.median(summary.success)),
-            "redundancy": float(np.median(summary.redundancy)),
-            "diversity": float(np.median(summary.diversity)),
-            "rare": float(np.median(summary.rare_stage_freq)),
+            "success": float(np.median(column["success"])),
+            "redundancy": float(np.median(column["redundancy"])),
+            "diversity": float(np.median(column["diversity"])),
+            "rare": float(np.median(column["rare_stage"])),
         }
-        for variant, summary in result.summaries.items()
+        for variant, column in columns.items()
     }
     elapsed = time.perf_counter() - start
     per_seed_lower = sum(
         full < uniform
-        for full, uniform in zip(result.summaries[Variant.FULL].redundancy,
-                                 result.summaries[Variant.UNIFORM].redundancy)
+        for full, uniform in zip(columns[Variant.FULL]["redundancy"],
+                                 columns[Variant.UNIFORM]["redundancy"])
     )
     checks = {
         "redundancy FULL < QUALITY_ONLY":

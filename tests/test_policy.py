@@ -171,6 +171,17 @@ def test_weighted_update_rejects_bad_weights():
         policy.weighted_update(batch, [float("nan")], learning_rate=0.1)
 
 
+def test_weighted_update_rejects_actions_beyond_action_count():
+    batch = make_batch([([[1.0, 2.0, 3.0]] * 5, [99] * 5, [0.0] * 5)])
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=6, seed=24)
+    before = policy.weights
+    with pytest.raises(ValueError, match=r"actions must lie in \[0, 6\)"):
+        policy.weighted_update(batch, [1.0], learning_rate=0.1)
+    with pytest.raises(ValueError, match=r"actions must lie in \[0, 6\)"):
+        policy.batch_loss(batch, [1.0])
+    assert policy.weights is before
+
+
 def test_state_dim_mismatch_rejected():
     batch = make_batch([([[1.0, 2.0, 3.0]], [0], [1.0])])
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, seed=23)

@@ -115,6 +115,7 @@ def test_episode_with_non_finite_state_rejected():
     (np.array([0.5, 1.7]), "discrete actions must be integers, got dtype float64"),
     (np.array([[0.5], [np.inf]]), "step 1: action must be finite"),
     (np.array([[0.5, np.nan], [0.5, 0.5]]), "step 0: action must be finite"),
+    (np.array([0, -1]), "step 1: discrete action must be non-negative"),
 ])
 def test_episode_with_bad_actions_rejected(actions, message):
     buf = ReplayBuffer(capacity=10, gamma=0.9)
@@ -490,6 +491,10 @@ def _record(episode, t, action=1):
      "action must be finite"),
     ([_record(0, 0, action=[0.5]), _record(0, 1, action=[float("nan")])], 2,
      "action must be finite"),
+    # A discrete action is an index, so it cannot be negative; the line follows the sort.
+    ([_record(0, 0), _record(0, 1, action=-1)], 2, "discrete action must be non-negative"),
+    ([_record(0, 1), _record(1, 0), _record(0, 0, action=-3)], 3,
+     "episode 0, step 0: discrete action must be non-negative"),
 ])
 def test_load_jsonl_rejects_inconsistent_steps_and_actions(tmp_path, records, line, message):
     path = tmp_path / "bad.jsonl"

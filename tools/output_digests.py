@@ -12,8 +12,11 @@ thread, in a temporary directory:
 - ``select --kernel-dump`` on a dump of about 20k transitions, which the
   same tree generates from seeded rollouts (seed 7) and ``save_jsonl``.
 
-Prints one ``sha256  path`` line per output file, sorted by path, so the
-``diff`` of two runs lists the files whose bytes moved.
+Each command's stdout is saved as ``<out>.stdout`` next to its output
+directory (``dump.stdout`` for the dump script); the CLI prints relative
+paths, so those bytes are stable too. Prints one ``sha256  path`` line per
+output file, sorted by path, so the ``diff`` of two runs lists the files
+whose bytes moved.
 """
 
 from __future__ import annotations
@@ -57,20 +60,22 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
 
-        def run(*args: str) -> None:
-            subprocess.run([sys.executable, *args], cwd=out, env=env, check=True,
-                           stdout=subprocess.DEVNULL)
+        def run(name: str, *args: str) -> None:
+            with open(out / f"{name}.stdout", "w") as stdout:
+                subprocess.run([sys.executable, *args], cwd=out, env=env, check=True,
+                               stdout=stdout)
 
         (out / "churn.cfg").write_text(CHURN_CONFIG)
         (out / "select.cfg").write_text(SELECT_CONFIG)
         for variant in VARIANTS:
-            run("-m", "qdreplay", "loop", "--variant", variant, "--seed", "1",
-                "--out", f"loop_{variant}")
-        run("-m", "qdreplay", "loop", "--config", "churn.cfg", "--seed", "1", "--out", "churn")
-        run("-m", "qdreplay", "ablate", "--seed", "1", "--seed", "2", "--out", "ablate")
-        run("-c", MAKE_DUMP, "dump.jsonl")
-        run("-m", "qdreplay", "select", "dump.jsonl", "--kernel-dump", "--config", "select.cfg",
-            "--seed", "1", "--out", "select")
+            run(f"loop_{variant}", "-m", "qdreplay", "loop", "--variant", variant,
+                "--seed", "1", "--out", f"loop_{variant}")
+        run("churn", "-m", "qdreplay", "loop", "--config", "churn.cfg", "--seed", "1",
+            "--out", "churn")
+        run("ablate", "-m", "qdreplay", "ablate", "--seed", "1", "--seed", "2", "--out", "ablate")
+        run("dump", "-c", MAKE_DUMP, "dump.jsonl")
+        run("select", "-m", "qdreplay", "select", "dump.jsonl", "--kernel-dump",
+            "--config", "select.cfg", "--seed", "1", "--out", "select")
         outputs = sorted(p for p in out.rglob("*") if p.is_file() and p.suffix != ".cfg")
         for path in outputs:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
