@@ -63,6 +63,17 @@ class StageChainEnv:
         self.action_count = int(action_count)
         self.noise = float(noise)
         self.t_max = int(t_max)
+        # One-hot stage plus progress gated per stage; keeping the continuous
+        # coordinate factored by stage lets a linear policy fit each stage
+        # independently. All-zero marks the terminal (post-success) state.
+        # One read-only row per (stage, progress), shared by every step.
+        self._observations = []
+        for stage, steps in enumerate(self.steps_per_stage):
+            rows = np.zeros((steps, self.state_dim))
+            rows[:, stage] = 1.0
+            rows[:, self.num_stages + stage] = [progress / steps for progress in range(steps)]
+            self._observations.append(_read_only_rows(rows))
+        self._observations.append(_read_only_rows(np.zeros((1, self.state_dim))))
         self._stage = 0
         self._progress = 0
         self._t = 0
@@ -75,14 +86,8 @@ class StageChainEnv:
         return stage % self.action_count
 
     def observation(self) -> np.ndarray:
-        # One-hot stage plus progress gated per stage; keeping the continuous
-        # coordinate factored by stage lets a linear policy fit each stage
-        # independently. All-zero marks the terminal (post-success) state.
-        obs = np.zeros(self.state_dim)
-        if self._stage < self.num_stages:
-            obs[self._stage] = 1.0
-            obs[self.num_stages + self._stage] = self._progress / self.steps_per_stage[self._stage]
-        return obs
+        """The current state: a read-only row shared by every step at this (stage, progress)."""
+        return self._observations[self._stage][self._progress]
 
     def reset(self) -> np.ndarray:
         self._stage = 0
@@ -109,6 +114,11 @@ class StageChainEnv:
         done = success or self._t >= self.t_max
         reward = 1.0 if success else 0.0
         return self.observation(), reward, done, stage_before, success
+
+
+def _read_only_rows(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    rows.flags.writeable = False
+    return tuple(rows)
 
 
 class RandomPolicy:

@@ -39,7 +39,8 @@ class LinearSoftmaxPolicy:
     as the logit weights train.
 
     ``weights`` is only ever rebound, never written in place: rebinding it
-    clears the memo of ``act``.
+    clears the memo of ``act``. The projected features of each (state, rtg)
+    that ``act`` has seen outlive a rebind, since ``projection`` is fixed.
     """
 
     def __init__(
@@ -69,6 +70,12 @@ class LinearSoftmaxPolicy:
                     f"projection expects {self.projection.shape[1]} inputs, windows provide {in_dim}"
                 )
         self.feature_dim = self.projection.shape[0]
+        # act's stores, keyed by (state bytes, rtg): projected features of each
+        # key seen, (greedy action, CDF) of each key acted on under ``weights``,
+        # and the hot set, the keys that the last weights to act acted on.
+        self._features: dict[tuple[bytes, float], np.ndarray] = {}
+        self._act_memo: dict[tuple[bytes, float], tuple[int, np.ndarray]] = {}
+        self._hot: dict[tuple[bytes, float], tuple[int, np.ndarray]] = {}
         self.weights = 0.1 * rng.standard_normal((self.feature_dim, self.action_count))
 
     @property
@@ -79,7 +86,10 @@ class LinearSoftmaxPolicy:
     @weights.setter
     def weights(self, value: np.ndarray) -> None:
         self._weights = value
-        self._act_memo: dict[tuple[bytes, float], tuple[int, np.ndarray]] = {}
+        if self._act_memo:  # weights that never acted leave the hot set as it was
+            self._hot = self._act_memo
+        self._act_memo = {}
+        self._filled: dict | None = None  # the hot set's rows, made at the first miss
 
     # ---------------------------------------------------------------- features
 
@@ -128,28 +138,62 @@ class LinearSoftmaxPolicy:
         """The argmax action if ``greedy`` or no ``rng``, else one drawn from the softmax.
 
         Memoised per (state, rtg) until ``weights`` is rebound, at most
-        ``ACT_CACHE_SIZE`` entries, oldest out first. A sampled action takes
+        ``ACT_CACHE_SIZE`` entries, oldest out first. The first miss after a
+        rebind computes the rows of every key the last acting weights acted
+        on, and its own, in one batched pass; a later miss outside that hot
+        set gets a one-row pass. A row whose probabilities are not finite
+        raises only when its own state is acted on. A sampled action takes
         one ``rng.random()`` and inverts the softmax CDF at it, which is the
         draw ``rng.choice(action_count, p=probs)`` makes: the same action and
         the same generator state afterwards.
         """
         key = (np.asarray(state, dtype=float).tobytes(), float(rtg))
-        memo = self._act_memo
-        entry = memo.get(key)
+        entry = self._act_memo.get(key)
         if entry is None:
-            logits = self._weights.T @ self.state_features(state, rtg)
-            probs = np.exp(logits - _logsumexp(logits))
-            cdf = (probs / probs.sum()).cumsum()
-            cdf /= cdf[-1]
-            if not np.isfinite(cdf).all():
-                raise ValueError("action probabilities are not finite")
-            if len(memo) >= ACT_CACHE_SIZE:
-                del memo[next(iter(memo))]
-            entry = memo[key] = (int(np.argmax(logits)), cdf)
+            entry = self._first_act(key, state)
         action, cdf = entry
         if greedy or rng is None:
             return action
         return int(cdf.searchsorted(rng.random(), side="right"))
+
+    def _first_act(self, key: tuple[bytes, float], state: np.ndarray) -> tuple[int, np.ndarray]:
+        """Memo entry for a key not yet acted on under these weights."""
+        feats = self._features_of(key, state)
+        if self._filled is None:
+            hot = [k for k in self._hot if k != key]
+            hot_feats = [self._features_of(k, np.frombuffer(k[0])) for k in hot]
+            self._filled = self._act_rows(hot + [key], hot_feats + [feats])
+            self._hot = {}
+        row = self._filled.pop(key, None)
+        if row is None:
+            row = self._act_rows([key], [feats])[key]
+        action, cdf, finite = row
+        if not finite:
+            raise ValueError("action probabilities are not finite")
+        return _put(self._act_memo, key, (action, cdf))
+
+    def _features_of(self, key: tuple[bytes, float], state: np.ndarray) -> np.ndarray:
+        feats = self._features.get(key)
+        if feats is None:
+            feats = _put(self._features, key, self.state_features(state, key[1]))
+        return feats
+
+    def _act_rows(self, keys: list, feats: list) -> dict:
+        """(greedy action, softmax CDF, finite) per key, by one pass over a (K, A) array.
+
+        Each row's logits are one ``weights.T @ features`` GEMV, stacked by
+        ``np.matmul``, and the rest is row-wise, so every row has the bits of
+        the same arithmetic on its state alone. A row that overflows warns
+        nothing here: only acting on its state raises.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = np.matmul(self._weights.T, np.array(feats)[:, :, None])[:, :, 0]
+            probs = np.exp(logits - _logsumexp_rows(logits)[:, None])
+            probs /= probs.sum(axis=1, keepdims=True)
+            cdf = probs.cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+        rows = zip(logits.argmax(axis=1).tolist(), cdf, np.isfinite(cdf).all(axis=1).tolist())
+        return dict(zip(keys, rows))
 
     # ---------------------------------------------------------------- training
 
@@ -196,9 +240,12 @@ class LinearSoftmaxPolicy:
         return loss
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    m = np.max(x)
-    return float(m + np.log(np.sum(np.exp(x - m))))
+def _put(store: dict, key, value):
+    """``store[key] = value``, first evicting the oldest entry at ``ACT_CACHE_SIZE``."""
+    if len(store) >= ACT_CACHE_SIZE:
+        del store[next(iter(store))]
+    store[key] = value
+    return value
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:

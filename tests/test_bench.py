@@ -120,6 +120,29 @@ def test_random_policy_matches_markov_chain_oracle():
     assert measured == pytest.approx(expected, abs=0.05)
 
 
+def test_observations_are_the_per_step_formula_and_read_only():
+    env = StageChainEnv(num_stages=3, steps_per_stage=(5, 3, 7), action_count=4,
+                        noise=0.0, t_max=20)
+    expected = []
+    for stage, steps in enumerate(env.steps_per_stage):
+        for progress in range(steps):
+            obs = np.zeros(env.state_dim)
+            obs[stage] = 1.0
+            obs[env.num_stages + stage] = progress / steps
+            expected.append(obs)
+    expected.append(np.zeros(env.state_dim))  # terminal, after success
+
+    expert, rng = ScriptedDemonstrator(env, epsilon=0.0), np.random.default_rng(0)
+    seen, done = [env.reset()], False
+    while not done:
+        obs, _, done, _, _ = env.step(expert.act(seen[-1], 1.0), rng)
+        seen.append(obs)
+    assert [obs.tobytes() for obs in seen] == [obs.tobytes() for obs in expected]
+    for obs in seen:
+        with pytest.raises(ValueError, match="read-only"):
+            obs[0] = 2.0
+
+
 def test_env_parameter_validation():
     with pytest.raises(ValueError):
         StageChainEnv(num_stages=2, steps_per_stage=(3,), action_count=3)
@@ -322,6 +345,26 @@ def test_success_rates_are_pinned(variant, wins):
     result = run_loop(LEARNING, variant, seed=5)
     assert [m.success_rate for m in result.metrics] == [
         w / LEARNING.eval_episodes for w in wins]
+
+
+def _unmemoised_act(policy, state, rtg, rng=None, greedy=False):
+    """act with no memo: one projection and softmax per call, sampled by ``rng.choice``."""
+    logits = policy.weights.T @ policy.state_features(state, rtg)
+    if greedy or rng is None:
+        return int(np.argmax(logits))
+    m = np.max(logits)
+    probs = np.exp(logits - float(m + np.log(np.sum(np.exp(logits - m)))))
+    return int(rng.choice(policy.action_count, p=probs / probs.sum()))
+
+
+@pytest.mark.parametrize("variant", [Variant.FULL, Variant.UNIFORM])
+def test_loop_is_unchanged_by_the_act_memo(variant, monkeypatch):
+    memoised = run_loop(LEARNING, variant, seed=5)
+    monkeypatch.setattr(LinearSoftmaxPolicy, "act", _unmemoised_act)
+    reference = run_loop(LEARNING, variant, seed=5)
+    assert memoised.metrics == reference.metrics
+    assert memoised.selection_events == reference.selection_events
+    assert memoised.selected_stage_counts == reference.selected_stage_counts
 
 
 def test_selection_ids_lie_below_window_count_at_each_event(monkeypatch):

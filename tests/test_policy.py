@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qdreplay.policy import ACT_CACHE_SIZE, LinearSoftmaxPolicy, _logsumexp, _logsumexp_rows
+import qdreplay.policy
+from qdreplay.policy import ACT_CACHE_SIZE, LinearSoftmaxPolicy, _logsumexp_rows
 from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
 
 
@@ -226,6 +227,11 @@ def test_batched_update_matches_per_window_loop(horizon, count):
 
 # ------------------------------------------------------------------------ act
 
+def _logsumexp(x):
+    m = np.max(x)
+    return float(m + np.log(np.sum(np.exp(x - m))))
+
+
 def reference_act(policy, state, rtg, rng=None, greedy=False):
     """Unmemoised act: one projection and softmax per call, sampled by ``rng.choice``."""
     logits = policy.weights.T @ policy.state_features(state, rtg)
@@ -287,10 +293,37 @@ def test_act_memo_stays_within_its_cap():
         assert policy.act(state, 1.0, greedy=True) == reference_act(policy, state, 1.0,
                                                                     greedy=True)
     assert len(policy._act_memo) <= ACT_CACHE_SIZE
+    assert len(policy._features) <= ACT_CACHE_SIZE
     for state in states[:200]:  # the oldest ones were evicted and come back right
         ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
         assert policy.act(state, 1.0, rng=ours) == reference_act(policy, state, 1.0, rng=theirs)
     assert len(policy._act_memo) <= ACT_CACHE_SIZE
+    assert len(policy._features) <= ACT_CACHE_SIZE
+    # After a rebind the whole hot set is filled at once, its oldest features evicted.
+    policy.weights = -policy.weights
+    for state in states[-300:]:
+        assert policy.act(state, 1.0, greedy=True) == reference_act(policy, state, 1.0,
+                                                                    greedy=True)
+    assert len(policy._act_memo) <= ACT_CACHE_SIZE
+    assert len(policy._features) <= ACT_CACHE_SIZE
+
+
+def test_hot_keys_whose_features_were_evicted_are_projected_again(monkeypatch):
+    # With room for two keys, the first act after each rebind is on a new key, whose
+    # features evict a hot key's before the fill.
+    monkeypatch.setattr(qdreplay.policy, "ACT_CACHE_SIZE", 2)
+    rng = np.random.default_rng(48)
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=49)
+    states = rng.standard_normal((6, 3))
+    for start in range(4):
+        for state in states[start:start + 3][::-1]:
+            ours, theirs = np.random.default_rng(start), np.random.default_rng(start)
+            assert ([policy.act(state, 1.0, rng=ours) for _ in range(5)]
+                    == [reference_act(policy, state, 1.0, rng=theirs) for _ in range(5)])
+            assert policy.act(state, 1.0, greedy=True) == reference_act(policy, state, 1.0,
+                                                                        greedy=True)
+        assert len(policy._features) <= 2 and len(policy._act_memo) <= 2
+        policy.weights = rng.standard_normal(policy.weights.shape)
 
 
 def test_act_rejects_non_finite_probabilities():
@@ -298,6 +331,114 @@ def test_act_rejects_non_finite_probabilities():
     policy.weights = np.full_like(policy.weights, np.nan)
     with pytest.raises(ValueError, match="not finite"):
         policy.act(np.ones(2), 1.0, rng=np.random.default_rng(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batched_rows_have_the_bits_of_one_row(data):
+    """Each row of one pass over K keys is the 1-D arithmetic on its state alone."""
+    rows = data.draw(st.integers(1, 64), label="rows")
+    actions = data.draw(st.integers(2, 12), label="actions")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    policy = LinearSoftmaxPolicy(state_dim=5, action_count=actions, seed=seed)
+    policy.weights = 10.0 ** data.draw(st.integers(-3, 3), label="scale") * rng.standard_normal(
+        policy.weights.shape)
+    states = rng.standard_normal((rows, 5))
+    keys = [(state.tobytes(), 1.0) for state in states]
+    feats = [policy.state_features(state, 1.0) for state in states]
+    batched = policy._act_rows(keys, feats)
+    for key, f in zip(keys, feats):
+        logits = policy.weights.T @ f
+        probs = np.exp(logits - _logsumexp(logits))
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        action, batched_cdf, finite = batched[key]
+        assert action == int(np.argmax(logits)) and finite
+        assert batched_cdf.tobytes() == cdf.tobytes()
+
+
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_a_non_finite_row_raises_only_for_its_own_state(bad_first):
+    # Identity features and logits: the state is the logit vector, scaled by the weights.
+    policy = LinearSoftmaxPolicy(state_dim=2, action_count=2, projection=np.eye(2, 3), seed=0)
+    policy.weights = np.eye(2)
+    big, ordinary = np.array([1e300, 0.0]), np.array([0.5, -0.5])
+    for state in (big, ordinary):  # both finite, so both are hot under the next weights
+        assert policy.act(state, 0.0, greedy=True) == 0
+    policy.weights = 1e10 * np.eye(2)  # big's logit overflows to inf, ordinary's does not
+    order = [big, ordinary, big, ordinary] if bad_first else [ordinary, big, ordinary, big]
+    for state in order:
+        if state is big:
+            with pytest.raises(ValueError, match="not finite"):
+                policy.act(state, 0.0, greedy=True)
+            continue
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        assert policy.act(state, 0.0, rng=ours) == reference_act(policy, state, 0.0, rng=theirs)
+        assert policy.act(state, 0.0, greedy=True) == 0
+
+
+def test_a_rebind_with_no_act_keeps_the_hot_set():
+    # The loop makes several updates between rollouts: the keys acted on before the
+    # first of them are still filled in one pass at the first act after the last.
+    rng = np.random.default_rng(46)
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=47)
+    states = rng.standard_normal((5, 3))
+    for state in states:
+        policy.act(state, 1.0, greedy=True)
+    batch = random_batch(rng, count=4)
+    for _ in range(3):
+        policy.weighted_update(batch, np.ones(4), learning_rate=1.0)
+    policy.act(states[0], 1.0, greedy=True)
+    assert set(policy._filled) | set(policy._act_memo) == {
+        (state.tobytes(), 1.0) for state in states}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_act_matches_the_unmemoised_act_across_rebinds(data):
+    """Interleaved new keys, repeated keys, rebinds, greedy and sampled acts."""
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    actions = data.draw(st.integers(2, 6), label="actions")
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=actions, seed=seed)
+    batch = random_batch(rng, count=4, actions=actions)
+    states = [rng.standard_normal(3)]
+    ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+
+    def act(index, greedy):
+        state, rtg = states[index], float(index % 2)
+        if greedy:
+            assert policy.act(state, rtg, greedy=True) == reference_act(
+                policy, state, rtg, greedy=True)
+        else:
+            assert policy.act(state, rtg, rng=ours) == reference_act(policy, state, rtg,
+                                                                     rng=theirs)
+            assert ours.random() == theirs.random()
+
+    def rebind(how):
+        if how == "update":
+            policy.weighted_update(batch, rng.uniform(0.5, 2.0, 4), learning_rate=5.0)
+        else:
+            policy.weights = rng.standard_normal(policy.weights.shape)
+
+    # A key hot under the old weights, then acted on under the new ones.
+    act(0, greedy=False)
+    rebind(data.draw(st.sampled_from(["update", "assign"]), label="first rebind"))
+    act(0, greedy=data.draw(st.booleans(), label="first greedy"))
+    ops = st.one_of(
+        st.tuples(st.just("new"), st.booleans()),
+        st.tuples(st.just("repeat"), st.booleans()),
+        st.tuples(st.just("rebind"), st.sampled_from(["update", "assign"])),
+    )
+    for op, arg in data.draw(st.lists(ops, max_size=40), label="ops"):
+        if op == "new":
+            states.append(rng.standard_normal(3))
+            act(len(states) - 1, greedy=arg)
+        elif op == "repeat":
+            act(data.draw(st.integers(0, len(states) - 1), label="index"), greedy=arg)
+        else:
+            rebind(arg)
 
 
 def _row_max_logsumexp(x):
