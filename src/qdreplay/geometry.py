@@ -1,9 +1,10 @@
 """Latent-space geometry: pool embeddings and RBF similarity.
 
-The N x N work keeps one N x N array: ``pairwise_distances`` builds the
-distances inside the Gram product, ``median_bandwidth`` reads them one row
-block at a time, and ``rbf_similarity(z, sigma, distances=d)`` turns them into
-the similarity in place. Temporaries are O(N * _ROW_BLOCK).
+The N x N work keeps one N x N array: ``pairwise_distances`` builds the Gram
+product and the distances in it one row block at a time, ``median_bandwidth``
+reads them one row block at a time, and ``rbf_similarity(z, sigma,
+distances=d)`` turns them into the similarity in place. Temporaries are
+O(N * _ROW_BLOCK).
 """
 
 from __future__ import annotations
@@ -36,17 +37,21 @@ def encode_pool(pool: WindowBatch, model: SequencePolicy) -> np.ndarray:
 def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
     """Full matrix of Euclidean distances, exactly symmetric with zero diagonal.
 
-    Built in place in the ``z @ z.T`` product: each row block's upper part
-    becomes sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0)) and is mirrored into the
-    lower part, the float operations of the full-matrix formula followed by
-    ``triu`` and a transpose-add, so one N x N array is allocated.
+    One N x N array is allocated, and each row block's upper part is built in
+    it: the block's Gram product a.b, then sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0)),
+    mirrored into the lower part. These are the float operations of the
+    full-matrix formula over that row-block product, followed by ``triu`` and
+    a transpose-add. The product goes by row blocks because one whole-pool
+    ``z @ z.T`` wakes a BLAS worker thread, which then spins through the rest
+    of the refresh.
     """
     z = np.asarray(embeddings, dtype=float)
     sq = np.sum(z ** 2, axis=1)
-    d = z @ z.T
+    d = np.empty((len(z), len(z)))
     for start in range(0, len(d), _ROW_BLOCK):
         stop = start + _ROW_BLOCK  # slices end at N
         upper = d[start:stop, start:]
+        np.matmul(z[start:stop], z[start:].T, out=upper)
         upper *= 2.0
         np.subtract(sq[start:stop, None] + sq[None, start:], upper, out=upper)
         np.maximum(upper, 0.0, out=upper)

@@ -292,11 +292,12 @@ def test_selection_carries_the_pool_median_under_a_fixed_sigma():
 def test_full_selection_peak_allocation_at_pool_1500():
     """The selection keeps one N x N array: the distances, then the similarity.
 
-    ``pairwise_distances`` builds the distances inside the Gram product,
-    ``median_bandwidth`` reads them by row blocks, ``rbf_similarity`` turns
-    them into the similarity in place, and greedy MAP reads the kernel one
-    column at a time beside its two (k, N) buffers, so the peak reads 1.39
-    arrays of N x N floats (23.8 MiB). With a second distance array, the
+    ``pairwise_distances`` builds the Gram product and the distances in that
+    one array, one row block at a time; ``median_bandwidth`` reads them by
+    row blocks, ``rbf_similarity`` turns them into the similarity in place,
+    and greedy MAP reads the kernel one column at a time beside its two
+    (k, N) buffers, so the peak reads 1.39 arrays of N x N floats (23.8 MiB),
+    as it did when the whole-pool ``z @ z.T`` product was that array. With a second distance array, the
     median's copy of the upper triangle and the built kernel it read 2.38;
     with the extra squared-distance array and kernel temporary, 3.20.
     """

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,10 +74,19 @@ def _points(rng, n, dim, distinct, integral):
     return points[rng.integers(len(points), size=n)]
 
 
+def _row_block_gram(z):
+    """The upper part of ``z @ z.T``, one product per row block, as ``pairwise_distances`` makes it."""
+    gram = np.zeros((len(z), len(z)))
+    for start in range(0, len(z), geometry._ROW_BLOCK):
+        stop = start + geometry._ROW_BLOCK
+        gram[start:stop, start:] = z[start:stop] @ z[start:].T
+    return gram
+
+
 def _full_matrix_distances(z):
     """The distances as one full-matrix formula: Gram form, clip, root, triu plus transpose."""
     sq = np.sum(z ** 2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * _row_block_gram(z)
     d = np.triu(np.sqrt(np.maximum(d2, 0.0)), k=1)
     return d + d.T
 
@@ -90,6 +100,36 @@ def test_pairwise_distances_in_place_is_the_full_matrix_formula_bit_for_bit(
     Gram-form distances need not be exact zeros."""
     z = _points(np.random.default_rng(seed), n, dim, distinct, integral)
     assert pairwise_distances(z).tobytes() == _full_matrix_distances(z).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4 * geometry._ROW_BLOCK + 1), dim=st.integers(1, 16),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_row_block_gram_is_the_whole_product_to_rounding(n, dim, seed):
+    """Each entry of the upper part is a dot product of ``dim`` terms, so the
+    row-block product and one ``z @ z.T`` may round it apart by at most
+    2 dim eps |z_i| |z_j|, at any N across the block boundaries."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, dim)) * rng.uniform(1e-3, 1e3)
+    norms = np.linalg.norm(z, axis=1)
+    bound = 2 * dim * np.finfo(float).eps * np.outer(norms, norms)
+    upper = np.triu_indices(n)
+    assert np.all(np.abs(_row_block_gram(z) - z @ z.T)[upper] <= bound[upper])
+
+
+def test_pairwise_distances_peak_is_one_array_and_row_block_temporaries():
+    """At N = 1500 the pass allocates the one N x N array and about 1.2 row
+    blocks of N floats beside it. A whole-pool product, copied into the array
+    block by block, would add a second N x N array."""
+    n = 1500
+    z = np.random.default_rng(11).standard_normal((n, 16))
+    tracemalloc.start()
+    try:
+        pairwise_distances(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n * n + 2 * geometry._ROW_BLOCK * n) * 8
 
 
 @settings(max_examples=200, deadline=None)
