@@ -43,10 +43,12 @@ def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
     full-matrix formula over that row-block product, followed by ``triu`` and
     a transpose-add. The product goes by row blocks because one whole-pool
     ``z @ z.T`` wakes a BLAS worker thread, which then spins through the rest
-    of the refresh.
+    of the refresh. Equal rows are set to exactly 0: the Gram form need not
+    cancel for them.
     """
     z = np.asarray(embeddings, dtype=float)
     sq = np.sum(z ** 2, axis=1)
+    group = np.unique(z, axis=0, return_inverse=True)[1].reshape(-1)  # equal rows share one
     d = np.empty((len(z), len(z)))
     for start in range(0, len(d), _ROW_BLOCK):
         stop = start + _ROW_BLOCK  # slices end at N
@@ -56,6 +58,7 @@ def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
         np.subtract(sq[start:stop, None] + sq[None, start:], upper, out=upper)
         np.maximum(upper, 0.0, out=upper)
         np.sqrt(upper, out=upper)
+        upper[group[start:stop, None] == group[None, start:]] = 0.0
         d[start:stop, :start] = d[:start, start:stop].T
         block = d[start:stop, start:stop]
         lower = np.tril_indices(len(block), k=-1)

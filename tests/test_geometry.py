@@ -61,6 +61,27 @@ def test_median_bandwidth_duplicate_fallback():
     assert median_bandwidth(z) == 1.0
 
 
+def test_copies_of_a_point_are_at_distance_zero_and_bandwidth_one():
+    """The Gram form leaves 2.4e-7 between copies of (-3.78, -10.91)."""
+    z = np.array([[-3.78, -10.91]] * 3)
+    np.testing.assert_array_equal(pairwise_distances(z), 0.0)
+    assert median_bandwidth(z) == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 2 * geometry._ROW_BLOCK + 1), dim=st.integers(1, 16),
+       distinct=st.integers(1, 4), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+def test_equal_embeddings_are_at_distance_exactly_zero(n, dim, distinct, scale, seed):
+    """Every pair of equal rows reads 0.0, in and across row blocks, and a
+    pool of copies of one point falls back to a bandwidth of 1."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((distinct, dim)) * scale
+    z = points[rng.integers(distinct, size=n)]
+    equal = (z[:, None, :] == z[None, :, :]).all(axis=2)
+    assert np.all(pairwise_distances(z)[equal] == 0.0)
+    assert median_bandwidth(np.repeat(points[:1], n, axis=0)) == 1.0
+
+
 def test_median_bandwidth_single_pair():
     z = np.array([[0.0, 0.0], [3.0, 4.0]])
     assert median_bandwidth(z) == pytest.approx(5.0)
@@ -84,11 +105,14 @@ def _row_block_gram(z):
 
 
 def _full_matrix_distances(z):
-    """The distances as one full-matrix formula: Gram form, clip, root, triu plus transpose."""
+    """The distances as one full-matrix formula: Gram form, clip, root, triu
+    plus transpose, then exactly 0 between equal rows."""
     sq = np.sum(z ** 2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * _row_block_gram(z)
     d = np.triu(np.sqrt(np.maximum(d2, 0.0)), k=1)
-    return d + d.T
+    d = d + d.T
+    d[(z[:, None, :] == z[None, :, :]).all(axis=2)] = 0.0
+    return d
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,7 +121,7 @@ def _full_matrix_distances(z):
 def test_pairwise_distances_in_place_is_the_full_matrix_formula_bit_for_bit(
         n, dim, distinct, integral, seed):
     """From one row to more than two row blocks, with repeated rows, whose
-    Gram-form distances need not be exact zeros."""
+    Gram-form distances need not be exact zeros until they are set to 0."""
     z = _points(np.random.default_rng(seed), n, dim, distinct, integral)
     assert pairwise_distances(z).tobytes() == _full_matrix_distances(z).tobytes()
 
