@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qdreplay.bench import LoopConfig
+import qdreplay
+from qdreplay.bench import LoopConfig, RandomPolicy, ScriptedDemonstrator, StageChainEnv, rollout
 from qdreplay.cli import KNOWN_KEYS, build_parser, build_settings, main, parse_config_file
 from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer, save_jsonl
 
@@ -340,3 +345,48 @@ def test_ablate_rerun_byte_identical(tmp_path):
     assert main(args + ["--out", str(out_b)]) == 0
     assert (out_a / "ablation.csv").read_bytes() == (out_b / "ablation.csv").read_bytes()
     assert (out_a / "ablation_runs.csv").read_bytes() == (out_b / "ablation_runs.csv").read_bytes()
+
+
+CHURN_LOOP = (
+    "capacity = 1500\npool_size = 400\nsubset_size = 60\nrefresh_period = 10\n"
+    "episodes = 30\nwarmup_episodes = 30\npretrain_steps = 20\neval_every = 15\n"
+    "eval_episodes = 10\n"
+)
+
+
+def test_outputs_are_byte_equal_at_one_and_two_blas_threads(tmp_path):
+    """``select --kernel-dump`` at pool 600, whose first distance row blocks
+    are large enough for OpenBLAS to split, and ``loop`` with 12 refreshes at
+    pool 400 write the same bytes with BLAS at one thread and at two."""
+    env = StageChainEnv()
+    actors = [ScriptedDemonstrator(env, 0.3), RandomPolicy(env.action_count)]
+    rng = np.random.default_rng(3)
+    buf = ReplayBuffer(capacity=10_000, gamma=1.0)
+    while buf.window_count(LoopConfig().horizon) < 1200:
+        episode_id = buf.new_episode_id()
+        steps, _ = rollout(env, actors[episode_id % 2], rng)
+        buf.append_episode(Episode(id=episode_id, transitions=steps))
+    save_jsonl(buf, tmp_path / "dump.jsonl")
+    (tmp_path / "select.cfg").write_text("pool_size = 600\nsubset_size = 60\n")
+    (tmp_path / "churn.cfg").write_text(CHURN_LOOP)
+    src = str(Path(qdreplay.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = {
+        "select": (["select", "dump.jsonl", "--kernel-dump", "--config", "select.cfg"],
+                   ("selection.json", "kernel.csv")),
+        "loop": (["loop", "--config", "churn.cfg"], ("metrics.csv", "audit.jsonl")),
+    }
+    outputs = {}
+    for threads in ("1", "2"):
+        for name, (args, files) in commands.items():
+            out = tmp_path / f"{name}_{threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "qdreplay", *args, "--seed", "1", "--out", str(out)],
+                cwd=tmp_path, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+            assert done.returncode == 0, done.stderr
+            outputs[name, threads] = [(out / file).read_bytes() for file in files]
+    audit = (tmp_path / "loop_1" / "audit.jsonl").read_text().splitlines()
+    assert len(audit) == 13  # the header and 12 refreshes
+    for name in commands:
+        assert outputs[name, "1"] == outputs[name, "2"], name
