@@ -48,7 +48,8 @@ def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(embeddings, dtype=float)
     sq = np.sum(z ** 2, axis=1)
-    group = np.unique(z, axis=0, return_inverse=True)[1].reshape(-1)  # equal rows share one
+    # One id per distinct row; NumPy 2.0.0 returns the ids 2-D, hence the reshape.
+    group = np.unique(z, axis=0, return_inverse=True)[1].reshape(-1)
     d = np.empty((len(z), len(z)))
     for start in range(0, len(d), _ROW_BLOCK):
         stop = start + _ROW_BLOCK  # slices end at N
@@ -58,12 +59,11 @@ def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
         np.subtract(sq[start:stop, None] + sq[None, start:], upper, out=upper)
         np.maximum(upper, 0.0, out=upper)
         np.sqrt(upper, out=upper)
-        upper[group[start:stop, None] == group[None, start:]] = 0.0
+        upper[group[start:stop, None] == group[None, start:]] = 0.0  # and the diagonal
         d[start:stop, :start] = d[:start, start:stop].T
         block = d[start:stop, start:stop]
         lower = np.tril_indices(len(block), k=-1)
         block[lower] = block.T[lower]
-    np.fill_diagonal(d, 0.0)
     return d
 
 
