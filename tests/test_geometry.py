@@ -96,7 +96,8 @@ def _points(rng, n, dim, distinct, integral):
 
 
 def _row_block_gram(z):
-    """The upper part of ``z @ z.T``, one product per row block, as ``pairwise_distances`` makes it."""
+    """The upper part of ``z @ z.T`` by one product per row block, as
+    ``pairwise_distances`` makes it."""
     gram = np.zeros((len(z), len(z)))
     for start in range(0, len(z), geometry._ROW_BLOCK):
         stop = start + geometry._ROW_BLOCK
