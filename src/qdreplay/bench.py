@@ -89,6 +89,36 @@ class StageChainEnv:
         """The current state: a read-only row shared by every step at this (stage, progress)."""
         return self._observations[self._stage][self._progress]
 
+    def chain_states(self) -> tuple[np.ndarray, ...]:
+        """Every state before success, in chain order: stage by stage, progress 0 up."""
+        return tuple(row for rows in self._observations[:-1] for row in rows)
+
+    def success_probability(self, action_probs: np.ndarray) -> float:
+        """Exact chance of success within ``t_max`` steps, by a forward pass over the chain.
+
+        Row i of ``action_probs`` is the actor's action distribution at the
+        i-th of ``chain_states()``, one-hot for a deterministic actor. A step
+        there advances with probability (1 - noise) * action_probs[i, c] +
+        noise / action_count, c being the stage's correct action, and stalls
+        otherwise; success absorbs.
+        """
+        probs = np.asarray(action_probs, dtype=float)
+        count = sum(self.steps_per_stage)
+        if probs.shape != (count, self.action_count):
+            raise ValueError(f"expected action rows of shape {(count, self.action_count)}, "
+                             f"got {probs.shape}")
+        correct = np.repeat([self.correct_action(s) for s in range(self.num_stages)],
+                            self.steps_per_stage)
+        advance = (1.0 - self.noise) * probs[np.arange(count), correct] \
+            + self.noise / self.action_count
+        mass = np.zeros(count + 1)  # over the chain states, then success
+        mass[0] = 1.0
+        for _ in range(self.t_max):
+            moved = mass[:-1] * advance
+            mass[:-1] -= moved
+            mass[1:] += moved
+        return float(mass[-1])
+
     def reset(self) -> np.ndarray:
         self._stage = 0
         self._progress = 0
@@ -127,7 +157,7 @@ class RandomPolicy:
     def __init__(self, action_count: int):
         self.action_count = int(action_count)
 
-    def act(self, state, rtg, rng=None, greedy: bool = False) -> int:
+    def act(self, state, rtg, rng=None) -> int:
         if rng is None:
             raise ValueError("RandomPolicy needs an explicit rng")
         return int(rng.integers(self.action_count))
@@ -144,21 +174,20 @@ class ScriptedDemonstrator:
         self.env = env
         self.epsilon = float(epsilon)
 
-    def act(self, state, rtg, rng=None, greedy: bool = False) -> int:
+    def act(self, state, rtg, rng=None) -> int:
         if rng is not None and rng.random() < self.epsilon:
             return int(rng.integers(self.env.action_count))
         return self.env.correct_action(int(np.argmax(state[: self.env.num_stages])))
 
 
-def rollout(env: StageChainEnv, actor, rng: np.random.Generator,
-            rtg_target: float = 1.0, greedy: bool = False):
+def rollout(env: StageChainEnv, actor, rng: np.random.Generator, rtg_target: float = 1.0):
     """Run one episode; returns (its steps as ``EpisodeArrays``, success)."""
     obs = env.reset()
     rtg_hint = rtg_target
     states, actions, rewards, stages = [], [], [], []
     success = False
     while True:
-        action = actor.act(obs, rtg_hint, rng=rng, greedy=greedy)
+        action = actor.act(obs, rtg_hint, rng=rng)
         next_obs, reward, done, stage, reached = env.step(action, rng)
         states.append(obs)
         actions.append(action)
@@ -173,16 +202,19 @@ def rollout(env: StageChainEnv, actor, rng: np.random.Generator,
                                  np.array(stages), last), success
 
 
-def evaluate_policy(policy, env: StageChainEnv, episodes: int, seed) -> float:
-    """Fraction of greedy-action rollouts that reach task success."""
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    rng = np.random.default_rng(seed)
-    wins = 0
-    for _ in range(episodes):
-        _, success = rollout(env, policy, rng, greedy=True)
-        wins += int(success)
-    return wins / episodes
+def evaluate_policy(policy: LinearSoftmaxPolicy, env: StageChainEnv,
+                    rtg_target: float = 1.0) -> tuple[float, float]:
+    """Exact success probabilities of the greedy and of the sampled policy.
+
+    The rtg hint stays at ``rtg_target`` until success, so the policy acts on
+    each chain state with one action distribution: its argmax (``act`` with
+    ``greedy=True``) for the greedy actor, the softmax that ``act`` samples
+    from for the sampled one.
+    """
+    states = env.chain_states()
+    greedy = np.eye(env.action_count)[[policy.act(s, rtg_target, greedy=True) for s in states]]
+    sampled = np.array([policy.action_probabilities(s, rtg_target) for s in states])
+    return env.success_probability(greedy), env.success_probability(sampled)
 
 
 def diversity_metric(similarity_subset: np.ndarray) -> float:
@@ -218,7 +250,9 @@ class LoopConfig:
 
     Defaults keep the subset ratio and mix ratio inside the regime where
     selection behavior is stable (subset_size/pool_size around 0.15, eta 0.7)
-    and refresh selection every 500 gradient steps.
+    and refresh selection every 500 gradient steps. ``eval_episodes`` is
+    validated but unused: evaluation computes success exactly instead of
+    sampling episodes.
     """
 
     horizon: int = 8
@@ -357,9 +391,10 @@ def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopCon
 class RunMetrics:
     gradient_steps: int
     episodes_used: int
-    success_rate: float
+    success_rate: float  # exact success probability of the greedy policy
     diversity: float
     redundancy: float
+    sampled_success: float  # exact success probability of the policy's sampled actions
 
 
 @dataclass
@@ -392,11 +427,11 @@ def run_loop(
     """
     config.validate()
     ss = np.random.SeedSequence(seed)
+    # Evaluation is exact and draws nothing: eval_ss is spawned so pseudo_ss keeps its seed.
     (policy_ss, warmup_ss, pretrain_ss, collect_ss, pool_ss, score_ss,
      replay_ss, eval_ss, pseudo_ss) = ss.spawn(9)
 
     env = config.make_env()
-    eval_env = config.make_env()
     policy = LinearSoftmaxPolicy(
         state_dim=env.state_dim,
         action_count=env.action_count,
@@ -477,9 +512,7 @@ def run_loop(
             grad_step += 1
 
         if (ep + 1) % config.eval_every == 0:
-            success = evaluate_policy(
-                policy, eval_env, config.eval_episodes, np.random.default_rng(eval_ss.spawn(1)[0])
-            )
+            success, sampled_success = evaluate_policy(policy, env, config.rtg_target)
             if variant is Variant.UNIFORM:
                 select(pseudo_rng)
             diversity, redundancy = _selection_quality_metrics(selection)
@@ -489,6 +522,7 @@ def run_loop(
                 success_rate=success,
                 diversity=diversity,
                 redundancy=redundancy,
+                sampled_success=sampled_success,
             )
             result.metrics.append(point)
             if metrics_callback:
@@ -505,7 +539,7 @@ def _selection_quality_metrics(selection: WindowSelection) -> tuple[float, float
     return diversity_metric(sub), redundancy_metric(selection.embeddings[chosen], tau)
 
 
-ABLATION_COLUMNS = ("success", "redundancy", "diversity", "rare_stage")
+ABLATION_COLUMNS = ("success", "redundancy", "diversity", "rare_stage", "sampled_success")
 
 
 def mean_and_ci(values: Sequence[float]) -> tuple[float, float]:
@@ -522,9 +556,9 @@ def run_ablation(
 ) -> dict[Variant, dict[str, list[float]]]:
     """Run every variant on every seed; per variant, one value per seed in each column.
 
-    ``success`` is the last evaluation's success rate, ``redundancy`` and
-    ``diversity`` the means over the evaluations, and ``rare_stage`` the final
-    stage's share of every selected window. A run with no evaluation, or no
+    ``success`` and ``sampled_success`` are the last evaluation's, ``redundancy``
+    and ``diversity`` the means over the evaluations, and ``rare_stage`` the
+    final stage's share of every selected window. A run with no evaluation, or no
     selected window, reads 0.0.
     """
     seeds = [int(s) for s in seeds]
@@ -544,6 +578,7 @@ def run_ablation(
                 "redundancy": float(np.mean([m.redundancy for m in metrics])) if metrics else 0.0,
                 "diversity": float(np.mean([m.diversity for m in metrics])) if metrics else 0.0,
                 "rare_stage": stages[rare_stage] / selected if selected else 0.0,
+                "sampled_success": metrics[-1].sampled_success if metrics else 0.0,
             }
             for name, value in values.items():
                 columns[variant][name].append(value)

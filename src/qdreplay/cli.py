@@ -188,14 +188,14 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
 
 # ------------------------------------------------------------------------ loop
 
-_METRICS_COLUMNS = "variant,seed,step,success,diversity,redundancy,episodes"
+_METRICS_COLUMNS = "variant,seed,step,success,diversity,redundancy,episodes,sampled_success"
 
 
 def _metrics_row(variant: Variant, seed: int, point) -> str:
     return ",".join([
         variant.value, str(seed), str(point.gradient_steps),
         repr(point.success_rate), repr(point.diversity),
-        repr(point.redundancy), str(point.episodes_used),
+        repr(point.redundancy), str(point.episodes_used), repr(point.sampled_success),
     ])
 
 

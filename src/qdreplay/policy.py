@@ -147,14 +147,23 @@ class LinearSoftmaxPolicy:
         draw ``rng.choice(action_count, p=probs)`` makes: the same action and
         the same generator state afterwards.
         """
-        key = (np.asarray(state, dtype=float).tobytes(), float(rtg))
-        entry = self._act_memo.get(key)
-        if entry is None:
-            entry = self._first_act(key, state)
-        action, cdf = entry
+        action, cdf = self._memo_entry(state, rtg)
         if greedy or rng is None:
             return action
         return int(cdf.searchsorted(rng.random(), side="right"))
+
+    def action_probabilities(self, state: np.ndarray, rtg: float) -> np.ndarray:
+        """The distribution that a sampled ``act`` draws from, (action_count,).
+
+        ``act`` picks action a when its uniform draw lies in [cdf[a-1], cdf[a]),
+        so each probability is a difference of that memoised CDF.
+        """
+        return np.diff(self._memo_entry(state, rtg)[1], prepend=0.0)
+
+    def _memo_entry(self, state: np.ndarray, rtg: float) -> tuple[int, np.ndarray]:
+        key = (np.asarray(state, dtype=float).tobytes(), float(rtg))
+        entry = self._act_memo.get(key)
+        return entry if entry is not None else self._first_act(key, state)
 
     def _first_act(self, key: tuple[bytes, float], state: np.ndarray) -> tuple[int, np.ndarray]:
         """Memo entry for a key not yet acted on under these weights."""

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdreplay.bench import (
     ABLATION_COLUMNS,
@@ -83,17 +85,27 @@ def test_transitions_carry_ground_truth_stage():
     assert steps.stages.tolist() == [0, 0, 1, 1]
 
 
+def _one_hot(actions, action_count: int) -> np.ndarray:
+    return np.eye(action_count)[np.asarray(actions)]
+
+
 def test_oracle_policy_scores_perfect_success():
     env = StageChainEnv(num_stages=3, steps_per_stage=(3, 3, 2), action_count=4,
                         noise=0.0, t_max=20)
     demonstrator = ScriptedDemonstrator(env, epsilon=0.0)
-    assert evaluate_policy(demonstrator, env, 20, seed=0) == 1.0
+    rows = _one_hot([demonstrator.act(state, 1.0) for state in env.chain_states()], 4)
+    assert env.success_probability(rows) == 1.0
+    short = StageChainEnv(num_stages=3, steps_per_stage=(3, 3, 2), action_count=4,
+                          noise=0.0, t_max=7)  # one step fewer than the chain is long
+    assert short.success_probability(rows) == 0.0
 
 
-def test_evaluate_policy_rejects_zero_episodes():
-    env = StageChainEnv()
-    with pytest.raises(ValueError):
-        evaluate_policy(RandomPolicy(env.action_count), env, 0, seed=0)
+def test_success_probability_rejects_rows_of_the_wrong_shape():
+    env = StageChainEnv(num_stages=2, steps_per_stage=(2, 2), action_count=3)
+    with pytest.raises(ValueError, match="shape"):
+        env.success_probability(np.full((3, 3), 1 / 3))
+    with pytest.raises(ValueError, match="shape"):
+        env.success_probability(np.full((4, 4), 1 / 4))
 
 
 def _absorption_probability(total_steps: int, p: float, horizon: int) -> float:
@@ -116,8 +128,112 @@ def test_random_policy_matches_markov_chain_oracle():
     # uniform-random commanded actions stay uniform after slip, so progress
     # probability is 1/|A| per step regardless of stage
     expected = _absorption_probability(total_steps=4, p=1 / 3, horizon=8)
-    measured = evaluate_policy(RandomPolicy(3), env, 1000, seed=7)
-    assert measured == pytest.approx(expected, abs=0.05)
+    assert env.success_probability(np.full((4, 3), 1 / 3)) == pytest.approx(expected, abs=1e-12)
+
+
+class _ScriptedSlip:
+    """The generator of one ``step``: no slip if ``slip_to`` is None, else a slip to it."""
+
+    def __init__(self, slip_to):
+        self.slip_to = slip_to
+
+    def random(self) -> float:
+        return 0.0 if self.slip_to is not None else 1.0
+
+    def integers(self, high) -> int:
+        return self.slip_to
+
+
+def _enumerated_success(env: StageChainEnv, actions) -> float:
+    """Success probability summed over every sequence of slip outcomes.
+
+    Each path replays the environment from ``reset`` with the deterministic
+    actor ``actions`` (one action per chain state) and a scripted slip per step.
+    """
+    index = {state.tobytes(): i for i, state in enumerate(env.chain_states())}
+    outcomes = [(None, 1.0 - env.noise)] + [
+        (a, env.noise / env.action_count) for a in range(env.action_count)]
+    total, frontier = 0.0, [((), 1.0)]
+    while frontier:
+        path, prob = frontier.pop()
+        for slip_to, p in outcomes:
+            obs = env.reset()
+            for step in path + (slip_to,):
+                obs, _, done, _, success = env.step(actions[index[obs.tobytes()]],
+                                                    _ScriptedSlip(step))
+            if success:
+                total += prob * p
+            elif not done:
+                frontier.append((path + (slip_to,), prob * p))
+    return total
+
+
+@pytest.mark.parametrize("t_max", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("steps, noise, seed", [((2, 1), 0.3, 0), ((1, 1, 1), 0.5, 1),
+                                                 ((1, 2, 1), 0.05, 2)])
+def test_success_probability_equals_enumerated_slip_outcomes(t_max, steps, noise, seed):
+    env = StageChainEnv(num_stages=len(steps), steps_per_stage=steps, action_count=3,
+                        noise=noise, t_max=t_max)
+    actions = np.random.default_rng(seed).integers(3, size=sum(steps)).tolist()
+    expected = _enumerated_success(env, actions)
+    assert env.success_probability(_one_hot(actions, 3)) == pytest.approx(expected, abs=1e-12)
+
+
+class _TableActor:
+    """Draws its action from one row of ``rows`` per chain state."""
+
+    def __init__(self, env: StageChainEnv, rows: np.ndarray):
+        self.index = {state.tobytes(): i for i, state in enumerate(env.chain_states())}
+        self.cdf = rows.cumsum(axis=1)
+        self.cdf /= self.cdf[:, -1:]
+
+    def act(self, state, rtg, rng=None) -> int:
+        return int(self.cdf[self.index[state.tobytes()]].searchsorted(rng.random(), side="right"))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(steps=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       action_count=st.integers(2, 4), noise=st.floats(0.0, 0.9),
+       t_max=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_success_probability_matches_rollout_mean(steps, action_count, noise, t_max, seed):
+    env = StageChainEnv(num_stages=len(steps), steps_per_stage=steps,
+                        action_count=action_count, noise=noise, t_max=t_max)
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(action_count), size=sum(steps))
+    exact = env.success_probability(rows)
+    episodes = 1000
+    actor = _TableActor(env, rows)
+    mean = np.mean([rollout(env, actor, rng)[1] for _ in range(episodes)])
+    # Four standard errors, and one episode's worth where exact lies near 0 or 1.
+    assert abs(mean - exact) <= 4 * math.sqrt(exact * (1 - exact) / episodes) + 1 / episodes
+
+
+def test_evaluation_takes_the_greedy_rows_at_the_rtg_target(monkeypatch):
+    cfg = replace(TINY, rtg_target=0.5)
+    states = cfg.make_env().chain_states()
+    original = LinearSoftmaxPolicy.act
+    greedy_rtgs = []
+
+    def act(self, state, rtg, rng=None, greedy=False):
+        if greedy:
+            greedy_rtgs.append(rtg)
+        return original(self, state, rtg, rng=rng, greedy=greedy)
+
+    monkeypatch.setattr(LinearSoftmaxPolicy, "act", act)
+    result = run_loop(cfg, Variant.FULL, seed=5)
+    assert greedy_rtgs == [0.5] * (len(states) * len(result.metrics))
+
+
+def test_evaluate_policy_is_the_chain_probability_of_its_rows():
+    env = TINY.make_env()
+    policy = LinearSoftmaxPolicy(state_dim=env.state_dim, action_count=env.action_count,
+                                 seed=3)
+    states = env.chain_states()
+    greedy = _one_hot([policy.act(state, 0.5, greedy=True) for state in states],
+                      env.action_count)
+    sampled = np.array([policy.action_probabilities(state, 0.5) for state in states])
+    assert evaluate_policy(policy, env, 0.5) == (env.success_probability(greedy),
+                                                 env.success_probability(sampled))
 
 
 def test_observations_are_the_per_step_formula_and_read_only():
@@ -330,22 +446,31 @@ def test_selection_events_reference_valid_windows():
     assert [event["Y"] for event in result.selection_events] == [[16, 52], [45, 46]]
 
 
-# A tiny run that learns enough that its greedy evaluations succeed only in part.
-LEARNING = replace(TINY, learning_rate=0.1, pretrain_steps=60, episodes=6, eval_episodes=20)
+# A tiny run that learns enough that its greedy policy succeeds only in part.
+LEARNING = replace(TINY, learning_rate=0.1, pretrain_steps=60, episodes=6)
+PARTIAL = 0.22876749816486674  # the greedy chance of success with stalls in the chain
+SAMPLED_SUCCESS = {
+    Variant.FULL: [0.9733091774425092, 0.8801064822916412, 0.7637435248823687],
+    Variant.QUALITY_ONLY: [0.9729613975227364, 0.8894703744688635, 0.7626605078951955],
+    Variant.DIVERSITY_ONLY: [0.9761835291420335, 0.8725347858144046, 0.7475284087008432],
+    Variant.UNIFORM: [0.9975870473249436, 0.9855013774292171, 0.8091096871634864],
+}
 
 
 @pytest.mark.parametrize("variant, wins", [
-    (Variant.FULL, [7, 6, 6]),
-    (Variant.QUALITY_ONLY, [7, 6, 6]),
-    (Variant.DIVERSITY_ONLY, [20, 6, 6]),
-    (Variant.UNIFORM, [20, 6, 6]),
+    (Variant.FULL, [PARTIAL, PARTIAL, PARTIAL]),
+    (Variant.QUALITY_ONLY, [PARTIAL, PARTIAL, PARTIAL]),
+    (Variant.DIVERSITY_ONLY, [0.9999999625815659, PARTIAL, PARTIAL]),
+    (Variant.UNIFORM, [0.9999999625815659, PARTIAL, PARTIAL]),
 ])
 def test_success_rates_are_pinned(variant, wins):
-    # Pinned wins out of eval_episodes: drift in the collection or evaluation
-    # rollouts' random stream moves them even where the selected ids stay put.
+    # Pinned exact chances of a win at each evaluation: drift in the collection
+    # stream or in the evaluation's rows moves them even where the selected ids
+    # stay put. The greedy ones are bit-exact, since its rows are one-hot.
     result = run_loop(LEARNING, variant, seed=5)
-    assert [m.success_rate for m in result.metrics] == [
-        w / LEARNING.eval_episodes for w in wins]
+    assert [m.success_rate for m in result.metrics] == wins
+    assert [m.sampled_success for m in result.metrics] == pytest.approx(
+        SAMPLED_SUCCESS[variant], rel=1e-12)
 
 
 def _unmemoised_act(policy, state, rtg, rng=None, greedy=False):

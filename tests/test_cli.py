@@ -224,7 +224,7 @@ def test_loop_writes_metrics_and_audit(tmp_path):
     assert main(["loop", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
     lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
-    assert lines[1] == "variant,seed,step,success,diversity,redundancy,episodes"
+    assert lines[1] == "variant,seed,step,success,diversity,redundancy,episodes,sampled_success"
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 2  # episodes=4, eval_every=2
     assert all(row[0] == "FULL" and row[1] == "5" for row in rows)
@@ -304,7 +304,7 @@ def test_ablate_requires_two_seeds(tmp_path, capsys):
 
 
 def test_ablate_table_shape_and_duplicate_seed_ci(tmp_path, capsys):
-    # Shorter stages, so success moves between a run's two evaluations (0.0, then 0.25).
+    # Shorter stages, so sampled success moves between a run's two evaluations.
     cfg = write_config(tmp_path, TINY_LOOP + "steps_per_stage = 2,2,1\n")
     out = tmp_path / "out"
     assert main(["ablate", "--config", str(cfg), "--seed", "1", "--seed", "1",
@@ -312,28 +312,31 @@ def test_ablate_table_shape_and_duplicate_seed_ci(tmp_path, capsys):
     lines = (out / "ablation.csv").read_text().splitlines()
     assert lines[1].split(",")[0] == "variant"
     assert lines[1] == ("variant,success_mean,success_ci,redundancy_mean,redundancy_ci,"
-                        "diversity_mean,diversity_ci,rare_stage_mean,rare_stage_ci")
+                        "diversity_mean,diversity_ci,rare_stage_mean,rare_stage_ci,"
+                        "sampled_success_mean,sampled_success_ci")
     assert capsys.readouterr().out.splitlines()[0] == (
         "variant                  success       redundancy        diversity")
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 4
     header = lines[1].split(",")
-    # success_mean is the mean over the two runs of each run's last-step success;
+    # Each success mean is the mean over the two runs of each run's last-step value;
     # a variant's rows in ablation_runs.csv are its first run's, then its second's.
     runs = (out / "ablation_runs.csv").read_text().splitlines()
     run_header = runs[1].split(",")
     success = {}
     for line in runs[2:]:
         run = dict(zip(run_header, line.split(",")))
-        success.setdefault(run["variant"], []).append(float(run["success"]))
+        for name in ("success", "sampled_success"):
+            success.setdefault((run["variant"], name), []).append(float(run[name]))
     for row in rows:
         record = dict(zip(header, row))
-        assert float(record["success_ci"]) == 0.0
         assert float(record["diversity_ci"]) == 0.0
-        steps = success[record["variant"]]
-        assert len(steps) % 2 == 0
-        last_steps = [steps[len(steps) // 2 - 1], steps[-1]]
-        assert float(record["success_mean"]) == np.mean(last_steps)
+        for name in ("success", "sampled_success"):
+            assert float(record[f"{name}_ci"]) == 0.0
+            steps = success[record["variant"], name]
+            assert len(steps) % 2 == 0
+            last_steps = [steps[len(steps) // 2 - 1], steps[-1]]
+            assert float(record[f"{name}_mean"]) == np.mean(last_steps)
     assert any(steps[0] != steps[-1] for steps in success.values())
 
 

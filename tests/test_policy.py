@@ -259,6 +259,25 @@ def test_sampled_act_draws_as_rng_choice(p, seed):
     assert policy.act(state, 0.0, greedy=True) == reference_act(policy, state, 0.0, greedy=True)
 
 
+@settings(max_examples=100, deadline=None)
+@given(p=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=8))
+def test_action_probabilities_are_the_softmax_that_act_samples(p):
+    count = len(p)
+    policy = LinearSoftmaxPolicy(state_dim=count, action_count=count,
+                                 projection=np.eye(count, count + 1), seed=0)
+    policy.weights = np.eye(count)
+    state = np.log(p)
+    probs = policy.action_probabilities(state, 0.0)
+    np.testing.assert_allclose(probs, np.array(p) / sum(p), rtol=1e-12, atol=1e-15)
+    # A draw in the middle of an action's share of [0, 1) picks that action.
+    middles = np.cumsum(probs) - probs / 2
+    for action, middle in enumerate(middles):
+        class Draw:
+            def random(self):
+                return middle
+        assert policy.act(state, 0.0, rng=Draw()) == action
+
+
 def test_act_memo_is_dropped_when_weights_are_rebound():
     rng = np.random.default_rng(41)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=42)
