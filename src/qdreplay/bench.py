@@ -309,6 +309,21 @@ class LoopConfig:
             raise ValueError(f"sigma must be median or > 0, got {self.sigma}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if not 0.0 <= self.demo_epsilon <= 1.0:
+            raise ValueError(f"demo_epsilon must be in [0, 1], got {self.demo_epsilon}")
+        if self.feature_dim < 1 or self.capacity < 1:
+            raise ValueError("feature_dim and capacity must be >= 1")
+        if not 0.0 <= self.smoothing_alpha < math.inf:
+            raise ValueError(
+                f"smoothing_alpha must be finite and >= 0, got {self.smoothing_alpha}")
+        if not math.isfinite(self.rtg_target):
+            raise ValueError(f"rtg_target must be finite, got {self.rtg_target}")
+        if self.warmup_episodes < 0 or self.pretrain_steps < 0:
+            raise ValueError("warmup_episodes and pretrain_steps must be >= 0")
         QualityWeights(self.alpha, self.beta, self.zeta)
         self.make_env()  # the environment's own parameter checks
 

@@ -39,8 +39,9 @@ KNOWN_KEYS = set(_FIELD_TYPES) | {"seeds", "variant", "buffer", "out"}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Plain key = value lines; '#' starts a comment; unknown keys rejected."""
+    """Plain key = value lines; '#' starts a comment; unknown and repeated keys rejected."""
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -54,7 +55,11 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in KNOWN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice "
+                              f"(lines {first_line[key]} and {lineno})")
         raw[key] = value
+        first_line[key] = lineno
     return raw
 
 
@@ -105,6 +110,9 @@ def build_settings(raw: dict[str, str], args: argparse.Namespace) -> RunSettings
             raise ConfigError(f"seeds must be comma-separated integers: {raw['seeds']!r}") from exc
     if seeds is None:
         seeds = [0]
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"seeds must be non-negative integers, got seed {seed}")
 
     variant_name = getattr(args, "variant", None) or raw.get("variant", "FULL")
     try:

@@ -222,9 +222,11 @@ class LinearSoftmaxPolicy:
         except IndexError as exc:
             raise ValueError(f"actions must lie in [0, {self.action_count})") from exc
         loss = float(np.dot(step_w, logz - picked))
-        probs = np.exp(logits - logz[:, None])
-        probs[taken] -= 1.0
-        return loss, feats, probs * step_w[:, None]
+        logits -= logz[:, None]  # the logits become the gradient in place, op for op
+        dlogits = np.exp(logits, out=logits)
+        dlogits[taken] -= 1.0
+        dlogits *= step_w[:, None]
+        return loss, feats, dlogits
 
     def batch_loss(self, batch: WindowBatch, weights: Sequence[float]) -> float:
         """Weighted negative log-likelihood of the taken actions."""
@@ -239,7 +241,8 @@ class LinearSoftmaxPolicy:
         if len(batch) == 0:
             return 0.0
         w = np.asarray(weights, dtype=float)
-        if not np.isfinite(w).all() or (w <= 0).any():
+        # A NaN fails the min's comparison, so the check rejects it like any weight <= 0.
+        if w.size and not (w.min() > 0.0 and w.max() < np.inf):
             raise ValueError("weights must be positive and finite")
         loss, feats, dlogits = self._batch_terms(batch, w)
         grad = feats.T @ dlogits

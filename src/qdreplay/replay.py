@@ -62,7 +62,7 @@ def mixed_sample(
     selection = np.asarray(selection, dtype=np.int64)
     if eta > 0.0 and not selection.size:
         raise ValueError("selection must be non-empty when eta > 0")
-    if ((selection < 0) | (selection >= pool_size)).any():
+    if selection.size and (selection.min() < 0 or selection.max() >= pool_size):
         raise ValueError("selection indices must lie inside the pool")
 
     rng = np.random.default_rng(seed)
@@ -77,23 +77,29 @@ def mixed_sample(
     in_selection = (ids[:, None] == selection).any(axis=1)
     probs = np.where(in_selection, inclusion_probability(True, size, pool_size, eta),
                      inclusion_probability(False, size, pool_size, eta))
+    from_selection = np.zeros(batch_size, dtype=bool)
+    from_selection[:n_selected] = True
     return MixedBatch(
         ids=ids,
-        from_selection=np.arange(batch_size) < n_selected,
+        from_selection=from_selection,
         probabilities=probs,
         weights=(1.0 / pool_size) / probs,
     )
 
 
 def normalize_weights(batch: MixedBatch, mode: WeightMode = WeightMode.RAW) -> MixedBatch:
-    """RAW keeps the unbiased weights; MEAN_ONE rescales to batch-mean 1."""
+    """RAW keeps the unbiased weights; MEAN_ONE rescales to batch-mean 1.
+
+    Any weight <= 0 is rejected; a NaN is not, and does not hide one
+    (``fmin`` skips NaNs).
+    """
     weights = batch.weights
-    if (weights <= 0).any():
+    if weights.size and np.fmin.reduce(weights, axis=None) <= 0:
         raise ValueError("batch weights must be positive")
     if mode is WeightMode.RAW or not weights.size:
         return batch
     return MixedBatch(batch.ids, batch.from_selection, batch.probabilities,
-                      weights / weights.mean())
+                      weights / (weights.sum() / weights.size))  # np.mean's arithmetic
 
 
 def estimate_uniform_mean(

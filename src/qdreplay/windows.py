@@ -213,6 +213,7 @@ class ReplayBuffer:
         self._episodes = _Columns(**{name: np.zeros(0, dtype=np.int64)
                                      for name in ("id", "row", "length")})
         self._next_id = 0
+        self._offsets: dict[int, np.ndarray] = {}  # _window_offsets per horizon, until _append
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -306,6 +307,7 @@ class ReplayBuffer:
                 episode = np.repeat(ids, lengths)[row]
                 raise _RowError(row, f"episode {episode}, step {step[row]}: {message}")
 
+        self._offsets = {}
         first_row = self._rows.first + len(self._rows)
         self._rows.extend(
             states=states,
@@ -328,11 +330,20 @@ class ReplayBuffer:
     # ------------------------------------------------------------ window ids
 
     def _window_offsets(self, horizon: int) -> np.ndarray:
-        """Id of each stored episode's first window, plus the window count at the end."""
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        starts = np.maximum(self._episodes["length"] - horizon + 1, 0)
-        return np.concatenate(([0], np.cumsum(starts)))
+        """Id of each stored episode's first window, plus the window count at the end.
+
+        Read-only, and kept per horizon until the next append adds or evicts
+        episodes.
+        """
+        offsets = self._offsets.get(horizon)
+        if offsets is None:
+            if horizon < 1:
+                raise ValueError("horizon must be >= 1")
+            starts = np.maximum(self._episodes["length"] - horizon + 1, 0)
+            offsets = np.concatenate(([0], np.cumsum(starts)))
+            offsets.flags.writeable = False
+            self._offsets[horizon] = offsets
+        return offsets
 
     def window_count(self, horizon: int) -> int:
         """Number of valid length-``horizon`` windows, i.e. one past the largest id."""
@@ -373,16 +384,16 @@ class ReplayBuffer:
         return list(zip(self._episodes["id"][episode].tolist(), start.tolist()))
 
     def gather(self, ids, horizon: int) -> WindowBatch:
-        """The windows with the given ids as (B, H, ...) arrays, by one fancy index per field."""
+        """The windows with the given ids as (B, H, ...) arrays, by one ``take`` per field."""
         episode, start = self._locate(ids, horizon)
         first = self._episodes["row"][episode] - self._rows.first + start
         rows = first[:, None] + np.arange(horizon)
         return WindowBatch(
-            states=self._rows["states"][rows],
-            actions=self._rows["actions"][rows],
-            rewards=self._rows["rewards"][rows],
-            rtg=self._rows["rtg"][rows],
-            stages=self._rows["stages"][rows],
+            states=self._rows["states"].take(rows, axis=0),
+            actions=self._rows["actions"].take(rows, axis=0),
+            rewards=self._rows["rewards"].take(rows),
+            rtg=self._rows["rtg"].take(rows),
+            stages=self._rows["stages"].take(rows),
             episode_ids=self._episodes["id"][episode],
             starts=start,
         )

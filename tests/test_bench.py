@@ -589,6 +589,11 @@ def test_config_validation_catches_bad_values():
         with pytest.raises(ValueError):
             replace(TINY, **bad).validate()
     replace(TINY, lam=0.0, sigma=0.5, gamma=0.5).validate()
+    # The closed ends of the remaining ranges are allowed.
+    replace(TINY, learning_rate=0.0, dropout_rate=0.0, demo_epsilon=1.0, feature_dim=1,
+            capacity=1, smoothing_alpha=0.0, rtg_target=-2.0, warmup_episodes=0,
+            pretrain_steps=0).validate()
+    replace(TINY, demo_epsilon=0.0).validate()
 
 
 # -------------------------------------------------------------------- ablation

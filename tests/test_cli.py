@@ -191,13 +191,41 @@ def test_unparseable_number_exits_2_naming_key(tmp_path, capsys, line):
     assert repr(line.split(" = ")[0]) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["lam = -0.1", "sigma = 0", "slip = 1.0",
-                                  "steps_per_stage = 12,12", "gamma = 2", "t_max = 0"])
+@pytest.mark.parametrize("line", [
+    "lam = -0.1", "sigma = 0", "slip = 1.0", "steps_per_stage = 12,12", "gamma = 2", "t_max = 0",
+    "learning_rate = -1", "learning_rate = nan", "learning_rate = inf", "dropout_rate = 1.0",
+    "dropout_rate = -0.1", "demo_epsilon = 2", "demo_epsilon = -0.5", "feature_dim = 0",
+    "capacity = 0", "smoothing_alpha = -1", "smoothing_alpha = nan", "rtg_target = nan",
+    "rtg_target = -inf", "warmup_episodes = -1", "pretrain_steps = -1"])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, line):
     cfg = write_config(tmp_path, line + "\n")
     out = tmp_path / "out"
     assert main(["loop", "--config", str(cfg), "--out", str(out)]) == 2
     assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, bad", [
+    (["loop", "--seed", "-1"], -1),
+    (["select", "BUFFER", "--seed", "-3"], -3),
+    (["ablate", "--seed", "1", "--seed", "-2"], -2),
+    (["loop", "--config", "CONFIG"], -5),
+], ids=["loop", "select", "ablate", "seeds key"])
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, buffer_file, args, bad):
+    cfg = write_config(tmp_path, "seeds = 4,-5\n")
+    paths = {"BUFFER": str(buffer_file), "CONFIG": str(cfg)}
+    out = tmp_path / "out"
+    assert main([paths.get(arg, arg) for arg in args] + ["--out", str(out)]) == 2
+    assert f"seed {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_key_given_twice_exits_2_naming_both_lines(tmp_path, capsys):
+    cfg = write_config(tmp_path, "eta = 0.5\n# a comment\nhorizon = 6\neta = 0.6\n")
+    out = tmp_path / "out"
+    assert main(["loop", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'eta' given twice (lines 1 and 4)" in err and f"{cfg}:4" in err
     assert not out.exists()
 
 
@@ -305,7 +333,8 @@ def test_ablate_requires_two_seeds(tmp_path, capsys):
 
 def test_ablate_table_shape_and_duplicate_seed_ci(tmp_path, capsys):
     # Shorter stages, so sampled success moves between a run's two evaluations.
-    cfg = write_config(tmp_path, TINY_LOOP + "steps_per_stage = 2,2,1\n")
+    cfg = write_config(tmp_path, TINY_LOOP.replace("steps_per_stage = 4,4,2",
+                                                   "steps_per_stage = 2,2,1"))
     out = tmp_path / "out"
     assert main(["ablate", "--config", str(cfg), "--seed", "1", "--seed", "1",
                  "--out", str(out)]) == 0

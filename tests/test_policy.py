@@ -476,3 +476,46 @@ def test_logsumexp_rows_matches_the_row_max_formula_bit_for_bit(data):
     if data.draw(st.booleans(), label="fortran order"):
         x = np.asfortranarray(x)
     assert _logsumexp_rows(x).tobytes() == _row_max_logsumexp(x).tobytes()
+
+
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1e-300, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_weighted_update_weight_check_matches_the_mask_expression(data):
+    shape = data.draw(st.sampled_from([(), (0,), (2,), (3,), (4,), (3, 1), (1, 3)]), label="shape")
+    weights = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3) | _SPECIAL),
+                        label="weights")
+    batch = random_batch(np.random.default_rng(0), count=3)
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=0)
+    old_rejects = not np.isfinite(weights).all() or (weights <= 0).any()  # the check as it was
+    try:
+        policy.weighted_update(batch, weights, learning_rate=0.0)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    if old_rejects:
+        assert message == "weights must be positive and finite"
+    elif shape != (3,):
+        assert message == f"expected 3 weights, got shape {shape}"
+    else:
+        assert message is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 6))
+def test_batch_terms_gradient_is_the_written_out_formula(seed, count):
+    rng = np.random.default_rng(seed)
+    batch = random_batch(rng, count=count)
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=seed)
+    weights = rng.random(count) + 0.1
+    loss, feats, dlogits = policy._batch_terms(batch, weights)
+    # The gradient in the logits, op for op as a fresh array: softmax minus the one-hot, weighted.
+    taken = (np.arange(4 * count), batch.actions.ravel())
+    step_w = np.repeat(weights, 4)
+    logits = feats @ policy.weights
+    probs = np.exp(logits - _logsumexp_rows(logits)[:, None])
+    probs[taken] -= 1.0
+    assert dlogits.tobytes() == (probs * step_w[:, None]).tobytes()
+    assert loss == float(np.dot(step_w, _logsumexp_rows(logits) - logits[taken]))

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qdreplay.replay import (
     MixedBatch,
@@ -198,3 +201,42 @@ def test_mixed_sample_is_pinned(args, ids, from_selection, probabilities, weight
     assert batch.probabilities.tolist() == probabilities
     assert batch.weights.tolist() == weights
     assert normalize_weights(batch, WeightMode.MEAN_ONE).weights.tolist() == mean_one
+
+
+# Weights with NaN, both infinities, both zeros, negatives and empty arrays.
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300, 1.0])
+_WEIGHTS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                                   max_side=6),
+                      elements=st.floats(-1e6, 1e6) | _SPECIAL)
+
+
+def _error(call) -> str | None:
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(weights=_WEIGHTS, mode=st.sampled_from(WeightMode))
+def test_normalize_weights_check_matches_the_mask_expression(weights, mode):
+    batch = MixedBatch(np.zeros(weights.shape, dtype=np.int64), np.zeros(weights.shape, bool),
+                       np.ones(weights.shape), weights)
+    old_rejects = (weights <= 0).any()  # the check as it was: a mask, then any
+    expected = "batch weights must be positive" if old_rejects else None
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf weights are let through
+        assert _error(lambda: normalize_weights(batch, mode)) == expected
+        if not old_rejects and mode is WeightMode.MEAN_ONE and weights.size:
+            old = weights / weights.mean()
+            assert normalize_weights(batch, mode).weights.tobytes() == old.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection=hnp.arrays(np.int64, st.integers(0, 6), elements=st.integers(-4, 12)),
+       pool_size=st.integers(1, 10))
+def test_mixed_sample_selection_check_matches_the_mask_expression(selection, pool_size):
+    old_rejects = ((selection < 0) | (selection >= pool_size)).any()
+    expected = "selection indices must lie inside the pool" if old_rejects else None
+    eta = 0.5 if selection.size else 0.0
+    assert _error(lambda: mixed_sample(selection, pool_size, 4, eta, 0)) == expected

@@ -198,6 +198,24 @@ def test_first_append_into_an_empty_buffer_copies_every_column():
                                       original[name])
 
 
+def test_window_offsets_are_cached_read_only_until_an_append():
+    buf = ReplayBuffer(capacity=30, gamma=0.9)
+    buf.append_episode(make_episode(0, 10))
+    offsets = buf._window_offsets(3)
+    assert buf._window_offsets(3) is offsets and offsets.tolist() == [0, 8]
+    with pytest.raises(ValueError, match="read-only"):
+        offsets[0] = 1
+    for horizon in (0, -1):  # the cache is warm, and a bad horizon still raises
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            buf.window_count(horizon)
+    buf.append_episode(make_episode(1, 12))
+    assert buf.window_count(3) == 8 + 10
+    buf.append_episode(make_episode(2, 15))  # evicts episode 0
+    assert buf.window_count(3) == 10 + 13
+    assert buf.window_ids([1, 2], [0, 0], 3).tolist() == [0, 10]
+    assert offsets.tolist() == [0, 8]  # an array handed out before keeps its values
+
+
 def test_empty_buffer_has_no_windows(tmp_path):
     buf = ReplayBuffer(capacity=10, gamma=0.9)
     assert len(buf) == 0 and len(buf.episodes) == 0 and buf.state_dim is None
