@@ -18,7 +18,7 @@ from .kernels import greedy_map  # noqa: F401  perfbench/tracing.py wraps it by 
 from .policy import LinearSoftmaxPolicy, SequencePolicy
 from .replay import WeightMode, mixed_sample, normalize_weights
 from .scoring import QualityWeights, composite_quality
-from .windows import Episode, EpisodeArrays, ReplayBuffer, WindowBatch
+from .windows import Episode, EpisodeArrays, NoValidWindowsError, ReplayBuffer, WindowBatch
 
 DIVERSITY_EPS = 1e-6
 
@@ -480,6 +480,7 @@ def run_loop(
     pseudo_rng = np.random.default_rng(pseudo_ss)
 
     result = RunResult(variant=variant, seed=seed, metrics=[], selection_events=[])
+    eta = 0.0 if variant is Variant.UNIFORM else config.eta
     selection: WindowSelection | None = None
     y_ids = np.zeros(0, dtype=np.int64)  # the selection's window ids in the buffer
     grad_step = 0
@@ -508,21 +509,21 @@ def run_loop(
         transitions, _ = rollout(env, policy, collect_rng, config.rtg_target)
         buffer.append_episode(Episode(id=buffer.new_episode_id(), transitions=transitions))
         window_count = buffer.window_count(config.horizon)
+        if not window_count:
+            raise NoValidWindowsError(
+                f"no valid windows: no stored episode has length >= {config.horizon}")
         if variant is not Variant.UNIFORM and selection is not None:
             y_ids = selection_global_ids()  # eviction drops windows and shifts ids
 
         for _ in range(config.updates_per_episode):
-            if variant is Variant.UNIFORM:
-                batch = mixed_sample([], window_count, config.batch_size, 0.0, replay_rng)
-            else:
+            if variant is not Variant.UNIFORM:
                 if selection is None or grad_step % config.refresh_period == 0:
                     refresh()
                 if not y_ids.size:  # selection fully evicted: rebuild off-cadence
                     refresh()
-                batch = mixed_sample(y_ids, window_count, config.batch_size, config.eta,
-                                     replay_rng)
-            batch = normalize_weights(batch, config.weight_mode)
-            policy.weighted_update(buffer.gather(batch.ids, config.horizon), batch.weights,
+            ids, weights = mixed_sample(y_ids, window_count, config.batch_size, eta, replay_rng)
+            policy.weighted_update(buffer.gather(ids, config.horizon),
+                                   normalize_weights(weights, config.weight_mode),
                                    config.learning_rate)
             grad_step += 1
 

@@ -101,6 +101,10 @@ def build_settings(raw: dict[str, str], args: argparse.Namespace) -> RunSettings
         loop.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # select's episodes come from its dump, not from the environment's t_max.
+    if args.command != "select" and loop.horizon > loop.t_max:
+        raise ConfigError(f"horizon ({loop.horizon}) must be <= t_max ({loop.t_max}): "
+                          "no episode is long enough for one window")
 
     seeds = [int(s) for s in args.seed] if args.seed else None
     if seeds is None and "seeds" in raw:

@@ -213,14 +213,15 @@ class LinearSoftmaxPolicy:
         feats = self._batch_features(batch)
         if weights.shape != (count,):
             raise ValueError(f"expected {count} weights, got shape {weights.shape}")
-        taken = (np.arange(count * horizon), np.asarray(batch.actions, dtype=int).ravel())
+        actions = np.asarray(batch.actions, dtype=int).ravel()
+        if actions.shape != (count * horizon,) or (
+                actions.size and not 0 <= actions.min() <= actions.max() < self.action_count):
+            raise ValueError(f"actions must lie in [0, {self.action_count})")
+        taken = (np.arange(count * horizon), actions)
         step_w = np.repeat(weights, horizon)
         logits = feats @ self.weights
         logz = _logsumexp_rows(logits)
-        try:
-            picked = logits[taken]
-        except IndexError as exc:
-            raise ValueError(f"actions must lie in [0, {self.action_count})") from exc
+        picked = logits[taken]
         loss = float(np.dot(step_w, logz - picked))
         logits -= logz[:, None]  # the logits become the gradient in place, op for op
         dlogits = np.exp(logits, out=logits)

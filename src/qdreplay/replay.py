@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -15,46 +14,30 @@ class WeightMode(Enum):
     MEAN_ONE = "MEAN_ONE"  # self-normalized, lower variance
 
 
-@dataclass(frozen=True)
-class MixedBatch:
-    """The window ids of one gradient step, with mixture probabilities and weights.
-
-    ``ids`` (int64) go to ``ReplayBuffer.gather`` as they are. ``probabilities[i]``
-    is the per-draw probability of window ``ids[i]`` under the whole mixture,
-    whichever stream (``from_selection[i]``) drew it; ``weights[i]`` is (1/|D|) / p_i.
-    """
-
-    ids: np.ndarray
-    from_selection: np.ndarray
-    probabilities: np.ndarray
-    weights: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def inclusion_probability(in_selection: bool, selection_size: int, pool_size: int,
+def inclusion_probability(in_selection: bool, selection_size: int, window_count: int,
                           eta: float) -> float:
     """Per-draw probability of one window under the mixed-replay distribution."""
     selected_term = eta / selection_size if in_selection else 0.0
-    return selected_term + (1.0 - eta) / pool_size
+    return selected_term + (1.0 - eta) / window_count
 
 
 def mixed_sample(
     selection: Sequence[int],
-    pool_size: int,
+    window_count: int,
     batch_size: int,
     eta: float,
     seed,
-) -> MixedBatch:
-    """Compose a batch: floor(eta*B) draws from the selection, rest from the pool.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Compose a batch: floor(eta*B) draws from the selection, rest from all windows.
 
-    Both sub-batches draw uniformly with replacement; that keeps the
-    per-draw probability formula exact. The selection's draws come first in
-    ``ids``. Deterministic given the seed.
+    Returns ``(ids, weights)``: int64 window ids for ``ReplayBuffer.gather``,
+    the selection's draws first, and each id's RAW weight (1/|D|) / p, where p
+    is its per-draw probability under the whole mixture, whichever stream
+    drew it. Both sub-batches draw uniformly with replacement; that keeps the
+    per-draw probability formula exact. Deterministic given the seed.
     """
-    if pool_size <= 0:
-        raise ValueError("pool_size must be positive")
+    if window_count <= 0:
+        raise ValueError("window_count must be positive")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if not 0.0 <= eta <= 1.0:
@@ -62,7 +45,7 @@ def mixed_sample(
     selection = np.asarray(selection, dtype=np.int64)
     if eta > 0.0 and not selection.size:
         raise ValueError("selection must be non-empty when eta > 0")
-    if selection.size and (selection.min() < 0 or selection.max() >= pool_size):
+    if selection.size and (selection.min() < 0 or selection.max() >= window_count):
         raise ValueError("selection indices must lie inside the pool")
 
     rng = np.random.default_rng(seed)
@@ -71,58 +54,23 @@ def mixed_sample(
     if n_selected:
         ids[:n_selected] = selection[rng.integers(0, selection.size, size=n_selected)]
     if n_selected < batch_size:
-        ids[n_selected:] = rng.integers(0, pool_size, size=batch_size - n_selected)
+        ids[n_selected:] = rng.integers(0, window_count, size=batch_size - n_selected)
 
     size = max(selection.size, 1)
     in_selection = (ids[:, None] == selection).any(axis=1)
-    probs = np.where(in_selection, inclusion_probability(True, size, pool_size, eta),
-                     inclusion_probability(False, size, pool_size, eta))
-    from_selection = np.zeros(batch_size, dtype=bool)
-    from_selection[:n_selected] = True
-    return MixedBatch(
-        ids=ids,
-        from_selection=from_selection,
-        probabilities=probs,
-        weights=(1.0 / pool_size) / probs,
-    )
+    probs = np.where(in_selection, inclusion_probability(True, size, window_count, eta),
+                     inclusion_probability(False, size, window_count, eta))
+    return ids, (1.0 / window_count) / probs
 
 
-def normalize_weights(batch: MixedBatch, mode: WeightMode = WeightMode.RAW) -> MixedBatch:
-    """RAW keeps the unbiased weights; MEAN_ONE rescales to batch-mean 1.
+def normalize_weights(weights: np.ndarray, mode: WeightMode = WeightMode.RAW) -> np.ndarray:
+    """RAW keeps the unbiased weights; MEAN_ONE rescales them to mean 1.
 
     Any weight <= 0 is rejected; a NaN is not, and does not hide one
     (``fmin`` skips NaNs).
     """
-    weights = batch.weights
     if weights.size and np.fmin.reduce(weights, axis=None) <= 0:
         raise ValueError("batch weights must be positive")
     if mode is WeightMode.RAW or not weights.size:
-        return batch
-    return MixedBatch(batch.ids, batch.from_selection, batch.probabilities,
-                      weights / (weights.sum() / weights.size))  # np.mean's arithmetic
-
-
-def estimate_uniform_mean(
-    f: Sequence[float],
-    selection: Sequence[int],
-    pool_size: int,
-    batch_size: int,
-    eta: float,
-    trials: int,
-    seed,
-) -> float:
-    """RAW-weighted Monte Carlo estimate of the uniform pool mean of f.
-
-    Debiasing check helper: averages omega_i * f(i) over ``trials`` batches,
-    one weighted sum of ``f[batch.ids]`` per batch, which converges to
-    mean(f) over the whole pool.
-    """
-    values = np.asarray(f, dtype=float)
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    count = 0
-    for _ in range(trials):
-        batch = mixed_sample(selection, pool_size, batch_size, eta, rng)
-        total += float(batch.weights @ values[batch.ids])
-        count += len(batch)
-    return total / count
+        return weights
+    return weights / (weights.sum() / weights.size)  # np.mean's arithmetic

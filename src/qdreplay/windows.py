@@ -17,8 +17,8 @@ class EpisodeArrays:
     ``ReplayBuffer.append_episode`` checks and copies them; rewards and
     states must be finite, stages non-negative, and only the last step done.
     ``actions`` may be anything ``np.asarray`` turns into one array: 1-D is
-    discrete and must be of integer dtype, anything else continuous of its
-    row shape with finite entries.
+    discrete and must be of integer dtype, 2-D continuous, one vector of
+    finite entries per step.
     """
 
     states: np.ndarray   # (T, d_s)
@@ -247,12 +247,12 @@ class ReplayBuffer:
         Episode ``ids[i]`` owns the next ``lengths[i]`` rows; ids are strictly
         increasing. ``actions`` holds one action per row and is taken as
         ``np.asarray`` makes it: 1-D is discrete (non-negative integers,
-        stored as int64), anything else continuous of the row shape (finite,
-        stored as float). That one kind must match the stored column's; a ragged
-        sequence has no kind and is rejected. Every ingest rule on the rows
-        lives here; one broken by a single row raises ``_RowError`` with that
-        row's position. Each column is copied once, into the store, so the
-        buffer never shares an array with its caller.
+        stored as int64), 2-D continuous, one vector per row (finite, stored
+        as float); more dimensions are rejected. That one kind must match the
+        stored column's; a ragged sequence has no kind and is rejected. Every
+        ingest rule on the rows lives here; one broken by a single row raises
+        ``_RowError`` with that row's position. Each column is copied once,
+        into the store, so the buffer never shares an array with its caller.
         """
         try:
             actions = np.asarray(actions)
@@ -276,6 +276,9 @@ class ReplayBuffer:
                 )
         if states.ndim != 2:
             raise ValueError(f"states must be vectors of one length, got shape {states.shape}")
+        if actions.ndim > 2:
+            raise ValueError(f"continuous actions must be one vector per step, "
+                             f"got shape {actions.shape}")
         total = int(lengths.sum())
         if (len(states), len(actions)) != (total, total) or not (
                 rewards.shape == stages.shape == done.shape == (total,)):

@@ -30,7 +30,7 @@ from qdreplay.kernels import (
 )
 from qdreplay.geometry import median_bandwidth, rbf_similarity
 from qdreplay.policy import LinearSoftmaxPolicy
-from qdreplay.replay import estimate_uniform_mean
+from replay_estimate import estimate_uniform_mean
 from qdreplay.scoring import predictive_uncertainty, rtg_quantile, stage_coverage
 from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
 

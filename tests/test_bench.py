@@ -29,7 +29,7 @@ from qdreplay.geometry import median_bandwidth, rbf_similarity
 from qdreplay.kernels import greedy_map, log_det
 from qdreplay.policy import LinearSoftmaxPolicy
 from qdreplay.scoring import composite_quality
-from qdreplay.windows import Episode, ReplayBuffer
+from qdreplay.windows import Episode, NoValidWindowsError, ReplayBuffer
 
 
 TINY = LoopConfig(
@@ -553,6 +553,15 @@ def test_selection_stream_follows_its_windows_through_eviction(monkeypatch):
     run_loop(cfg, Variant.FULL, seed=5,
              audit_callback=lambda event: refreshed.append((event["Y"], windows(event["Y"]))))
     assert len(shifted) == cfg.episodes * cfg.updates_per_episode and any(shifted)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_loop_without_valid_windows_raises_for_every_variant(variant):
+    cfg = replace(TINY, horizon=TINY.t_max + 1)  # no episode can hold a window
+    points = []
+    with pytest.raises(NoValidWindowsError, match="no valid windows"):
+        run_loop(cfg, variant, seed=0, metrics_callback=points.append)
+    assert not points
 
 
 def test_loop_runs_without_warmup_episodes():

@@ -196,7 +196,7 @@ def test_unparseable_number_exits_2_naming_key(tmp_path, capsys, line):
     "learning_rate = -1", "learning_rate = nan", "learning_rate = inf", "dropout_rate = 1.0",
     "dropout_rate = -0.1", "demo_epsilon = 2", "demo_epsilon = -0.5", "feature_dim = 0",
     "capacity = 0", "smoothing_alpha = -1", "smoothing_alpha = nan", "rtg_target = nan",
-    "rtg_target = -inf", "warmup_episodes = -1", "pretrain_steps = -1"])
+    "rtg_target = -inf", "warmup_episodes = -1", "pretrain_steps = -1", "horizon = 61"])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, line):
     cfg = write_config(tmp_path, line + "\n")
     out = tmp_path / "out"
@@ -218,6 +218,22 @@ def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, buffer_file, 
     assert main([paths.get(arg, arg) for arg in args] + ["--out", str(out)]) == 2
     assert f"seed {bad}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["loop", "--variant", "UNIFORM"], ["ablate", "--seed", "1",
+                                                                     "--seed", "2"]])
+def test_horizon_beyond_t_max_exits_2_before_any_output(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "horizon = 9\nt_max = 8\n")
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "horizon (9) must be <= t_max (8)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_select_takes_a_horizon_beyond_t_max(tmp_path, buffer_file):
+    """select's episodes come from the dump, whose longest episode holds 9 steps."""
+    cfg = write_config(tmp_path, "horizon = 9\nt_max = 8\n")
+    assert main(["select", str(buffer_file), "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def test_config_key_given_twice_exits_2_naming_both_lines(tmp_path, capsys):

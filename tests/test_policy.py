@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,20 @@ def test_weighted_update_rejects_actions_beyond_action_count():
         policy.weighted_update(batch, [1.0], learning_rate=0.1)
     with pytest.raises(ValueError, match=r"actions must lie in \[0, 6\)"):
         policy.batch_loss(batch, [1.0])
+    assert policy.weights is before
+
+
+def test_weighted_update_rejects_negative_actions():
+    """-1 would index the last action's logit; the buffer rejects it, a hand-built batch not."""
+    batch = make_batch([([[1.0, 2.0, 3.0]] * 2, [3, 3], [0.0] * 2)])
+    negative = dataclasses.replace(batch, actions=np.array([[-1, -1]]))
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=25)
+    before = policy.weights
+    assert np.isfinite(policy.batch_loss(batch, [1.0]))
+    with pytest.raises(ValueError, match=r"actions must lie in \[0, 4\)"):
+        policy.weighted_update(negative, [1.0], learning_rate=0.1)
+    with pytest.raises(ValueError, match=r"actions must lie in \[0, 4\)"):
+        policy.batch_loss(negative, [1.0])
     assert policy.weights is before
 
 

@@ -9,62 +9,79 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qdreplay.replay import (
-    MixedBatch,
     WeightMode,
-    estimate_uniform_mean,
     inclusion_probability,
     mixed_sample,
     normalize_weights,
 )
+from replay_estimate import estimate_uniform_mean
+
+
+def mixture_weights(ids, selection, window_count, eta) -> np.ndarray:
+    """(1/D) / inclusion_probability(id in Y, |Y|, D, eta) for each id, one id at a time."""
+    return np.array([(1.0 / window_count) / inclusion_probability(
+        i in set(selection), len(selection), window_count, eta) for i in ids])
+
+
+def stream_draws(selection, window_count, batch_size, eta, seed):
+    """The selection's floor(eta * B) draws, then the draws over all windows, from one seed."""
+    rng = np.random.default_rng(seed)
+    n_selected = math.floor(eta * batch_size)
+    picks = np.asarray(selection, dtype=np.int64)[
+        rng.integers(0, len(selection), size=n_selected)] if n_selected else []
+    return list(picks), list(rng.integers(0, window_count, size=batch_size - n_selected))
 
 
 def test_eta_zero_is_plain_uniform_replay():
-    batch = mixed_sample([], pool_size=30, batch_size=12, eta=0.0, seed=0)
-    assert not batch.from_selection.any()
-    np.testing.assert_array_equal(batch.weights, 1.0)
-    np.testing.assert_allclose(batch.probabilities, 1 / 30)
+    ids, weights = mixed_sample([], window_count=30, batch_size=12, eta=0.0, seed=0)
+    assert stream_draws([], 30, 12, 0.0, seed=0) == ([], ids.tolist())
+    np.testing.assert_array_equal(weights, 1.0)
+    assert weights.tobytes() == mixture_weights(ids, [], 30, 0.0).tobytes()
+    assert inclusion_probability(False, 1, 30, 0.0) == pytest.approx(1 / 30)
 
 
 def test_worked_probability_example():
     selection = list(range(10))
-    batch = mixed_sample(selection, pool_size=100, batch_size=20, eta=0.5, seed=1)
-    for idx, p, w in zip(batch.ids, batch.probabilities, batch.weights):
+    ids, weights = mixed_sample(selection, window_count=100, batch_size=20, eta=0.5, seed=1)
+    assert weights.tobytes() == mixture_weights(ids, selection, 100, 0.5).tobytes()
+    assert inclusion_probability(True, 10, 100, 0.5) == pytest.approx(0.055)
+    assert inclusion_probability(False, 10, 100, 0.5) == pytest.approx(0.005)
+    for idx, w in zip(ids, weights):
         if idx in set(selection):
-            assert p == pytest.approx(0.055)
             assert w == pytest.approx(0.01 / 0.055)
         else:
-            assert p == pytest.approx(0.005)
             assert w == pytest.approx(2.0)
 
 
 def test_selection_equal_to_pool_gives_unit_weights():
-    batch = mixed_sample(list(range(8)), pool_size=8, batch_size=16, eta=1.0, seed=2)
-    assert batch.from_selection.all()
-    np.testing.assert_allclose(batch.weights, 1.0)
+    ids, weights = mixed_sample(list(range(8)), window_count=8, batch_size=16, eta=1.0, seed=2)
+    assert stream_draws(range(8), 8, 16, 1.0, seed=2) == (ids.tolist(), [])  # all from Y
+    np.testing.assert_allclose(weights, 1.0)
 
 
 def test_sub_batch_sizes_follow_floor_rule():
-    batch = mixed_sample(list(range(5)), pool_size=50, batch_size=10, eta=0.7, seed=3)
-    selected = batch.ids[batch.from_selection]
-    globals_ = batch.ids[~batch.from_selection]
-    assert len(selected) == math.floor(0.7 * 10) == 7
-    assert len(globals_) == 3
+    selection = [10, 20, 30, 40, 41]
+    ids, _ = mixed_sample(selection, window_count=50, batch_size=10, eta=0.7, seed=3)
+    picks, rest = stream_draws(selection, 50, 10, 0.7, seed=3)
+    assert len(picks) == math.floor(0.7 * 10) == 7
+    assert len(rest) == 3
+    assert ids.tolist() == picks + rest  # the selection's draws first
 
 
 def test_probabilities_sum_to_one_over_pool():
     selection = [2, 5, 9]
-    pool_size = 40
+    window_count = 40
     eta = 0.65
     total = sum(
-        inclusion_probability(i in set(selection), len(selection), pool_size, eta)
-        for i in range(pool_size)
+        inclusion_probability(i in set(selection), len(selection), window_count, eta)
+        for i in range(window_count)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_global_only_weight_bound():
-    batch = mixed_sample([0, 1], pool_size=25, batch_size=40, eta=0.6, seed=4)
-    for idx, w in zip(batch.ids, batch.weights):
+    ids, weights = mixed_sample([0, 1], window_count=25, batch_size=40, eta=0.6, seed=4)
+    for idx, w in zip(ids, weights):
         if idx not in {0, 1}:
             assert w == pytest.approx(1 / (1 - 0.6))
 
@@ -72,61 +89,57 @@ def test_global_only_weight_bound():
 def test_source_flag_records_stream_but_probability_is_mixture():
     # a selected window drawn through the global stream keeps the mixture p
     selection = [0]
-    batch = mixed_sample(selection, pool_size=2, batch_size=400, eta=0.5, seed=5)
-    global_hits = [
-        (p, w) for idx, sel, p, w in zip(batch.ids, batch.from_selection, batch.probabilities,
-                                         batch.weights)
-        if not sel and idx == 0
-    ]
+    ids, weights = mixed_sample(selection, window_count=2, batch_size=400, eta=0.5, seed=5)
+    n_selected = math.floor(0.5 * 400)
+    global_hits = [w for idx, w in zip(ids[n_selected:], weights[n_selected:]) if idx == 0]
     assert global_hits  # with 200 global draws from 2 windows this must occur
     expected_p = 0.5 / 1 + 0.5 / 2
-    for p, w in global_hits:
-        assert p == pytest.approx(expected_p)
+    assert inclusion_probability(True, 1, 2, 0.5) == pytest.approx(expected_p)
+    for w in global_hits:
+        assert w == (1 / 2) / inclusion_probability(True, 1, 2, 0.5)
         assert w == pytest.approx((1 / 2) / expected_p)
 
 
 def test_empty_selection_with_positive_eta_rejected():
     with pytest.raises(ValueError, match="non-empty"):
-        mixed_sample([], pool_size=10, batch_size=4, eta=0.5, seed=0)
+        mixed_sample([], window_count=10, batch_size=4, eta=0.5, seed=0)
 
 
 def test_empty_pool_rejected():
-    with pytest.raises(ValueError, match="pool_size"):
-        mixed_sample([0], pool_size=0, batch_size=4, eta=0.5, seed=0)
+    with pytest.raises(ValueError, match="window_count must be positive"):
+        mixed_sample([0], window_count=0, batch_size=4, eta=0.5, seed=0)
 
 
 def test_sampling_deterministic_per_seed():
-    a = mixed_sample([1, 2], pool_size=9, batch_size=6, eta=0.5, seed=11)
-    b = mixed_sample([1, 2], pool_size=9, batch_size=6, eta=0.5, seed=11)
-    np.testing.assert_array_equal(a.ids, b.ids)
-    np.testing.assert_array_equal(a.from_selection, b.from_selection)
+    a_ids, a_weights = mixed_sample([1, 2], window_count=9, batch_size=6, eta=0.5, seed=11)
+    b_ids, b_weights = mixed_sample([1, 2], window_count=9, batch_size=6, eta=0.5, seed=11)
+    np.testing.assert_array_equal(a_ids, b_ids)
+    np.testing.assert_array_equal(a_weights, b_weights)
 
 
 def test_normalize_mean_one_uniform():
-    batch = mixed_sample([], pool_size=4, batch_size=2, eta=0.0, seed=0)
-    batch = MixedBatch(batch.ids, batch.from_selection, batch.probabilities, np.array([2.0, 2.0]))
-    np.testing.assert_allclose(normalize_weights(batch, WeightMode.MEAN_ONE).weights, [1.0, 1.0])
+    weights = normalize_weights(np.array([2.0, 2.0]), WeightMode.MEAN_ONE)
+    np.testing.assert_allclose(weights, [1.0, 1.0])
 
 
 def test_normalize_mean_one_rescale():
-    batch = mixed_sample([], pool_size=4, batch_size=2, eta=0.0, seed=0)
-    batch = MixedBatch(batch.ids, batch.from_selection, batch.probabilities, np.array([1.0, 3.0]))
-    np.testing.assert_allclose(normalize_weights(batch, WeightMode.MEAN_ONE).weights, [0.5, 1.5])
+    weights = normalize_weights(np.array([1.0, 3.0]), WeightMode.MEAN_ONE)
+    np.testing.assert_allclose(weights, [0.5, 1.5])
 
 
 def test_normalize_raw_is_identity():
-    batch = mixed_sample([0], pool_size=5, batch_size=6, eta=0.5, seed=1)
-    np.testing.assert_array_equal(normalize_weights(batch, WeightMode.RAW).weights, batch.weights)
+    _, weights = mixed_sample([0], window_count=5, batch_size=6, eta=0.5, seed=1)
+    np.testing.assert_array_equal(normalize_weights(weights, WeightMode.RAW), weights)
 
 
 def test_mean_one_preserves_loss_argmin():
     rng = np.random.default_rng(6)
-    batch = mixed_sample([0, 1], pool_size=20, batch_size=10, eta=0.6, seed=7)
-    candidates = [rng.random(len(batch)) for _ in range(5)]
-    raw = normalize_weights(batch, WeightMode.RAW)
-    scaled = normalize_weights(batch, WeightMode.MEAN_ONE)
-    raw_best = min(range(5), key=lambda i: np.dot(raw.weights, candidates[i]))
-    scaled_best = min(range(5), key=lambda i: np.dot(scaled.weights, candidates[i]))
+    ids, weights = mixed_sample([0, 1], window_count=20, batch_size=10, eta=0.6, seed=7)
+    candidates = [rng.random(len(ids)) for _ in range(5)]
+    raw = normalize_weights(weights, WeightMode.RAW)
+    scaled = normalize_weights(weights, WeightMode.MEAN_ONE)
+    raw_best = min(range(5), key=lambda i: np.dot(raw, candidates[i]))
+    scaled_best = min(range(5), key=lambda i: np.dot(scaled, candidates[i]))
     assert raw_best == scaled_best
 
 
@@ -151,8 +164,9 @@ def test_raw_weights_debias_to_uniform_mean():
 
 # Exact outputs of the per-entry implementation (a list of (id, stream) tuples
 # and one probability per entry), taken before mixed_sample returned arrays:
-# (selection, pool_size, batch_size, eta, seed) -> ids, from_selection,
-# probabilities, RAW weights, MEAN_ONE weights.
+# (selection, window_count, batch_size, eta, seed) -> ids, whether each
+# position is a selection draw, each id's mixture probability, RAW weights,
+# MEAN_ONE weights.
 PINNED_BATCHES = [
     # eta = 0: plain uniform replay
     (([], 7, 5, 0.0, 21),
@@ -194,13 +208,18 @@ PINNED_BATCHES = [
 @pytest.mark.parametrize("args, ids, from_selection, probabilities, weights, mean_one",
                          PINNED_BATCHES)
 def test_mixed_sample_is_pinned(args, ids, from_selection, probabilities, weights, mean_one):
-    batch = mixed_sample(*args)
-    assert batch.ids.dtype == np.int64 and batch.from_selection.dtype == bool
-    assert batch.ids.tolist() == ids
-    assert batch.from_selection.tolist() == from_selection
-    assert batch.probabilities.tolist() == probabilities
-    assert batch.weights.tolist() == weights
-    assert normalize_weights(batch, WeightMode.MEAN_ONE).weights.tolist() == mean_one
+    selection, window_count, batch_size, eta, _ = args
+    got_ids, got_weights = mixed_sample(*args)
+    assert got_ids.dtype == np.int64
+    assert got_ids.tolist() == ids
+    picks, rest = stream_draws(*args)  # the positions from_selection flags are the picks
+    assert from_selection == [True] * len(picks) + [False] * len(rest)
+    assert ids == picks + rest
+    assert [inclusion_probability(i in selection, len(selection), window_count, eta)
+            for i in ids] == probabilities
+    assert got_weights.tolist() == weights
+    assert got_weights.tobytes() == mixture_weights(ids, selection, window_count, eta).tobytes()
+    assert normalize_weights(got_weights, WeightMode.MEAN_ONE).tolist() == mean_one
 
 
 # Weights with NaN, both infinities, both zeros, negatives and empty arrays.
@@ -221,22 +240,20 @@ def _error(call) -> str | None:
 @settings(max_examples=400, deadline=None)
 @given(weights=_WEIGHTS, mode=st.sampled_from(WeightMode))
 def test_normalize_weights_check_matches_the_mask_expression(weights, mode):
-    batch = MixedBatch(np.zeros(weights.shape, dtype=np.int64), np.zeros(weights.shape, bool),
-                       np.ones(weights.shape), weights)
     old_rejects = (weights <= 0).any()  # the check as it was: a mask, then any
     expected = "batch weights must be positive" if old_rejects else None
     with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf weights are let through
-        assert _error(lambda: normalize_weights(batch, mode)) == expected
+        assert _error(lambda: normalize_weights(weights, mode)) == expected
         if not old_rejects and mode is WeightMode.MEAN_ONE and weights.size:
             old = weights / weights.mean()
-            assert normalize_weights(batch, mode).weights.tobytes() == old.tobytes()
+            assert normalize_weights(weights, mode).tobytes() == old.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(selection=hnp.arrays(np.int64, st.integers(0, 6), elements=st.integers(-4, 12)),
-       pool_size=st.integers(1, 10))
-def test_mixed_sample_selection_check_matches_the_mask_expression(selection, pool_size):
-    old_rejects = ((selection < 0) | (selection >= pool_size)).any()
+       window_count=st.integers(1, 10))
+def test_mixed_sample_selection_check_matches_the_mask_expression(selection, window_count):
+    old_rejects = ((selection < 0) | (selection >= window_count)).any()
     expected = "selection indices must lie inside the pool" if old_rejects else None
     eta = 0.5 if selection.size else 0.0
-    assert _error(lambda: mixed_sample(selection, pool_size, 4, eta, 0)) == expected
+    assert _error(lambda: mixed_sample(selection, window_count, 4, eta, 0)) == expected

@@ -116,6 +116,7 @@ def test_episode_with_non_finite_state_rejected():
     (np.array([[0.5], [np.inf]]), "step 1: action must be finite"),
     (np.array([[0.5, np.nan], [0.5, 0.5]]), "step 0: action must be finite"),
     (np.array([0, -1]), "step 1: discrete action must be non-negative"),
+    (np.zeros((2, 2, 2)), r"one vector per step, got shape \(2, 2, 2\)"),
 ])
 def test_episode_with_bad_actions_rejected(actions, message):
     buf = ReplayBuffer(capacity=10, gamma=0.9)
