@@ -66,16 +66,19 @@ class StageChainEnv:
         # One-hot stage plus progress gated per stage; keeping the continuous
         # coordinate factored by stage lets a linear policy fit each stage
         # independently. All-zero marks the terminal (post-success) state.
-        # One read-only row per (stage, progress), shared by every step.
-        self._observations = []
-        for stage, steps in enumerate(self.steps_per_stage):
-            rows = np.zeros((steps, self.state_dim))
-            rows[:, stage] = 1.0
-            rows[:, self.num_stages + stage] = [progress / steps for progress in range(steps)]
-            self._observations.append(_read_only_rows(rows))
-        self._observations.append(_read_only_rows(np.zeros((1, self.state_dim))))
-        self._stage = 0
-        self._progress = 0
+        # Per chain position: its stage, that stage's correct action and one
+        # read-only observation row, shared by every step there.
+        chain = [(stage, progress / steps) for stage, steps in enumerate(self.steps_per_stage)
+                 for progress in range(steps)]
+        self._stages = [stage for stage, _ in chain]
+        self._correct = [self.correct_action(stage) for stage in self._stages]
+        rows = np.zeros((len(chain) + 1, self.state_dim))
+        for position, (stage, fraction) in enumerate(chain):
+            rows[position, stage] = 1.0
+            rows[position, self.num_stages + stage] = fraction
+        rows.flags.writeable = False
+        self._observations = tuple(rows)
+        self.position = 0  # index into chain_states(); len(chain_states()) after success
         self._t = 0
 
     @property
@@ -86,12 +89,12 @@ class StageChainEnv:
         return stage % self.action_count
 
     def observation(self) -> np.ndarray:
-        """The current state: a read-only row shared by every step at this (stage, progress)."""
-        return self._observations[self._stage][self._progress]
+        """The current state: a read-only row shared by every step at this position."""
+        return self._observations[self.position]
 
     def chain_states(self) -> tuple[np.ndarray, ...]:
         """Every state before success, in chain order: stage by stage, progress 0 up."""
-        return tuple(row for rows in self._observations[:-1] for row in rows)
+        return self._observations[:-1]
 
     def success_probability(self, action_probs: np.ndarray) -> float:
         """Exact chance of success within ``t_max`` steps, by a forward pass over the chain.
@@ -103,13 +106,11 @@ class StageChainEnv:
         otherwise; success absorbs.
         """
         probs = np.asarray(action_probs, dtype=float)
-        count = sum(self.steps_per_stage)
+        count = len(self._correct)
         if probs.shape != (count, self.action_count):
             raise ValueError(f"expected action rows of shape {(count, self.action_count)}, "
                              f"got {probs.shape}")
-        correct = np.repeat([self.correct_action(s) for s in range(self.num_stages)],
-                            self.steps_per_stage)
-        advance = (1.0 - self.noise) * probs[np.arange(count), correct] \
+        advance = (1.0 - self.noise) * probs[np.arange(count), self._correct] \
             + self.noise / self.action_count
         mass = np.zeros(count + 1)  # over the chain states, then success
         mass[0] = 1.0
@@ -120,35 +121,26 @@ class StageChainEnv:
         return float(mass[-1])
 
     def reset(self) -> np.ndarray:
-        self._stage = 0
-        self._progress = 0
+        self.position = 0
         self._t = 0
         return self.observation()
 
     def step(self, action: int,
              rng: np.random.Generator) -> tuple[np.ndarray, float, bool, int, bool]:
         """Execute ``action``; returns (obs, reward, done, stage before the step, success)."""
-        if self._t >= self.t_max or self._stage >= self.num_stages:
+        position = self.position
+        if self._t >= self.t_max or position >= len(self._stages):
             raise RuntimeError("step() called on a finished episode")
-        stage_before = self._stage
         executed = int(action)
         if self.noise > 0.0 and rng.random() < self.noise:
             executed = int(rng.integers(self.action_count))
-        if executed == self.correct_action(self._stage):
-            self._progress += 1
-            if self._progress >= self.steps_per_stage[self._stage]:
-                self._stage += 1
-                self._progress = 0
+        if executed == self._correct[position]:
+            self.position += 1
         self._t += 1
-        success = self._stage >= self.num_stages
+        success = self.position == len(self._stages)
         done = success or self._t >= self.t_max
         reward = 1.0 if success else 0.0
-        return self.observation(), reward, done, stage_before, success
-
-
-def _read_only_rows(rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    rows.flags.writeable = False
-    return tuple(rows)
+        return self.observation(), reward, done, self._stages[position], success
 
 
 class RandomPolicy:
@@ -180,8 +172,34 @@ class ScriptedDemonstrator:
         return self.env.correct_action(int(np.argmax(state[: self.env.num_stages])))
 
 
+class TableActor:
+    """Acts from one softmax CDF row per chain position of ``env``.
+
+    It reads ``env.position``, not the state it is handed, so it acts only in
+    ``env``; and its rows are the policy's at one rtg, which a rollout's hint
+    keeps until success. A row whose probabilities are not finite raises only
+    when it is acted on. A sampled action inverts the row at one
+    ``rng.random()``: the draw ``rng.choice(action_count, p=probs)`` makes.
+    """
+
+    def __init__(self, env: StageChainEnv, cdf: np.ndarray):
+        self.env = env
+        self.cdf = cdf
+        self.finite = np.isfinite(cdf).all(axis=1).tolist()
+
+    def act(self, state, rtg, rng=None) -> int:
+        position = self.env.position
+        if not self.finite[position]:
+            raise ValueError("action probabilities are not finite")
+        return int(self.cdf[position].searchsorted(rng.random(), side="right"))
+
+
 def rollout(env: StageChainEnv, actor, rng: np.random.Generator, rtg_target: float = 1.0):
-    """Run one episode; returns (its steps as ``EpisodeArrays``, success)."""
+    """Run one episode; returns (its steps as ``EpisodeArrays``, success).
+
+    The actor's rtg hint is ``rtg_target`` less the reward so far, which is 0
+    until the success step ends the episode: every act sees ``rtg_target``.
+    """
     obs = env.reset()
     rtg_hint = rtg_target
     states, actions, rewards, stages = [], [], [], []
@@ -193,7 +211,7 @@ def rollout(env: StageChainEnv, actor, rng: np.random.Generator, rtg_target: flo
         actions.append(action)
         rewards.append(reward)
         stages.append(stage)
-        rtg_hint = max(rtg_hint - reward, 0.0)
+        rtg_hint -= reward
         obs = next_obs
         success = success or reached
         if done:
@@ -207,14 +225,16 @@ def evaluate_policy(policy: LinearSoftmaxPolicy, env: StageChainEnv,
     """Exact success probabilities of the greedy and of the sampled policy.
 
     The rtg hint stays at ``rtg_target`` until success, so the policy acts on
-    each chain state with one action distribution: its argmax (``act`` with
-    ``greedy=True``) for the greedy actor, the softmax that ``act`` samples
-    from for the sampled one.
+    each chain state with one row of its ``action_table`` at that rtg: the
+    greedy actor with the row's argmax, the sampled one with the softmax
+    whose CDF a ``TableActor`` inverts.
     """
-    states = env.chain_states()
-    greedy = np.eye(env.action_count)[[policy.act(s, rtg_target, greedy=True) for s in states]]
-    sampled = np.array([policy.action_probabilities(s, rtg_target) for s in states])
-    return env.success_probability(greedy), env.success_probability(sampled)
+    features = np.array([policy.state_features(s, rtg_target) for s in env.chain_states()])
+    greedy, cdf = policy.action_table(features)
+    if not np.isfinite(cdf).all():
+        raise ValueError("action probabilities are not finite")
+    return (env.success_probability(np.eye(env.action_count)[greedy]),
+            env.success_probability(np.diff(cdf, axis=1, prepend=0.0)))
 
 
 def diversity_metric(similarity_subset: np.ndarray) -> float:
@@ -505,8 +525,13 @@ def run_loop(
         pool, chosen = selection.pool, selection.indices
         return buffer.window_ids(pool.episode_ids[chosen], pool.starts[chosen], config.horizon)
 
+    # Online rollouts act only on the chain states, at the rtg hint's one value:
+    # their features are projected once, their rows taken afresh per episode.
+    chain_features = np.array([policy.state_features(s, config.rtg_target)
+                               for s in env.chain_states()])
     for ep in range(config.episodes):
-        transitions, _ = rollout(env, policy, collect_rng, config.rtg_target)
+        actor = TableActor(env, policy.action_table(chain_features)[1])
+        transitions, _ = rollout(env, actor, collect_rng, config.rtg_target)
         buffer.append_episode(Episode(id=buffer.new_episode_id(), transitions=transitions))
         window_count = buffer.window_count(config.horizon)
         if not window_count:

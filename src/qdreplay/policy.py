@@ -8,8 +8,6 @@ import numpy as np
 
 from .windows import WindowBatch
 
-ACT_CACHE_SIZE = 4096  # most (state, rtg) entries LinearSoftmaxPolicy.act keeps
-
 
 class SequencePolicy(Protocol):
     """What the selection pipeline needs from a policy model.
@@ -37,10 +35,6 @@ class LinearSoftmaxPolicy:
     features to action logits. The window embedding is the mean of the
     projected step features (dropout disabled), so embeddings do not drift
     as the logit weights train.
-
-    ``weights`` is only ever rebound, never written in place: rebinding it
-    clears the memo of ``act``. The projected features of each (state, rtg)
-    that ``act`` has seen outlive a rebind, since ``projection`` is fixed.
     """
 
     def __init__(
@@ -70,26 +64,8 @@ class LinearSoftmaxPolicy:
                     f"projection expects {self.projection.shape[1]} inputs, windows provide {in_dim}"
                 )
         self.feature_dim = self.projection.shape[0]
-        # act's stores, keyed by (state bytes, rtg): projected features of each
-        # key seen, (greedy action, CDF) of each key acted on under ``weights``,
-        # and the hot set, the keys that the last weights to act acted on.
-        self._features: dict[tuple[bytes, float], np.ndarray] = {}
-        self._act_memo: dict[tuple[bytes, float], tuple[int, np.ndarray]] = {}
-        self._hot: dict[tuple[bytes, float], tuple[int, np.ndarray]] = {}
+        # Feature-to-logit matrix, (feature_dim, action_count).
         self.weights = 0.1 * rng.standard_normal((self.feature_dim, self.action_count))
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Feature-to-logit matrix, (feature_dim, action_count)."""
-        return self._weights
-
-    @weights.setter
-    def weights(self, value: np.ndarray) -> None:
-        self._weights = value
-        if self._act_memo:  # weights that never acted leave the hot set as it was
-            self._hot = self._act_memo
-        self._act_memo = {}
-        self._filled: dict | None = None  # the hot set's rows, made at the first miss
 
     # ---------------------------------------------------------------- features
 
@@ -133,76 +109,24 @@ class LinearSoftmaxPolicy:
 
     # ---------------------------------------------------------------- acting
 
-    def act(self, state: np.ndarray, rtg: float, rng: np.random.Generator | None = None,
-            greedy: bool = False) -> int:
-        """The argmax action if ``greedy`` or no ``rng``, else one drawn from the softmax.
-
-        Memoised per (state, rtg) until ``weights`` is rebound, at most
-        ``ACT_CACHE_SIZE`` entries, oldest out first. The first miss after a
-        rebind computes the rows of every key the last acting weights acted
-        on, and its own, in one batched pass; a later miss outside that hot
-        set gets a one-row pass. A row whose probabilities are not finite
-        raises only when its own state is acted on. A sampled action takes
-        one ``rng.random()`` and inverts the softmax CDF at it, which is the
-        draw ``rng.choice(action_count, p=probs)`` makes: the same action and
-        the same generator state afterwards.
-        """
-        action, cdf = self._memo_entry(state, rtg)
-        if greedy or rng is None:
-            return action
-        return int(cdf.searchsorted(rng.random(), side="right"))
-
-    def action_probabilities(self, state: np.ndarray, rtg: float) -> np.ndarray:
-        """The distribution that a sampled ``act`` draws from, (action_count,).
-
-        ``act`` picks action a when its uniform draw lies in [cdf[a-1], cdf[a]),
-        so each probability is a difference of that memoised CDF.
-        """
-        return np.diff(self._memo_entry(state, rtg)[1], prepend=0.0)
-
-    def _memo_entry(self, state: np.ndarray, rtg: float) -> tuple[int, np.ndarray]:
-        key = (np.asarray(state, dtype=float).tobytes(), float(rtg))
-        entry = self._act_memo.get(key)
-        return entry if entry is not None else self._first_act(key, state)
-
-    def _first_act(self, key: tuple[bytes, float], state: np.ndarray) -> tuple[int, np.ndarray]:
-        """Memo entry for a key not yet acted on under these weights."""
-        feats = self._features_of(key, state)
-        if self._filled is None:
-            hot = [k for k in self._hot if k != key]
-            hot_feats = [self._features_of(k, np.frombuffer(k[0])) for k in hot]
-            self._filled = self._act_rows(hot + [key], hot_feats + [feats])
-            self._hot = {}
-        row = self._filled.pop(key, None)
-        if row is None:
-            row = self._act_rows([key], [feats])[key]
-        action, cdf, finite = row
-        if not finite:
-            raise ValueError("action probabilities are not finite")
-        return _put(self._act_memo, key, (action, cdf))
-
-    def _features_of(self, key: tuple[bytes, float], state: np.ndarray) -> np.ndarray:
-        feats = self._features.get(key)
-        if feats is None:
-            feats = _put(self._features, key, self.state_features(state, key[1]))
-        return feats
-
-    def _act_rows(self, keys: list, feats: list) -> dict:
-        """(greedy action, softmax CDF, finite) per key, by one pass over a (K, A) array.
+    def action_table(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Greedy actions (K,) and softmax CDFs (K, A) of K rows of ``state_features``.
 
         Each row's logits are one ``weights.T @ features`` GEMV, stacked by
         ``np.matmul``, and the rest is row-wise, so every row has the bits of
-        the same arithmetic on its state alone. A row that overflows warns
-        nothing here: only acting on its state raises.
+        the same arithmetic on its state alone. A sampled action takes one
+        ``rng.random()`` and inverts its row's CDF at it, which is the draw
+        ``rng.choice(action_count, p=probs)`` makes: the same action and the
+        same generator state afterwards. A row that overflows warns nothing
+        here; its CDF is not finite, and acting on it must raise.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            logits = np.matmul(self._weights.T, np.array(feats)[:, :, None])[:, :, 0]
+            logits = np.matmul(self.weights.T, np.asarray(features)[:, :, None])[:, :, 0]
             probs = np.exp(logits - _logsumexp_rows(logits)[:, None])
             probs /= probs.sum(axis=1, keepdims=True)
             cdf = probs.cumsum(axis=1)
             cdf /= cdf[:, -1:]
-        rows = zip(logits.argmax(axis=1).tolist(), cdf, np.isfinite(cdf).all(axis=1).tolist())
-        return dict(zip(keys, rows))
+        return logits.argmax(axis=1), cdf
 
     # ---------------------------------------------------------------- training
 
@@ -213,9 +137,12 @@ class LinearSoftmaxPolicy:
         feats = self._batch_features(batch)
         if weights.shape != (count,):
             raise ValueError(f"expected {count} weights, got shape {weights.shape}")
-        actions = np.asarray(batch.actions, dtype=int).ravel()
-        if actions.shape != (count * horizon,) or (
-                actions.size and not 0 <= actions.min() <= actions.max() < self.action_count):
+        actions = np.asarray(batch.actions)
+        if actions.shape != (count, horizon) or not np.issubdtype(actions.dtype, np.integer):
+            raise ValueError(f"actions must be integers of shape {(count, horizon)}, "
+                             f"got {actions.dtype} of shape {actions.shape}")
+        actions = actions.ravel()
+        if actions.size and not 0 <= actions.min() <= actions.max() < self.action_count:
             raise ValueError(f"actions must lie in [0, {self.action_count})")
         taken = (np.arange(count * horizon), actions)
         step_w = np.repeat(weights, horizon)
@@ -251,14 +178,6 @@ class LinearSoftmaxPolicy:
             raise ValueError("non-finite gradient in weighted_update")
         self.weights = self.weights - learning_rate * grad
         return loss
-
-
-def _put(store: dict, key, value):
-    """``store[key] = value``, first evicting the oldest entry at ``ACT_CACHE_SIZE``."""
-    if len(store) >= ACT_CACHE_SIZE:
-        del store[next(iter(store))]
-    store[key] = value
-    return value
 
 
 def _logsumexp_rows(x: np.ndarray) -> np.ndarray:

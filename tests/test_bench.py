@@ -15,6 +15,7 @@ from qdreplay.bench import (
     RandomPolicy,
     ScriptedDemonstrator,
     StageChainEnv,
+    TableActor,
     Variant,
     diversity_metric,
     evaluate_policy,
@@ -179,18 +180,6 @@ def test_success_probability_equals_enumerated_slip_outcomes(t_max, steps, noise
     assert env.success_probability(_one_hot(actions, 3)) == pytest.approx(expected, abs=1e-12)
 
 
-class _TableActor:
-    """Draws its action from one row of ``rows`` per chain state."""
-
-    def __init__(self, env: StageChainEnv, rows: np.ndarray):
-        self.index = {state.tobytes(): i for i, state in enumerate(env.chain_states())}
-        self.cdf = rows.cumsum(axis=1)
-        self.cdf /= self.cdf[:, -1:]
-
-    def act(self, state, rtg, rng=None) -> int:
-        return int(self.cdf[self.index[state.tobytes()]].searchsorted(rng.random(), side="right"))
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(steps=st.lists(st.integers(1, 3), min_size=1, max_size=3),
        action_count=st.integers(2, 4), noise=st.floats(0.0, 0.9),
@@ -202,38 +191,72 @@ def test_success_probability_matches_rollout_mean(steps, action_count, noise, t_
     rows = rng.dirichlet(np.ones(action_count), size=sum(steps))
     exact = env.success_probability(rows)
     episodes = 1000
-    actor = _TableActor(env, rows)
+    cdf = rows.cumsum(axis=1)
+    actor = TableActor(env, cdf / cdf[:, -1:])
     mean = np.mean([rollout(env, actor, rng)[1] for _ in range(episodes)])
     # Four standard errors, and one episode's worth where exact lies near 0 or 1.
     assert abs(mean - exact) <= 4 * math.sqrt(exact * (1 - exact) / episodes) + 1 / episodes
 
 
+def _recorded_feature_rtgs(monkeypatch) -> list:
+    """The rtg of every ``state_features`` call from here on."""
+    original = LinearSoftmaxPolicy.state_features
+    rtgs = []
+
+    def state_features(self, state, rtg):
+        rtgs.append(rtg)
+        return original(self, state, rtg)
+
+    monkeypatch.setattr(LinearSoftmaxPolicy, "state_features", state_features)
+    return rtgs
+
+
 def test_evaluation_takes_the_greedy_rows_at_the_rtg_target(monkeypatch):
     cfg = replace(TINY, rtg_target=0.5)
     states = cfg.make_env().chain_states()
-    original = LinearSoftmaxPolicy.act
-    greedy_rtgs = []
-
-    def act(self, state, rtg, rng=None, greedy=False):
-        if greedy:
-            greedy_rtgs.append(rtg)
-        return original(self, state, rtg, rng=rng, greedy=greedy)
-
-    monkeypatch.setattr(LinearSoftmaxPolicy, "act", act)
+    rtgs = _recorded_feature_rtgs(monkeypatch)
     result = run_loop(cfg, Variant.FULL, seed=5)
-    assert greedy_rtgs == [0.5] * (len(states) * len(result.metrics))
+    # Each chain state is projected once for the rollouts and once per evaluation.
+    assert rtgs == [0.5] * (len(states) * (1 + len(result.metrics)))
+
+
+def test_loop_at_a_negative_rtg_target_builds_its_tables_only_there(monkeypatch):
+    cfg = replace(TINY, rtg_target=-0.5)
+    states = cfg.make_env().chain_states()
+    rtgs = _recorded_feature_rtgs(monkeypatch)
+    result = run_loop(cfg, Variant.UNIFORM, seed=5)
+    assert rtgs == [-0.5] * (len(states) * (1 + len(result.metrics)))
+
+
+def test_rollout_hints_the_rtg_target_at_every_act():
+    env = TINY.make_env()
+    hints = []
+
+    class Recorder(ScriptedDemonstrator):
+        def act(self, state, rtg, rng=None):
+            hints.append(rtg)
+            return super().act(state, rtg, rng)
+
+    for target in (-0.5, 0.0, 0.5, 1.0, 3.0):
+        hints.clear()
+        steps, success = rollout(env, Recorder(env, 0.0), np.random.default_rng(0), target)
+        assert success and hints == [target] * len(steps.rewards)
 
 
 def test_evaluate_policy_is_the_chain_probability_of_its_rows():
     env = TINY.make_env()
     policy = LinearSoftmaxPolicy(state_dim=env.state_dim, action_count=env.action_count,
                                  seed=3)
-    states = env.chain_states()
-    greedy = _one_hot([policy.act(state, 0.5, greedy=True) for state in states],
-                      env.action_count)
-    sampled = np.array([policy.action_probabilities(state, 0.5) for state in states])
-    assert evaluate_policy(policy, env, 0.5) == (env.success_probability(greedy),
-                                                 env.success_probability(sampled))
+    features = np.array([policy.state_features(state, 0.5) for state in env.chain_states()])
+    greedy, cdf = policy.action_table(features)
+    assert evaluate_policy(policy, env, 0.5) == (
+        env.success_probability(_one_hot(greedy, env.action_count)),
+        env.success_probability(np.diff(cdf, axis=1, prepend=0.0)))
+    # The same rows, one state at a time: each state's argmax and softmax at rtg 0.5.
+    logits = [policy.weights.T @ f for f in features]
+    softmax = np.array([np.exp(x - x.max()) / np.exp(x - x.max()).sum() for x in logits])
+    assert greedy.tolist() == [int(np.argmax(x)) for x in logits]
+    np.testing.assert_allclose(np.diff(cdf, axis=1, prepend=0.0), softmax, rtol=1e-12, atol=1e-15)
 
 
 def test_observations_are_the_per_step_formula_and_read_only():
@@ -473,24 +496,43 @@ def test_success_rates_are_pinned(variant, wins):
         SAMPLED_SUCCESS[variant], rel=1e-12)
 
 
-def _unmemoised_act(policy, state, rtg, rng=None, greedy=False):
-    """act with no memo: one projection and softmax per call, sampled by ``rng.choice``."""
-    logits = policy.weights.T @ policy.state_features(state, rtg)
-    if greedy or rng is None:
-        return int(np.argmax(logits))
-    m = np.max(logits)
-    probs = np.exp(logits - float(m + np.log(np.sum(np.exp(logits - m)))))
-    return int(rng.choice(policy.action_count, p=probs / probs.sum()))
+def _per_state_table(policy, features):
+    """action_table one state at a time: its own GEMV and softmax, and their CDF."""
+    greedy, cdf = [], []
+    for f in features:
+        logits = policy.weights.T @ f
+        m = np.max(logits)
+        probs = np.exp(logits - float(m + np.log(np.sum(np.exp(logits - m)))))
+        greedy.append(int(np.argmax(logits)))
+        cdf.append(np.cumsum(probs / probs.sum()))
+        cdf[-1] /= cdf[-1][-1]
+    return np.array(greedy), np.array(cdf)
+
+
+class _ChoiceActor:
+    """Finds the state among the chain's by its bytes and samples by ``rng.choice``."""
+
+    def __init__(self, env, cdf):
+        self.index = {state.tobytes(): i for i, state in enumerate(env.chain_states())}
+        self.probs = np.diff(cdf, axis=1, prepend=0.0)
+
+    def act(self, state, rtg, rng=None) -> int:
+        probs = self.probs[self.index[state.tobytes()]]
+        return int(rng.choice(len(probs), p=probs))
 
 
 @pytest.mark.parametrize("variant", [Variant.FULL, Variant.UNIFORM])
 def test_loop_is_unchanged_by_the_act_memo(variant, monkeypatch):
-    memoised = run_loop(LEARNING, variant, seed=5)
-    monkeypatch.setattr(LinearSoftmaxPolicy, "act", _unmemoised_act)
+    """The loop's tables and table actor act as a per-state softmax sampled by rng.choice."""
+    import qdreplay.bench as bench
+
+    tabled = run_loop(LEARNING, variant, seed=5)
+    monkeypatch.setattr(LinearSoftmaxPolicy, "action_table", _per_state_table)
+    monkeypatch.setattr(bench, "TableActor", _ChoiceActor)
     reference = run_loop(LEARNING, variant, seed=5)
-    assert memoised.metrics == reference.metrics
-    assert memoised.selection_events == reference.selection_events
-    assert memoised.selected_stage_counts == reference.selected_stage_counts
+    assert tabled.metrics == reference.metrics
+    assert tabled.selection_events == reference.selection_events
+    assert tabled.selected_stage_counts == reference.selected_stage_counts
 
 
 def test_selection_ids_lie_below_window_count_at_each_event(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import qdreplay.policy
-from qdreplay.policy import ACT_CACHE_SIZE, LinearSoftmaxPolicy, _logsumexp_rows
+from qdreplay.bench import StageChainEnv, TableActor, evaluate_policy
+from qdreplay.policy import LinearSoftmaxPolicy, _logsumexp_rows
 from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
 
 
@@ -199,6 +200,26 @@ def test_weighted_update_rejects_negative_actions():
     assert policy.weights is before
 
 
+def test_weighted_update_rejects_actions_that_are_not_integers_of_shape_b_h():
+    """Continuous actions would otherwise be truncated and train as discrete ones."""
+    continuous = make_batch([([[1.0, 2.0, 3.0]] * 3, [[0.7], [1.9], [0.2]], [0.0] * 3)])
+    floats = dataclasses.replace(continuous, actions=np.array([[0.0, 1.0, 0.0]]))
+    flat = dataclasses.replace(continuous, actions=np.array([0, 1, 0]))
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=26)
+    before = policy.weights
+    for batch, got in [(continuous, r"float64 of shape \(1, 3, 1\)"),
+                       (floats, r"float64 of shape \(1, 3\)"),
+                       (flat, r"int64 of shape \(3,\)")]:
+        message = r"actions must be integers of shape \(1, 3\), got " + got
+        with pytest.raises(ValueError, match=message):
+            policy.weighted_update(batch, [1.0], learning_rate=0.1)
+        with pytest.raises(ValueError, match=message):
+            policy.batch_loss(batch, [1.0])
+    assert policy.weights is before
+    discrete = dataclasses.replace(continuous, actions=np.array([[0, 1, 0]]))
+    assert np.isfinite(policy.batch_loss(discrete, [1.0]))
+
+
 def test_state_dim_mismatch_rejected():
     batch = make_batch([([[1.0, 2.0, 3.0]], [0], [1.0])])
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, seed=23)
@@ -249,7 +270,7 @@ def _logsumexp(x):
 
 
 def reference_act(policy, state, rtg, rng=None, greedy=False):
-    """Unmemoised act: one projection and softmax per call, sampled by ``rng.choice``."""
+    """One projection and softmax for one state, sampled by ``rng.choice``."""
     logits = policy.weights.T @ policy.state_features(state, rtg)
     if greedy or rng is None:
         return int(np.argmax(logits))
@@ -257,22 +278,34 @@ def reference_act(policy, state, rtg, rng=None, greedy=False):
     return int(rng.choice(policy.action_count, p=probs / probs.sum()))
 
 
+def table_of(policy, states, rtgs):
+    """``action_table`` of the given states, each at its own rtg."""
+    return policy.action_table(np.array([policy.state_features(state, rtg)
+                                         for state, rtg in zip(states, rtgs)]))
+
+
+def table_act(cdf, position, rng):
+    """The action a ``TableActor`` over ``cdf`` draws at ``position``."""
+    return TableActor(SimpleNamespace(position=position), cdf).act(None, None, rng=rng)
+
+
 @settings(max_examples=200, deadline=None)
 @given(p=st.lists(st.floats(1e-3, 1.0) | st.sampled_from([5e-324, 1e-300, 1e-17, 1e-9]),
                   min_size=2, max_size=8),
        seed=st.integers(0, 2 ** 63 - 1))
 def test_sampled_act_draws_as_rng_choice(p, seed):
-    """Same action as rng.choice(A, p) and the same generator state after it, memo hit or not."""
+    """Same action as rng.choice(A, p) and the same generator state after it."""
     count = len(p)
     policy = LinearSoftmaxPolicy(state_dim=count, action_count=count,
                                  projection=np.eye(count, count + 1), seed=0)
     policy.weights = np.eye(count)
     state = np.log(p)  # the logits, so the softmax is p normalised
+    greedy, cdf = table_of(policy, [state], [0.0])
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        assert policy.act(state, 0.0, rng=ours) == reference_act(policy, state, 0.0, rng=theirs)
+        assert table_act(cdf, 0, ours) == reference_act(policy, state, 0.0, rng=theirs)
         assert ours.random() == theirs.random()
-    assert policy.act(state, 0.0, greedy=True) == reference_act(policy, state, 0.0, greedy=True)
+    assert greedy[0] == reference_act(policy, state, 0.0, greedy=True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,8 +315,8 @@ def test_action_probabilities_are_the_softmax_that_act_samples(p):
     policy = LinearSoftmaxPolicy(state_dim=count, action_count=count,
                                  projection=np.eye(count, count + 1), seed=0)
     policy.weights = np.eye(count)
-    state = np.log(p)
-    probs = policy.action_probabilities(state, 0.0)
+    cdf = table_of(policy, [np.log(p)], [0.0])[1]
+    probs = np.diff(cdf[0], prepend=0.0)  # as evaluate_policy reads them
     np.testing.assert_allclose(probs, np.array(p) / sum(p), rtol=1e-12, atol=1e-15)
     # A draw in the middle of an action's share of [0, 1) picks that action.
     middles = np.cumsum(probs) - probs / 2
@@ -291,87 +324,24 @@ def test_action_probabilities_are_the_softmax_that_act_samples(p):
         class Draw:
             def random(self):
                 return middle
-        assert policy.act(state, 0.0, rng=Draw()) == action
-
-
-def test_act_memo_is_dropped_when_weights_are_rebound():
-    rng = np.random.default_rng(41)
-    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=42)
-    states = rng.standard_normal((6, 3))
-    batch = random_batch(rng, count=4)
-    rebinds = [
-        lambda: None,
-        lambda: policy.weighted_update(batch, np.ones(4), learning_rate=50.0),
-        lambda: setattr(policy, "weights", rng.standard_normal(policy.weights.shape)),
-        lambda: setattr(policy, "weights", -policy.weights),
-    ]
-    greedy_picks = []
-    for rebind in rebinds:
-        rebind()
-        picks = []
-        for state in states:
-            picks.append(reference_act(policy, state, 1.0, greedy=True))
-            assert policy.act(state, 1.0, greedy=True) == picks[-1]
-            ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
-            assert ([policy.act(state, 1.0, rng=ours) for _ in range(10)]
-                    == [reference_act(policy, state, 1.0, rng=theirs) for _ in range(10)])
-        greedy_picks.append(picks)
-    # every rebind moved some greedy action, so a stale memo would have shown
-    assert all(before != after for before, after in zip(greedy_picks, greedy_picks[1:]))
-
-
-def test_act_memo_stays_within_its_cap():
-    rng = np.random.default_rng(43)
-    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=44)
-    states = rng.standard_normal((ACT_CACHE_SIZE + 100, 3))
-    for state in states:
-        assert policy.act(state, 1.0, greedy=True) == reference_act(policy, state, 1.0,
-                                                                    greedy=True)
-    assert len(policy._act_memo) <= ACT_CACHE_SIZE
-    assert len(policy._features) <= ACT_CACHE_SIZE
-    for state in states[:200]:  # the oldest ones were evicted and come back right
-        ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
-        assert policy.act(state, 1.0, rng=ours) == reference_act(policy, state, 1.0, rng=theirs)
-    assert len(policy._act_memo) <= ACT_CACHE_SIZE
-    assert len(policy._features) <= ACT_CACHE_SIZE
-    # After a rebind the whole hot set is filled at once, its oldest features evicted.
-    policy.weights = -policy.weights
-    for state in states[-300:]:
-        assert policy.act(state, 1.0, greedy=True) == reference_act(policy, state, 1.0,
-                                                                    greedy=True)
-    assert len(policy._act_memo) <= ACT_CACHE_SIZE
-    assert len(policy._features) <= ACT_CACHE_SIZE
-
-
-def test_hot_keys_whose_features_were_evicted_are_projected_again(monkeypatch):
-    # With room for two keys, the first act after each rebind is on a new key, whose
-    # features evict a hot key's before the fill.
-    monkeypatch.setattr(qdreplay.policy, "ACT_CACHE_SIZE", 2)
-    rng = np.random.default_rng(48)
-    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=49)
-    states = rng.standard_normal((6, 3))
-    for start in range(4):
-        for state in states[start:start + 3][::-1]:
-            ours, theirs = np.random.default_rng(start), np.random.default_rng(start)
-            assert ([policy.act(state, 1.0, rng=ours) for _ in range(5)]
-                    == [reference_act(policy, state, 1.0, rng=theirs) for _ in range(5)])
-            assert policy.act(state, 1.0, greedy=True) == reference_act(policy, state, 1.0,
-                                                                        greedy=True)
-        assert len(policy._features) <= 2 and len(policy._act_memo) <= 2
-        policy.weights = rng.standard_normal(policy.weights.shape)
+        assert table_act(cdf, 0, Draw()) == action
 
 
 def test_act_rejects_non_finite_probabilities():
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, seed=45)
     policy.weights = np.full_like(policy.weights, np.nan)
+    cdf = table_of(policy, [np.ones(2)], [1.0])[1]
     with pytest.raises(ValueError, match="not finite"):
-        policy.act(np.ones(2), 1.0, rng=np.random.default_rng(0))
+        table_act(cdf, 0, np.random.default_rng(0))
+    env = StageChainEnv(num_stages=1, steps_per_stage=(2,), action_count=3)
+    with pytest.raises(ValueError, match="not finite"):
+        evaluate_policy(policy, env, 1.0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_batched_rows_have_the_bits_of_one_row(data):
-    """Each row of one pass over K keys is the 1-D arithmetic on its state alone."""
+    """Each row of one table over K states is the 1-D arithmetic on its state alone."""
     rows = data.draw(st.integers(1, 64), label="rows")
     actions = data.draw(st.integers(2, 12), label="actions")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
@@ -380,16 +350,14 @@ def test_batched_rows_have_the_bits_of_one_row(data):
     policy.weights = 10.0 ** data.draw(st.integers(-3, 3), label="scale") * rng.standard_normal(
         policy.weights.shape)
     states = rng.standard_normal((rows, 5))
-    keys = [(state.tobytes(), 1.0) for state in states]
-    feats = [policy.state_features(state, 1.0) for state in states]
-    batched = policy._act_rows(keys, feats)
-    for key, f in zip(keys, feats):
-        logits = policy.weights.T @ f
+    greedy, table = table_of(policy, states, [1.0] * rows)
+    assert greedy.shape == (rows,) and table.shape == (rows, actions)
+    for state, action, batched_cdf in zip(states, greedy, table):
+        logits = policy.weights.T @ policy.state_features(state, 1.0)
         probs = np.exp(logits - _logsumexp(logits))
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
-        action, batched_cdf, finite = batched[key]
-        assert action == int(np.argmax(logits)) and finite
+        assert action == int(np.argmax(logits)) and np.isfinite(batched_cdf).all()
         assert batched_cdf.tobytes() == cdf.tobytes()
 
 
@@ -397,42 +365,27 @@ def test_batched_rows_have_the_bits_of_one_row(data):
 def test_a_non_finite_row_raises_only_for_its_own_state(bad_first):
     # Identity features and logits: the state is the logit vector, scaled by the weights.
     policy = LinearSoftmaxPolicy(state_dim=2, action_count=2, projection=np.eye(2, 3), seed=0)
-    policy.weights = np.eye(2)
-    big, ordinary = np.array([1e300, 0.0]), np.array([0.5, -0.5])
-    for state in (big, ordinary):  # both finite, so both are hot under the next weights
-        assert policy.act(state, 0.0, greedy=True) == 0
     policy.weights = 1e10 * np.eye(2)  # big's logit overflows to inf, ordinary's does not
-    order = [big, ordinary, big, ordinary] if bad_first else [ordinary, big, ordinary, big]
-    for state in order:
-        if state is big:
+    big, ordinary = np.array([1e300, 0.0]), np.array([0.5, -0.5])
+    states = [big, ordinary] if bad_first else [ordinary, big]
+    greedy, cdf = table_of(policy, states, [0.0, 0.0])
+    actor = TableActor(SimpleNamespace(position=0), cdf)
+    for position in [0, 1, 0, 1]:
+        actor.env.position = position
+        if states[position] is big:
             with pytest.raises(ValueError, match="not finite"):
-                policy.act(state, 0.0, greedy=True)
+                actor.act(big, 0.0, rng=np.random.default_rng(3))
             continue
         ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
-        assert policy.act(state, 0.0, rng=ours) == reference_act(policy, state, 0.0, rng=theirs)
-        assert policy.act(state, 0.0, greedy=True) == 0
-
-
-def test_a_rebind_with_no_act_keeps_the_hot_set():
-    # The loop makes several updates between rollouts: the keys acted on before the
-    # first of them are still filled in one pass at the first act after the last.
-    rng = np.random.default_rng(46)
-    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=47)
-    states = rng.standard_normal((5, 3))
-    for state in states:
-        policy.act(state, 1.0, greedy=True)
-    batch = random_batch(rng, count=4)
-    for _ in range(3):
-        policy.weighted_update(batch, np.ones(4), learning_rate=1.0)
-    policy.act(states[0], 1.0, greedy=True)
-    assert set(policy._filled) | set(policy._act_memo) == {
-        (state.tobytes(), 1.0) for state in states}
+        assert actor.act(ordinary, 0.0, rng=ours) == reference_act(policy, ordinary, 0.0,
+                                                                   rng=theirs)
+        assert greedy[position] == 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_act_matches_the_unmemoised_act_across_rebinds(data):
-    """Interleaved new keys, repeated keys, rebinds, greedy and sampled acts."""
+    """Interleaved new states, repeated states, rebinds, greedy and sampled acts."""
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     rng = np.random.default_rng(seed)
     actions = data.draw(st.integers(2, 6), label="actions")
@@ -442,13 +395,14 @@ def test_act_matches_the_unmemoised_act_across_rebinds(data):
     ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
 
     def act(index, greedy):
-        state, rtg = states[index], float(index % 2)
+        # One table over every state so far, each at its own rtg.
+        rtgs = [float(i % 2) for i in range(len(states))]
+        greedy_actions, cdf = table_of(policy, states, rtgs)
+        state, rtg = states[index], rtgs[index]
         if greedy:
-            assert policy.act(state, rtg, greedy=True) == reference_act(
-                policy, state, rtg, greedy=True)
+            assert greedy_actions[index] == reference_act(policy, state, rtg, greedy=True)
         else:
-            assert policy.act(state, rtg, rng=ours) == reference_act(policy, state, rtg,
-                                                                     rng=theirs)
+            assert table_act(cdf, index, ours) == reference_act(policy, state, rtg, rng=theirs)
             assert ours.random() == theirs.random()
 
     def rebind(how):
@@ -457,7 +411,6 @@ def test_act_matches_the_unmemoised_act_across_rebinds(data):
         else:
             policy.weights = rng.standard_normal(policy.weights.shape)
 
-    # A key hot under the old weights, then acted on under the new ones.
     act(0, greedy=False)
     rebind(data.draw(st.sampled_from(["update", "assign"]), label="first rebind"))
     act(0, greedy=data.draw(st.booleans(), label="first greedy"))

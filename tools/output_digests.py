@@ -10,6 +10,8 @@ thread, in a temporary directory:
   refresh every 10 steps), seed 1;
 - ``loop`` for FULL with RAW weights, eta 0.55 and batch size 30, seed 1,
   so that eta * B = 16.5 is not a whole number;
+- ``loop`` for FULL at ``rtg_target = 0.5``, seed 1, so that a policy
+  acting at some other return-to-go moves the digests;
 - ``ablate`` over seeds 1 and 2;
 - ``select --kernel-dump`` on a dump of about 20k transitions, which the
   same tree generates from seeded rollouts (seed 7) and ``save_jsonl``.
@@ -33,6 +35,7 @@ from pathlib import Path
 VARIANTS = ("FULL", "QUALITY_ONLY", "DIVERSITY_ONLY", "UNIFORM")
 CHURN_CONFIG = "capacity = 1500\npool_size = 200\nsubset_size = 30\nrefresh_period = 10\n"
 RAW_CONFIG = "weight_mode = RAW\neta = 0.55\nbatch_size = 30\n"
+RTG_CONFIG = "rtg_target = 0.5\n"
 SELECT_CONFIG = "pool_size = 300\nsubset_size = 40\n"
 
 # Scripted demonstrations at three noise levels and uniform-random rollouts.
@@ -70,6 +73,7 @@ def main(argv: list[str]) -> int:
 
         (out / "churn.cfg").write_text(CHURN_CONFIG)
         (out / "raw.cfg").write_text(RAW_CONFIG)
+        (out / "rtg.cfg").write_text(RTG_CONFIG)
         (out / "select.cfg").write_text(SELECT_CONFIG)
         for variant in VARIANTS:
             run(f"loop_{variant}", "-m", "qdreplay", "loop", "--variant", variant,
@@ -77,6 +81,7 @@ def main(argv: list[str]) -> int:
         run("churn", "-m", "qdreplay", "loop", "--config", "churn.cfg", "--seed", "1",
             "--out", "churn")
         run("raw", "-m", "qdreplay", "loop", "--config", "raw.cfg", "--seed", "1", "--out", "raw")
+        run("rtg", "-m", "qdreplay", "loop", "--config", "rtg.cfg", "--seed", "1", "--out", "rtg")
         run("ablate", "-m", "qdreplay", "ablate", "--seed", "1", "--seed", "2", "--out", "ablate")
         run("dump", "-c", MAKE_DUMP, "dump.jsonl")
         run("select", "-m", "qdreplay", "select", "dump.jsonl", "--kernel-dump",
