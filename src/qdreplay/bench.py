@@ -176,10 +176,11 @@ class TableActor:
     """Acts from one softmax CDF row per chain position of ``env``.
 
     It reads ``env.position``, not the state it is handed, so it acts only in
-    ``env``; and its rows are the policy's at one rtg, which a rollout's hint
-    keeps until success. A row whose probabilities are not finite raises only
-    when it is acted on. A sampled action inverts the row at one
-    ``rng.random()``: the draw ``rng.choice(action_count, p=probs)`` makes.
+    ``env``; and its rows hold for one rtg, which a rollout's hint keeps
+    until success. A row whose probabilities are not finite raises only when
+    it is acted on. An action inverts the row at one ``rng.random()``, the
+    draw ``rng.choice(action_count, p=probs)`` makes: the same action and the
+    same generator state afterwards.
     """
 
     def __init__(self, env: StageChainEnv, cdf: np.ndarray):

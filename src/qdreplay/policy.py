@@ -114,11 +114,8 @@ class LinearSoftmaxPolicy:
 
         Each row's logits are one ``weights.T @ features`` GEMV, stacked by
         ``np.matmul``, and the rest is row-wise, so every row has the bits of
-        the same arithmetic on its state alone. A sampled action takes one
-        ``rng.random()`` and inverts its row's CDF at it, which is the draw
-        ``rng.choice(action_count, p=probs)`` makes: the same action and the
-        same generator state afterwards. A row that overflows warns nothing
-        here; its CDF is not finite, and acting on it must raise.
+        the same arithmetic on its state alone. A row that overflows warns
+        nothing here; its CDF is not finite, and acting on it must raise.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             logits = np.matmul(self.weights.T, np.asarray(features)[:, :, None])[:, :, 0]
