@@ -15,7 +15,7 @@ from .geometry import encode_pool, median_bandwidth, pairwise_distances, rbf_sim
 from .kernels import (DEFAULT_LAMBDA, JointKernel, SelectionResult, build_joint_kernel,
                       fast_greedy_map, log_det)
 from .kernels import greedy_map  # noqa: F401  perfbench/tracing.py wraps it by name here
-from .policy import LinearSoftmaxPolicy, SequencePolicy
+from .policy import LinearSoftmaxPolicy
 from .replay import WeightMode, mixed_sample, normalize_weights
 from .scoring import QualityWeights, composite_quality
 from .windows import Episode, EpisodeArrays, NoValidWindowsError, ReplayBuffer, WindowBatch
@@ -132,6 +132,8 @@ class StageChainEnv:
         if self._t >= self.t_max or position >= len(self._stages):
             raise RuntimeError("step() called on a finished episode")
         executed = int(action)
+        if not 0 <= executed < self.action_count:
+            raise ValueError(f"action {executed} outside [0, {self.action_count})")
         if self.noise > 0.0 and rng.random() < self.noise:
             executed = int(rng.integers(self.action_count))
         if executed == self._correct[position]:
@@ -324,10 +326,10 @@ class LoopConfig:
             raise ValueError("episodes and updates_per_episode must be >= 1")
         if self.eval_every < 1 or self.eval_episodes < 1:
             raise ValueError("eval_every and eval_episodes must be >= 1")
-        if not self.lam >= 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.sigma is not None and not self.sigma > 0.0:
-            raise ValueError(f"sigma must be median or > 0, got {self.sigma}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be median or finite and > 0, got {self.sigma}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if not 0.0 <= self.learning_rate < math.inf:
@@ -375,7 +377,7 @@ class WindowSelection(SelectionResult):
     median_distance: float  # median_bandwidth of the pool, whatever sigma was used
 
 
-def select_windows(buffer: ReplayBuffer, policy: SequencePolicy, config: LoopConfig,
+def select_windows(buffer: ReplayBuffer, policy: LinearSoftmaxPolicy, config: LoopConfig,
                    variant: Variant, pool_rng: np.random.Generator,
                    score_rng: np.random.Generator) -> WindowSelection:
     """Draw a candidate pool from the buffer and select up to ``subset_size`` of it.

@@ -159,11 +159,12 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
         raise ConfigError("select needs a buffer path (positional argument or 'buffer' key)")
     if not Path(settings.buffer).exists():
         raise ConfigError(f"buffer file not found: {settings.buffer}")
-    buffer = load_jsonl(settings.buffer, gamma=settings.loop.gamma)
-    if not len(buffer):
-        raise NoValidWindowsError(f"no valid windows: {settings.buffer} holds no transitions")
-    _make_out_dir(settings)
     loop = settings.loop
+    buffer = load_jsonl(settings.buffer, gamma=loop.gamma)
+    if not buffer.window_count(loop.horizon):
+        raise NoValidWindowsError(f"no valid windows: {settings.buffer} holds no episode "
+                                  f"of length >= {loop.horizon}")
+    _make_out_dir(settings)
     seed = settings.seeds[0]
     policy_ss, pool_ss, score_ss = np.random.SeedSequence(seed).spawn(3)
     policy = LinearSoftmaxPolicy(

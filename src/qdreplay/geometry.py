@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .policy import SequencePolicy
+from .policy import LinearSoftmaxPolicy
 from .windows import WindowBatch
 
 _ROW_BLOCK = 64  # rows per block of an N x N pass
@@ -24,7 +24,7 @@ _SAMPLE_SIZE = 1 << 14  # at most this many upper-triangle entries bracket the m
 _BRACKET_MARGIN = 4.0
 
 
-def encode_pool(pool: WindowBatch, model: SequencePolicy) -> np.ndarray:
+def encode_pool(pool: WindowBatch, model: LinearSoftmaxPolicy) -> np.ndarray:
     """One deterministic embedding per window, (N, d), by one ``encode`` of the pool."""
     if len(pool) == 0:
         raise ValueError("pool must be non-empty")

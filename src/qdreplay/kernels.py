@@ -249,11 +249,6 @@ def _psd_eigenvalues(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(eigvals, 0.0), eigvecs
 
 
-def elementary_symmetric(eigvals: np.ndarray, k: int) -> np.ndarray:
-    """e_0..e_k of the eigenvalues by the standard DP recurrence."""
-    return _esp_table(np.asarray(eigvals, dtype=float), k)[:, len(eigvals)]
-
-
 def kdpp_subset_probability(kernel: np.ndarray, subset: Sequence[int]) -> float:
     """Exact probability of one size-k subset: det(L_Y) / e_k(eigenvalues)."""
     values = np.asarray(kernel, dtype=float)
@@ -264,7 +259,7 @@ def kdpp_subset_probability(kernel: np.ndarray, subset: Sequence[int]) -> float:
     if len(set(idx)) != len(idx) or not idx or min(idx) < 0 or max(idx) >= n:
         raise ValueError(f"invalid subset {idx}")
     eigvals, _ = _psd_eigenvalues(values)
-    normalizer = elementary_symmetric(eigvals, len(idx))[len(idx)]
+    normalizer = _esp_table(eigvals, len(idx))[len(idx), n]
     det = float(np.linalg.det(values[np.ix_(idx, idx)]))
     return max(det, 0.0) / normalizer
 

@@ -1,30 +1,12 @@
-"""Pluggable sequence-policy interface and a toy linear-softmax instantiation."""
+"""A linear-softmax sequence policy over per-step (state, rtg) features."""
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .windows import WindowBatch
-
-
-class SequencePolicy(Protocol):
-    """What the selection pipeline needs from a policy model.
-
-    ``encode`` and ``predict_mean`` score a batch of B windows at once and
-    return one row per window, (B, f) and (B, A). ``encode`` must be
-    deterministic; ``predict_mean`` must be deterministic per (window,
-    pass_seed) but may vary across pass seeds.
-    """
-
-    def encode(self, batch: WindowBatch) -> np.ndarray: ...
-
-    def predict_mean(self, batch: WindowBatch, pass_seed) -> np.ndarray: ...
-
-    def weighted_update(
-        self, batch: WindowBatch, weights: Sequence[float], learning_rate: float
-    ) -> float: ...
 
 
 class LinearSoftmaxPolicy:
@@ -35,6 +17,11 @@ class LinearSoftmaxPolicy:
     features to action logits. The window embedding is the mean of the
     projected step features (dropout disabled), so embeddings do not drift
     as the logit weights train.
+
+    ``encode`` and ``predict_mean`` score a batch of B windows at once and
+    return one row per window, (B, feature_dim) and (B, A). ``encode`` is
+    deterministic; ``predict_mean`` is deterministic per (window, pass_seed)
+    and varies across pass seeds.
     """
 
     def __init__(
@@ -44,7 +31,6 @@ class LinearSoftmaxPolicy:
         feature_dim: int = 16,
         dropout_rate: float = 0.1,
         seed: int | np.random.SeedSequence = 0,
-        projection: np.ndarray | None = None,
     ):
         if not 0.0 <= dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
@@ -52,18 +38,11 @@ class LinearSoftmaxPolicy:
             raise ValueError("need at least two discrete actions")
         self.state_dim = int(state_dim)
         self.action_count = int(action_count)
+        self.feature_dim = int(feature_dim)
         self.dropout_rate = float(dropout_rate)
         in_dim = self.state_dim + 1  # state features plus the step's return-to-go
         rng = np.random.default_rng(seed)
-        if projection is None:
-            self.projection = rng.standard_normal((feature_dim, in_dim)) / np.sqrt(in_dim)
-        else:
-            self.projection = np.asarray(projection, dtype=float)
-            if self.projection.shape[1] != in_dim:
-                raise ValueError(
-                    f"projection expects {self.projection.shape[1]} inputs, windows provide {in_dim}"
-                )
-        self.feature_dim = self.projection.shape[0]
+        self.projection = rng.standard_normal((self.feature_dim, in_dim)) / np.sqrt(in_dim)
         # Feature-to-logit matrix, (feature_dim, action_count).
         self.weights = 0.1 * rng.standard_normal((self.feature_dim, self.action_count))
 

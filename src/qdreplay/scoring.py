@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .policy import SequencePolicy
+from .policy import LinearSoftmaxPolicy
 from .windows import WindowBatch
 
 # Floor keeping the joint kernel's diagonal strictly positive before
@@ -41,26 +41,13 @@ class QualityReport:
     composite: np.ndarray
 
 
-def rtg_quantile(window_returns: Sequence[float], target_index: int) -> float:
-    """Mid-rank empirical quantile of one return within the pool.
+def rtg_quantiles(window_returns: Sequence[float]) -> np.ndarray:
+    """Mid-rank empirical quantile of every return within the pool.
 
     (#strictly below + half the ties) / pool size, so the score is invariant
     to any strictly increasing transform of the returns and ties are scored
-    symmetrically.
+    symmetrically. Counts come by binary search in the sorted returns.
     """
-    returns = np.asarray(window_returns, dtype=float)
-    if returns.size == 0:
-        raise ValueError("window_returns must be non-empty")
-    if not 0 <= target_index < returns.size:
-        raise ValueError(f"target_index {target_index} outside pool of {returns.size}")
-    g = returns[target_index]
-    below = np.count_nonzero(returns < g)
-    ties = np.count_nonzero(returns == g)
-    return (below + 0.5 * ties) / returns.size
-
-
-def rtg_quantiles(window_returns: Sequence[float]) -> np.ndarray:
-    """``rtg_quantile`` of every return in the pool, by binary search in the sorted returns."""
     returns = np.asarray(window_returns, dtype=float)
     ordered = np.sort(returns)
     below = np.searchsorted(ordered, returns, side="left")
@@ -68,20 +55,18 @@ def rtg_quantiles(window_returns: Sequence[float]) -> np.ndarray:
     return (below + 0.5 * (through - below)) / returns.size
 
 
-def predictive_uncertainty(predictions) -> float | np.ndarray:
+def predictive_uncertainty(predictions) -> np.ndarray:
     """Trace of the unbiased sample covariance across stochastic-pass means.
 
-    ``predictions`` is indexed by pass first and by action-logit dimension
-    last: (M, A) for one window gives a float, (M, N, A) for N windows gives
-    one trace per window.
+    ``predictions`` is an (M, N, A) stack of M passes over N windows with A
+    action logits each; the result is one trace per window, (N,).
     """
     stack = np.asarray(predictions, dtype=float)
     if stack.shape[0] < 2:
         raise ValueError("insufficient stochastic passes: need M >= 2")
     centered = stack - stack.mean(axis=0)
     per_dim_var = (centered ** 2).sum(axis=0) / (stack.shape[0] - 1)
-    trace = per_dim_var.sum(axis=-1)
-    return float(trace) if trace.ndim == 0 else trace
+    return per_dim_var.sum(axis=-1)
 
 
 def normalize_uncertainty(raw: Sequence[float]) -> np.ndarray:
@@ -117,7 +102,7 @@ def stage_coverage(stage_labels: Sequence[int], smoothing_alpha: float = 0.0) ->
 def composite_quality(
     pool: WindowBatch,
     weights: QualityWeights,
-    model: SequencePolicy,
+    model: LinearSoftmaxPolicy,
     passes: int,
     gamma: float,
     seed: int,

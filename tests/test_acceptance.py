@@ -31,7 +31,7 @@ from qdreplay.kernels import (
 from qdreplay.geometry import median_bandwidth, rbf_similarity
 from qdreplay.policy import LinearSoftmaxPolicy
 from replay_estimate import estimate_uniform_mean
-from qdreplay.scoring import predictive_uncertainty, rtg_quantile, stage_coverage
+from qdreplay.scoring import predictive_uncertainty, rtg_quantiles, stage_coverage
 from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
 
 
@@ -193,9 +193,9 @@ def test_criterion_5_debiasing_unbiasedness():
 
 
 def test_criterion_6_quality_component_units():
-    quantile_ok = rtg_quantile([1, 2, 3, 4], 2) == 0.625
-    u = predictive_uncertainty([np.array([0.0, 0.0]), np.array([2.0, 0.0])])
-    uncertainty_ok = u == 2.0
+    quantile_ok = rtg_quantiles([1, 2, 3, 4])[2] == 0.625
+    u = predictive_uncertainty(np.array([[[0.0, 0.0]], [[2.0, 0.0]]]))  # (M, N, A) = (2, 1, 2)
+    uncertainty_ok = np.array_equal(u, [2.0])
     rho = stage_coverage([0] * 8 + [1] * 2, smoothing_alpha=0.0)
     coverage_ok = np.all(rho[:8] == 0.0) and np.all(rho[8:] == 0.75)
     _report(6, "worked scoring examples reproduce exactly",

@@ -291,6 +291,17 @@ def test_env_parameter_validation():
         StageChainEnv(t_max=0)
 
 
+@pytest.mark.parametrize("action", [-1, 6, 7])
+def test_step_rejects_an_action_outside_the_action_range(action):
+    env, rng = StageChainEnv(action_count=6, noise=0.5), np.random.default_rng(0)
+    env.reset()
+    with pytest.raises(ValueError, match=r"outside \[0, 6\)"):
+        env.step(action, rng)
+    # Rejected before the slip draw: the episode and the generator have not moved.
+    assert env.position == 0 and env._t == 0
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 # --------------------------------------------------------------------- metrics
 
 def test_diversity_metric_orthogonal_selection():

@@ -89,7 +89,9 @@ def test_select_without_valid_windows_exits_3(tmp_path):
     path = tmp_path / "short.jsonl"
     save_jsonl(buf, path)
     cfg = write_config(tmp_path, "horizon = 5\n")
-    assert main(["select", str(path), "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    out = tmp_path / "out"
+    assert main(["select", str(path), "--config", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["", "\n  \n"])
@@ -192,7 +194,8 @@ def test_unparseable_number_exits_2_naming_key(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("line", [
-    "lam = -0.1", "sigma = 0", "slip = 1.0", "steps_per_stage = 12,12", "gamma = 2", "t_max = 0",
+    "lam = -0.1", "lam = inf", "sigma = 0", "sigma = inf", "slip = 1.0",
+    "steps_per_stage = 12,12", "gamma = 2", "t_max = 0",
     "learning_rate = -1", "learning_rate = nan", "learning_rate = inf", "dropout_rate = 1.0",
     "dropout_rate = -0.1", "demo_epsilon = 2", "demo_epsilon = -0.5", "feature_dim = 0",
     "capacity = 0", "smoothing_alpha = -1", "smoothing_alpha = nan", "rtg_target = nan",

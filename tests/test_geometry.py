@@ -46,7 +46,8 @@ def test_encode_pool_shape_contract():
 
 def test_identity_encoder_returns_window_features():
     pool = _pool([[1.5, -2.0]], [4.0])
-    policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, projection=np.eye(3), seed=0)
+    policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, feature_dim=3, seed=0)
+    policy.projection = np.eye(3)
     emb = encode_pool(pool, policy)[0]
     np.testing.assert_allclose(emb, [1.5, -2.0, 4.0])
 

@@ -37,7 +37,8 @@ def random_batch(rng, count=1, **shape):
 
 def test_identity_projection_encodes_raw_features():
     batch = make_batch([([[2.0, -1.0]], [0], [3.0])])
-    policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, projection=np.eye(3), seed=0)
+    policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, feature_dim=3, seed=0)
+    policy.projection = np.eye(3)
     np.testing.assert_allclose(policy.encode(batch)[0], [2.0, -1.0, 3.0])
 
 
@@ -49,8 +50,8 @@ def test_encode_is_deterministic():
 
 
 def test_projection_null_feature_is_invisible():
-    projection = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # second state dim dropped
-    policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, projection=projection, seed=0)
+    policy = LinearSoftmaxPolicy(state_dim=2, action_count=3, feature_dim=2, seed=0)
+    policy.projection = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # second state dim dropped
     a, b = policy.encode(make_batch([([[1.0, 5.0]], [0], [2.0]), ([[1.0, -8.0]], [0], [2.0])]))
     np.testing.assert_array_equal(a, b)
 
@@ -65,9 +66,9 @@ def test_predict_mean_without_dropout_ignores_seed():
 
 def test_predict_mean_dropout_varies_with_seed():
     batch = make_batch([([[1.0, 1.0]], [0], [1.0])])
-    projection = np.eye(3)
-    policy = LinearSoftmaxPolicy(state_dim=2, action_count=2, dropout_rate=0.5,
-                                 projection=projection, seed=4)
+    policy = LinearSoftmaxPolicy(state_dim=2, action_count=2, feature_dim=3, dropout_rate=0.5,
+                                 seed=4)
+    policy.projection = np.eye(3)
     policy.weights = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     outputs = {tuple(np.round(policy.predict_mean(batch, seed)[0], 9)) for seed in range(32)}
     assert len(outputs) > 1
@@ -296,8 +297,8 @@ def table_act(cdf, position, rng):
 def test_sampled_act_draws_as_rng_choice(p, seed):
     """Same action as rng.choice(A, p) and the same generator state after it."""
     count = len(p)
-    policy = LinearSoftmaxPolicy(state_dim=count, action_count=count,
-                                 projection=np.eye(count, count + 1), seed=0)
+    policy = LinearSoftmaxPolicy(state_dim=count, action_count=count, feature_dim=count, seed=0)
+    policy.projection = np.eye(count, count + 1)
     policy.weights = np.eye(count)
     state = np.log(p)  # the logits, so the softmax is p normalised
     greedy, cdf = table_of(policy, [state], [0.0])
@@ -312,8 +313,8 @@ def test_sampled_act_draws_as_rng_choice(p, seed):
 @given(p=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=8))
 def test_action_probabilities_are_the_softmax_that_act_samples(p):
     count = len(p)
-    policy = LinearSoftmaxPolicy(state_dim=count, action_count=count,
-                                 projection=np.eye(count, count + 1), seed=0)
+    policy = LinearSoftmaxPolicy(state_dim=count, action_count=count, feature_dim=count, seed=0)
+    policy.projection = np.eye(count, count + 1)
     policy.weights = np.eye(count)
     cdf = table_of(policy, [np.log(p)], [0.0])[1]
     probs = np.diff(cdf[0], prepend=0.0)  # as evaluate_policy reads them
@@ -364,7 +365,8 @@ def test_batched_rows_have_the_bits_of_one_row(data):
 @pytest.mark.parametrize("bad_first", [False, True])
 def test_a_non_finite_row_raises_only_for_its_own_state(bad_first):
     # Identity features and logits: the state is the logit vector, scaled by the weights.
-    policy = LinearSoftmaxPolicy(state_dim=2, action_count=2, projection=np.eye(2, 3), seed=0)
+    policy = LinearSoftmaxPolicy(state_dim=2, action_count=2, feature_dim=2, seed=0)
+    policy.projection = np.eye(2, 3)
     policy.weights = 1e10 * np.eye(2)  # big's logit overflows to inf, ordinary's does not
     big, ordinary = np.array([1e300, 0.0]), np.array([0.5, -0.5])
     states = [big, ordinary] if bad_first else [ordinary, big]

@@ -16,11 +16,11 @@ from qdreplay.scoring import (
     composite_quality,
     normalize_uncertainty,
     predictive_uncertainty,
-    rtg_quantile,
     rtg_quantiles,
     stage_coverage,
 )
 from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
+from scoring_oracle import rtg_quantile
 
 
 def test_quality_weights_must_sum_to_one():
@@ -32,16 +32,16 @@ def test_quality_weights_must_sum_to_one():
 
 
 def test_quantile_mid_rank_example():
-    assert rtg_quantile([1, 2, 3, 4], 2) == pytest.approx(0.625)
+    assert rtg_quantiles([1, 2, 3, 4])[2] == pytest.approx(0.625)
 
 
 def test_quantile_pure_ties_give_half():
     for i in range(4):
-        assert rtg_quantile([7, 7, 7, 7], i) == pytest.approx(0.5)
+        assert rtg_quantiles([7, 7, 7, 7])[i] == pytest.approx(0.5)
 
 
 def test_quantile_two_point_pool():
-    assert rtg_quantile([0, 100], 1) == pytest.approx(0.75)
+    assert rtg_quantiles([0, 100])[1] == pytest.approx(0.75)
 
 
 def test_quantile_invariant_to_monotone_transform():
@@ -60,8 +60,13 @@ def test_quantile_mean_is_half_without_ties():
         assert abs(mean - 0.5) <= 1 / (2 * n)
 
 
+def _one_window(passes):
+    """M per-pass logit means of one window, stacked as (M, N, A) with N = 1."""
+    return np.stack(passes)[:, None, :]
+
+
 def test_uncertainty_zero_for_identical_passes():
-    assert predictive_uncertainty([np.array([1.0, 2.0])] * 3) == 0.0
+    assert predictive_uncertainty(_one_window([np.array([1.0, 2.0])] * 3)) == [0.0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -73,27 +78,28 @@ def test_rtg_quantiles_match_per_entry_quantile(returns):
 
 
 def test_uncertainty_two_pass_example():
-    assert predictive_uncertainty([np.array([0.0, 0.0]), np.array([2.0, 0.0])]) == pytest.approx(2.0)
+    value = predictive_uncertainty(_one_window([np.array([0.0, 0.0]), np.array([2.0, 0.0])]))
+    assert value == pytest.approx([2.0])
 
 
 def test_uncertainty_scalar_passes_unbiased_divisor():
-    value = predictive_uncertainty([np.array([v]) for v in [0.0, 1.0, 2.0, 3.0]])
-    assert value == pytest.approx(5 / 3)
+    value = predictive_uncertainty(_one_window([np.array([v]) for v in [0.0, 1.0, 2.0, 3.0]]))
+    assert value == pytest.approx([5 / 3])
 
 
 def test_uncertainty_requires_two_passes():
     with pytest.raises(ValueError, match="insufficient stochastic passes"):
-        predictive_uncertainty([np.array([1.0])])
+        predictive_uncertainty(_one_window([np.array([1.0])]))
 
 
 def test_uncertainty_invariant_to_pass_order_and_constant_shift():
     rng = np.random.default_rng(3)
     passes = [rng.standard_normal(4) for _ in range(6)]
-    base = predictive_uncertainty(passes)
+    base = predictive_uncertainty(_one_window(passes))
     shuffled = [passes[i] for i in rng.permutation(6)]
-    assert predictive_uncertainty(shuffled) == pytest.approx(base, rel=1e-12)
+    assert predictive_uncertainty(_one_window(shuffled)) == pytest.approx(base, rel=1e-12)
     shifted = [p + np.array([5.0, -2.0, 0.5, 9.0]) for p in passes]
-    assert predictive_uncertainty(shifted) == pytest.approx(base, rel=1e-9)
+    assert predictive_uncertainty(_one_window(shifted)) == pytest.approx(base, rel=1e-9)
 
 
 def test_normalize_min_max():
