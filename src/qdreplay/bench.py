@@ -377,23 +377,25 @@ class WindowSelection(SelectionResult):
     median_distance: float  # median_bandwidth of the pool, whatever sigma was used
 
 
-def select_windows(buffer: ReplayBuffer, policy: LinearSoftmaxPolicy, config: LoopConfig,
+def select_windows(pool: WindowBatch, policy: LinearSoftmaxPolicy, config: LoopConfig,
                    variant: Variant, pool_rng: np.random.Generator,
                    score_rng: np.random.Generator) -> WindowSelection:
-    """Draw a candidate pool from the buffer and select up to ``subset_size`` of it.
+    """Select up to ``subset_size`` windows of a candidate pool.
 
-    Pool -> embeddings -> RBF similarity (median bandwidth unless ``sigma`` is
-    set) -> composite quality -> joint kernel -> selection. The pairwise
-    distances are computed once, read for the median, and turned into the
-    similarity in place, the one N x N array of the selection. FULL and
-    DIVERSITY_ONLY select by greedy MAP, which reads the kernel one column at
-    a time, QUALITY_ONLY takes the stable top-k by quality, and UNIFORM picks
-    uniformly at random from ``pool_rng``; their logdet reads only the picks'
-    block of the kernel.
+    The caller draws the pool with ``ReplayBuffer.sample_candidate_pool``
+    from ``pool_rng``, so a caller that holds the buffer only for that draw
+    can let it go before the N x N stages. Embeddings -> RBF similarity
+    (median bandwidth unless ``sigma`` is set) -> composite quality -> joint
+    kernel -> selection. The pairwise distances are computed once, read for
+    the median, and turned into the similarity in place, the one N x N array
+    of the selection. FULL and DIVERSITY_ONLY select by greedy MAP, which
+    reads the kernel one column at a time, QUALITY_ONLY takes the stable
+    top-k by quality, and UNIFORM picks uniformly at random from ``pool_rng``
+    after the pool draw; their logdet reads only the picks' block of the
+    kernel.
     DIVERSITY_ONLY and UNIFORM use unit quality, so only FULL and
     QUALITY_ONLY draw a scoring seed from ``score_rng``.
     """
-    pool = buffer.sample_candidate_pool(config.pool_size, config.horizon, pool_rng)
     embeddings = encode_pool(pool, policy)
     distances = pairwise_distances(embeddings)
     median = median_bandwidth(embeddings, distances=distances)
@@ -510,7 +512,8 @@ def run_loop(
 
     def select(rng: np.random.Generator) -> None:
         nonlocal selection
-        selection = select_windows(buffer, policy, config, variant, rng, score_rng)
+        pool = buffer.sample_candidate_pool(config.pool_size, config.horizon, rng)
+        selection = select_windows(pool, policy, config, variant, rng, score_rng)
         result.selected_stage_counts.update(
             selection.pool.stage_labels[selection.indices].tolist())
 

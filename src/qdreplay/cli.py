@@ -20,7 +20,7 @@ from .kernels import build_joint_kernel, greedy_map  # noqa: F401
 from .policy import LinearSoftmaxPolicy
 from .replay import WeightMode
 from .scoring import composite_quality  # noqa: F401
-from .windows import JsonlParseError, NoValidWindowsError, load_jsonl
+from .windows import JsonlParseError, NoValidWindowsError, WindowBatch, load_jsonl
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -154,29 +154,44 @@ def _provenance(settings: RunSettings, seed: int) -> str:
 
 # ---------------------------------------------------------------------- select
 
-def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
+def _draw_pool(settings: RunSettings, pool_rng: np.random.Generator) -> WindowBatch:
+    """Load the dump, check it holds a window and draw the candidate pool from it.
+
+    Only the pool is returned, so the dump's buffer is freed before the
+    selection builds its N x N similarity.
+    """
     if not settings.buffer:
         raise ConfigError("select needs a buffer path (positional argument or 'buffer' key)")
     if not Path(settings.buffer).exists():
         raise ConfigError(f"buffer file not found: {settings.buffer}")
     loop = settings.loop
-    buffer = load_jsonl(settings.buffer, gamma=loop.gamma)
+    try:
+        buffer = load_jsonl(settings.buffer, gamma=loop.gamma)
+    except OSError as exc:
+        raise ConfigError(f"cannot read buffer file {settings.buffer}: {exc}") from exc
     if not buffer.window_count(loop.horizon):
         raise NoValidWindowsError(f"no valid windows: {settings.buffer} holds no episode "
                                   f"of length >= {loop.horizon}")
-    _make_out_dir(settings)
+    return buffer.sample_candidate_pool(loop.pool_size, loop.horizon, pool_rng)
+
+
+def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
+    loop = settings.loop
     seed = settings.seeds[0]
     policy_ss, pool_ss, score_ss = np.random.SeedSequence(seed).spawn(3)
+    pool_rng = np.random.default_rng(pool_ss)
+    pool = _draw_pool(settings, pool_rng)
+    _make_out_dir(settings)
     policy = LinearSoftmaxPolicy(
-        state_dim=buffer.state_dim,
+        state_dim=pool.states.shape[2],
         action_count=loop.action_count,
         feature_dim=loop.feature_dim,
         dropout_rate=loop.dropout_rate,
         seed=policy_ss,
     )
-    selection = select_windows(buffer, policy, loop, Variant.FULL,
-                               np.random.default_rng(pool_ss), np.random.default_rng(score_ss))
-    pool, chosen = selection.pool, selection.indices
+    selection = select_windows(pool, policy, loop, Variant.FULL, pool_rng,
+                               np.random.default_rng(score_ss))
+    chosen = selection.indices
 
     provenance = _provenance(settings, seed)
     selection_path = settings.out / "selection.json"

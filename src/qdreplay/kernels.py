@@ -5,12 +5,12 @@ and builds the N x N L only when ``values`` is read. ``fast_greedy_map``
 takes a ``JointKernel`` and serves production-size pools in O(k^2 N) time and
 O(k N) memory beside the similarity: it reads L's diagonal and the column of
 each pick, each entry by ``build_joint_kernel``'s arithmetic, and builds each
-pick's residual column as one row reduction over the kernel column and the
-earlier picks' downdate terms, O(k) numpy calls per run. A plain L goes in as
-``build_joint_kernel(L, np.ones(n), 0.0)``, whose entries are L's bits. The
-O(k N^2) ``greedy_map`` it reproduces bit for bit, the exhaustive optimizer,
-exact subset probabilities and the exact sampler are verification oracles;
-the last three are shipped behind size guards.
+pick's residual column by row reductions over the kernel column and the
+earlier picks' downdate terms, at most ``_TERM_BLOCK`` terms per reduction.
+A plain L goes in as ``build_joint_kernel(L, np.ones(n), 0.0)``, whose
+entries are L's bits. The O(k N^2) ``greedy_map`` it reproduces bit for bit,
+the exhaustive optimizer, exact subset probabilities and the exact sampler
+are verification oracles; the last three are shipped behind size guards.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ EPS_PD = 1e-10
 CHOL_EPS = 1e-12
 EXHAUSTIVE_GUARD = 10 ** 6
 EIG_RANK_TOL = 1e-10
+# Downdate terms per reduction in fast_greedy_map, which bounds its scratch to
+# 1 + _TERM_BLOCK rows of N beside the k x N residual columns.
+_TERM_BLOCK = 64
 
 
 @dataclass
@@ -69,13 +72,16 @@ class JointKernel:
         return out
 
     def write_csv(self, path: str | Path, header_comment: str | None = None) -> None:
-        """Row-major dump preceded by a one-line (N, lambda) header."""
+        """Row-major dump of L, built one row at a time, after a one-line (N, lambda) header."""
         with open(path, "w", newline="") as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
             writer = csv.writer(fh)
             writer.writerow([len(self.root_quality), repr(float(self.lam))])
-            for row in self.values:
+            root, lam = self.root_quality, self.lam
+            for i, similarity_row in enumerate(self.similarity):
+                row = (root[i] * similarity_row) * root  # _joint_values' arithmetic, one row
+                row[i] += lam
                 writer.writerow([repr(float(x)) for x in row])
 
 
@@ -111,8 +117,8 @@ def build_joint_kernel(
         raise ValueError(f"similarity must be square, got {s.shape}")
     if q.shape[0] != s.shape[0]:
         raise ValueError(f"quality length {q.shape[0]} != similarity size {s.shape[0]}")
-    if np.any(q <= 0):
-        raise ValueError("quality scores must be strictly positive (floor upstream)")
+    if not np.all(q > 0):
+        raise ValueError("quality scores must be strictly positive (floor upstream), not NaN")
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     return JointKernel(similarity=s, root_quality=np.sqrt(q), lam=float(lam))
@@ -183,13 +189,16 @@ def fast_greedy_map(kernel: JointKernel, k: int) -> SelectionResult:
     the picks' columns are computed, so L is never built; a plain matrix L goes
     in as ``build_joint_kernel(L, np.ones(n), 0.0)``. A step picks as
     ``greedy_map`` does and downdates the diagonal by the pick's residual
-    column. That column is one ``np.subtract.reduce`` down the rows of a work
-    buffer: row 0 is the kernel column, rows 1..t the earlier picks' downdate
-    terms ``columns[s] * columns[s, j] / pivots[s]``, made by one (t, N)
-    multiply and divide. The reduction subtracts them in row order, so every entry
-    ``greedy_map`` reads gets the same floating-point operations in the same
-    order, at O(k) numpy calls per run; the normalized Cholesky form
-    (``C[:t, j] @ C[:t]``) would round differently.
+    column. That column is the kernel column less the earlier picks' downdate
+    terms ``columns[s] * columns[s, j] / pivots[s]``, taken in pick order. A
+    scratch buffer holds the running column in row 0 and the next block of up
+    to ``_TERM_BLOCK`` terms below it, made by one multiply and divide, and one
+    ``np.subtract.reduce`` down its rows subtracts the block; the result is the
+    next block's row 0. So the scratch stays at 1 + ``_TERM_BLOCK`` rows of N
+    whatever k is, and every entry ``greedy_map`` reads gets the same
+    floating-point operations in the same order, at O(k) numpy calls per run
+    (O(k^2 / _TERM_BLOCK) past k = ``_TERM_BLOCK``); the normalized Cholesky
+    form (``C[:t, j] @ C[:t]``) would round differently.
     """
     diagonal = kernel.diagonal()
     n = diagonal.shape[0]
@@ -197,7 +206,10 @@ def fast_greedy_map(kernel: JointKernel, k: int) -> SelectionResult:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     columns = np.empty((k, n))  # residual column of each pick, when it was picked
     pivots = np.empty(k)
-    work = np.empty((k, n))  # kernel column, then one downdate term per earlier pick
+    # The running column, then one block of downdate terms. A reduction must not
+    # write into the rows it reads (numpy would copy them), so a block's result
+    # is a new array that goes back into row 0.
+    scratch = np.empty((min(k, _TERM_BLOCK + 1), n))
     alive = np.ones(n, dtype=bool)
     indices: list[int] = []
     gains: list[float] = []
@@ -207,11 +219,17 @@ def fast_greedy_map(kernel: JointKernel, k: int) -> SelectionResult:
         if diag[j] <= EPS_PD:
             break
         gains.append(float(np.log(diag[j])))
-        kernel.column(j, work[0])
-        terms = work[1:step + 1]
-        np.multiply(columns[:step], columns[:step, j, None], out=terms)
-        terms /= pivots[:step, None]
-        col = np.subtract.reduce(work[:step + 1], axis=0)
+        kernel.column(j, scratch[0])
+        first = 0
+        while True:
+            last = min(first + _TERM_BLOCK, step)
+            terms = scratch[1:last - first + 1]
+            np.multiply(columns[first:last], columns[first:last, j, None], out=terms)
+            terms /= pivots[first:last, None]
+            col = np.subtract.reduce(scratch[:last - first + 1], axis=0)
+            if last == step:
+                break
+            scratch[0], first = col, last
         columns[step], pivots[step] = col, diag[j]
         diagonal -= (col * col) / diag[j]
         alive[j] = False

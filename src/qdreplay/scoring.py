@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,8 +25,8 @@ class QualityWeights:
 
     def __post_init__(self):
         for name, v in (("alpha", self.alpha), ("beta", self.beta), ("zeta", self.zeta)):
-            if v < 0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
+            if not 0 <= v < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if abs(self.alpha + self.beta + self.zeta - 1.0) > 1e-12:
             raise ValueError(
                 f"weights must sum to 1, got {self.alpha + self.beta + self.zeta!r}"

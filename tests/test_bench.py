@@ -364,7 +364,7 @@ SELECT = replace(TINY, pool_size=20, subset_size=5)
 
 
 def _select(variant, score_rng=None, config=SELECT):
-    """select_windows on a 12-episode demonstration buffer; returns (selection, policy)."""
+    """select_windows on a pool from 12 demonstration episodes; returns (selection, policy)."""
     env = config.make_env()
     buffer = ReplayBuffer(capacity=10_000, gamma=config.gamma)
     rng = np.random.default_rng(0)
@@ -373,8 +373,9 @@ def _select(variant, score_rng=None, config=SELECT):
         buffer.append_episode(Episode(id=buffer.new_episode_id(), transitions=steps))
     policy = LinearSoftmaxPolicy(state_dim=env.state_dim, action_count=env.action_count, seed=1)
     score_rng = score_rng or np.random.default_rng(3)
-    selection = select_windows(buffer, policy, config, variant, np.random.default_rng(2),
-                               score_rng)
+    pool_rng = np.random.default_rng(2)
+    pool = buffer.sample_candidate_pool(config.pool_size, config.horizon, pool_rng)
+    selection = select_windows(pool, policy, config, variant, pool_rng, score_rng)
     return selection, policy
 
 
@@ -445,11 +446,13 @@ def test_full_selection_peak_allocation_at_pool_1500():
     ``pairwise_distances`` builds the Gram product and the distances in that
     one array, one row block at a time; ``median_bandwidth`` reads them by
     row blocks, ``rbf_similarity`` turns them into the similarity in place,
-    and greedy MAP reads the kernel one column at a time beside its two
-    (k, N) buffers, so the peak reads 1.39 arrays of N x N floats (23.8 MiB),
-    as it did when the whole-pool ``z @ z.T`` product was that array. With a second distance array, the
-    median's copy of the upper triangle and the built kernel it read 2.38;
-    with the extra squared-distance array and kernel temporary, 3.20.
+    and greedy MAP reads the kernel one column at a time beside its (k, N)
+    residual columns and a scratch of at most 65 rows of N, so the pool draw
+    and the selection peak at 1.28 arrays of N x N floats (21.9 MiB). With a
+    second (k, N) work buffer in greedy MAP it read 1.38; with a second
+    distance array, the median's copy of the upper triangle and the built
+    kernel it read 2.38; with the extra squared-distance array and kernel
+    temporary, 3.20.
     """
     n = 1500
     cfg = replace(LoopConfig(), pool_size=n, subset_size=225)
@@ -460,14 +463,15 @@ def test_full_selection_peak_allocation_at_pool_1500():
         steps, _ = rollout(env, ScriptedDemonstrator(env, 0.3), rng)
         buffer.append_episode(Episode(id=buffer.new_episode_id(), transitions=steps))
     policy = LinearSoftmaxPolicy(state_dim=env.state_dim, action_count=env.action_count, seed=0)
+    pool_rng = np.random.default_rng(1)
     tracemalloc.start()
     try:
-        select_windows(buffer, policy, cfg, Variant.FULL, np.random.default_rng(1),
-                       np.random.default_rng(2))
+        pool = buffer.sample_candidate_pool(cfg.pool_size, cfg.horizon, pool_rng)
+        select_windows(pool, policy, cfg, Variant.FULL, pool_rng, np.random.default_rng(2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.45 * n * n * 8
+    assert peak <= 1.33 * n * n * 8
 
 
 def test_selection_events_reference_valid_windows():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from enum import Enum
 from pathlib import Path
@@ -100,6 +102,38 @@ def test_select_on_empty_buffer_file_exits_3(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["select", str(path), "--out", str(tmp_path)]) == 3
     assert "no valid windows" in capsys.readouterr().err
+
+
+def test_select_on_a_directory_exits_2_before_any_output(tmp_path, capsys):
+    dump = tmp_path / "adir"
+    dump.mkdir()
+    out = tmp_path / "out"
+    assert main(["select", str(dump), "--out", str(out)]) == 2
+    assert f"cannot read buffer file {dump}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_select_frees_the_dump_before_selecting(tmp_path, buffer_file, monkeypatch):
+    """Only the candidate pool outlives the pool draw, not the loaded buffer."""
+    cli = qdreplay.cli
+    load_jsonl, select_windows = cli.load_jsonl, cli.select_windows
+    loaded = []
+
+    def load_and_watch(*args, **kwargs):
+        buffer = load_jsonl(*args, **kwargs)
+        loaded.append(weakref.ref(buffer))
+        return buffer
+
+    def select_after_free(*args, **kwargs):
+        gc.collect()
+        assert loaded and loaded[0]() is None
+        return select_windows(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_jsonl", load_and_watch)
+    monkeypatch.setattr(cli, "select_windows", select_after_free)
+    cfg = write_config(tmp_path, "horizon = 5\n")
+    assert main(["select", str(buffer_file), "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_malformed_buffer_exits_2_with_line(tmp_path, capsys):
@@ -199,7 +233,8 @@ def test_unparseable_number_exits_2_naming_key(tmp_path, capsys, line):
     "learning_rate = -1", "learning_rate = nan", "learning_rate = inf", "dropout_rate = 1.0",
     "dropout_rate = -0.1", "demo_epsilon = 2", "demo_epsilon = -0.5", "feature_dim = 0",
     "capacity = 0", "smoothing_alpha = -1", "smoothing_alpha = nan", "rtg_target = nan",
-    "rtg_target = -inf", "warmup_episodes = -1", "pretrain_steps = -1", "horizon = 61"])
+    "rtg_target = -inf", "warmup_episodes = -1", "pretrain_steps = -1", "horizon = 61",
+    "alpha = nan", "beta = nan", "zeta = nan"])
 def test_bad_value_exits_2_before_any_output(tmp_path, capsys, line):
     cfg = write_config(tmp_path, line + "\n")
     out = tmp_path / "out"

@@ -91,10 +91,22 @@ def test_kernel_input_validation():
     s = np.eye(3)
     with pytest.raises(ValueError, match="positive"):
         build_joint_kernel(s, [1.0, 0.0, 1.0], lam=0.0)
+    with pytest.raises(ValueError, match="positive"):
+        build_joint_kernel(s, [1.0, math.nan, 1.0], lam=0.0)
     with pytest.raises(ValueError, match="lambda"):
         build_joint_kernel(s, [1.0, 1.0, 1.0], lam=-0.1)
     with pytest.raises(ValueError, match="length"):
         build_joint_kernel(s, [1.0, 1.0], lam=0.0)
+
+
+def test_write_csv_matches_the_built_kernel_row_for_row(tmp_path):
+    rng = np.random.default_rng(5)
+    s = random_similarity(9, rng)
+    kernel = build_joint_kernel(s, rng.uniform(0.1, 2.0, size=9), lam=0.05)
+    kernel.write_csv(tmp_path / "kernel.csv", header_comment="seed=5")
+    expected = ["# seed=5", "9,0.05"] + [",".join(repr(float(x)) for x in row)
+                                         for row in kernel.values]
+    assert (tmp_path / "kernel.csv").read_text().splitlines() == expected
 
 
 # ---------------------------------------------------------------------- log det
@@ -330,20 +342,22 @@ def test_fast_greedy_matches_greedy_map_at_production_sizes(n, k):
 
 
 def test_fast_greedy_peak_allocation_stays_below_one_n_by_n_array():
-    n, k = 1500, 50
+    """Past 64 picks the scratch stops growing: k residual columns, 65 scratch rows."""
+    n, k = 1500, 200
     rng = np.random.default_rng(8)
     z = rng.standard_normal((n, 8))
     kernel = build_joint_kernel(rbf_similarity(z, median_bandwidth(z)),
                                 rng.uniform(0.1, 1.0, size=n)).values
     peaks = {}
-    for select, argument in ((fast_greedy_map, as_joint(kernel)), (greedy_map, kernel)):
+    for select, argument, picks in ((fast_greedy_map, as_joint(kernel), k),
+                                    (greedy_map, kernel, 5)):
         tracemalloc.start()
         try:
-            select(argument, k)
+            select(argument, picks)
             peaks[select] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[fast_greedy_map] < kernel.nbytes
+    assert peaks[fast_greedy_map] < (k + 2 * 64) * n * 8 < kernel.nbytes
     # The reference copies the residual, so the trace does see numpy's allocations.
     assert peaks[greedy_map] >= kernel.nbytes
 
