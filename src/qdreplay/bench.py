@@ -223,17 +223,15 @@ def rollout(env: StageChainEnv, actor, rng: np.random.Generator, rtg_target: flo
                                  np.array(stages), last), success
 
 
-def evaluate_policy(policy: LinearSoftmaxPolicy, env: StageChainEnv,
-                    rtg_target: float = 1.0) -> tuple[float, float]:
+def evaluate_policy(env: StageChainEnv, greedy: np.ndarray,
+                    cdf: np.ndarray) -> tuple[float, float]:
     """Exact success probabilities of the greedy and of the sampled policy.
 
-    The rtg hint stays at ``rtg_target`` until success, so the policy acts on
-    each chain state with one row of its ``action_table`` at that rtg: the
-    greedy actor with the row's argmax, the sampled one with the softmax
-    whose CDF a ``TableActor`` inverts.
+    ``greedy`` and ``cdf`` are a policy's ``action_table`` over ``env``'s
+    chain states at the rollouts' rtg, which the hint keeps until success: the
+    greedy actor takes each row's argmax, the sampled one the softmax whose
+    CDF a ``TableActor`` inverts.
     """
-    features = np.array([policy.state_features(s, rtg_target) for s in env.chain_states()])
-    greedy, cdf = policy.action_table(features)
     if not np.isfinite(cdf).all():
         raise ValueError("action probabilities are not finite")
     return (env.success_probability(np.eye(env.action_count)[greedy]),
@@ -423,7 +421,8 @@ def select_windows(pool: WindowBatch, policy: LinearSoftmaxPolicy, config: LoopC
         greedy = fast_greedy_map(kernel, k)
         return WindowSelection(greedy.indices, greedy.gains, greedy.logdet,
                                pool, embeddings, kernel, median)
-    return WindowSelection(indices, [], log_det(kernel.submatrix(indices), range(k)),
+    picks = np.asarray(indices)
+    return WindowSelection(indices, [], log_det(kernel.entries(picks[:, None], picks), range(k)),
                            pool, embeddings, kernel, median)
 
 
@@ -532,12 +531,13 @@ def run_loop(
         return buffer.window_ids(pool.episode_ids[chosen], pool.starts[chosen], config.horizon)
 
     # Online rollouts act only on the chain states, at the rtg hint's one value:
-    # their features are projected once, their rows taken afresh per episode.
+    # their features are projected once, and one table per policy state serves
+    # the next rollout and any evaluation.
     chain_features = np.array([policy.state_features(s, config.rtg_target)
                                for s in env.chain_states()])
+    greedy, cdf = policy.action_table(chain_features)
     for ep in range(config.episodes):
-        actor = TableActor(env, policy.action_table(chain_features)[1])
-        transitions, _ = rollout(env, actor, collect_rng, config.rtg_target)
+        transitions, _ = rollout(env, TableActor(env, cdf), collect_rng, config.rtg_target)
         buffer.append_episode(Episode(id=buffer.new_episode_id(), transitions=transitions))
         window_count = buffer.window_count(config.horizon)
         if not window_count:
@@ -558,8 +558,9 @@ def run_loop(
                                    config.learning_rate)
             grad_step += 1
 
+        greedy, cdf = policy.action_table(chain_features)
         if (ep + 1) % config.eval_every == 0:
-            success, sampled_success = evaluate_policy(policy, env, config.rtg_target)
+            success, sampled_success = evaluate_policy(env, greedy, cdf)
             if variant is Variant.UNIFORM:
                 select(pseudo_rng)
             diversity, redundancy = _selection_quality_metrics(selection)

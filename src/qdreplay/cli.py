@@ -105,6 +105,9 @@ def build_settings(raw: dict[str, str], args: argparse.Namespace) -> RunSettings
     if args.command != "select" and loop.horizon > loop.t_max:
         raise ConfigError(f"horizon ({loop.horizon}) must be <= t_max ({loop.t_max}): "
                           "no episode is long enough for one window")
+    if args.command != "select" and loop.capacity < loop.t_max:
+        raise ConfigError(f"capacity ({loop.capacity}) must be >= t_max ({loop.t_max}): "
+                          "the buffer must hold a whole episode")
 
     seeds = [int(s) for s in args.seed] if args.seed else None
     if seeds is None and "seeds" in raw:

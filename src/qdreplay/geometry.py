@@ -68,7 +68,7 @@ def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
 
 
 def median_bandwidth(embeddings: np.ndarray, *, distances: np.ndarray | None = None) -> float:
-    """Median of all pairwise distances; falls back to 1 for duplicate-heavy pools.
+    """Median of all pairwise distances; 1 below two embeddings or when the median is 0.
 
     ``distances``, if given, must be ``pairwise_distances(embeddings)``; it is
     read, not rebuilt. The median is ``np.median``'s of the upper triangle,
@@ -81,7 +81,7 @@ def median_bandwidth(embeddings: np.ndarray, *, distances: np.ndarray | None = N
     z = np.asarray(embeddings, dtype=float)
     n = z.shape[0]
     if n < 2:
-        raise ValueError("median bandwidth needs at least 2 embeddings")
+        return 1.0  # no pair; a one-window similarity is [[1]] at any sigma
     d = pairwise_distances(z) if distances is None else distances
     size = n * (n - 1) // 2
     middle = [(size - 1) // 2, size // 2]

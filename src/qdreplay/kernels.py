@@ -1,16 +1,13 @@
 """Quality-diversity joint kernel and k-DPP subset selection.
 
-``JointKernel`` holds L's factors, the similarity, sqrt(quality) and lambda,
-and builds the N x N L only when ``values`` is read. ``fast_greedy_map``
-takes a ``JointKernel`` and serves production-size pools in O(k^2 N) time and
-O(k N) memory beside the similarity: it reads L's diagonal and the column of
-each pick, each entry by ``build_joint_kernel``'s arithmetic, and builds each
-pick's residual column by row reductions over the kernel column and the
-earlier picks' downdate terms, at most ``_TERM_BLOCK`` terms per reduction.
-A plain L goes in as ``build_joint_kernel(L, np.ones(n), 0.0)``, whose
-entries are L's bits. The O(k N^2) ``greedy_map`` it reproduces bit for bit,
-the exhaustive optimizer, exact subset probabilities and the exact sampler
-are verification oracles; the last three are shipped behind size guards.
+``JointKernel`` holds L's factors, the similarity, sqrt(quality) and lambda;
+its one reader, ``entries``, is what greedy MAP, ``values`` (the N x N L,
+built only when read) and ``kernel.csv`` read, so they agree bit for bit.
+``fast_greedy_map`` serves production-size pools in O(k^2 N) time and O(k N)
+memory beside the similarity, reading only L's diagonal and each pick's
+column. The O(k N^2) ``greedy_map`` it reproduces bit for bit, the exhaustive
+optimizer, exact subset probabilities and the exact sampler are verification
+oracles; the last three are shipped behind size guards.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ class JointKernel:
     """L = diag(sqrt q) S diag(sqrt q) + lam I, kept as its factors.
 
     ``similarity`` is held, not copied, and must not change while the kernel
-    is in use. Every entry of L that is read is computed as
+    is in use. Every entry of L that is read is computed by ``entries``, as
     ``(sqrt(q_i) * S_ij) * sqrt(q_j)``, plus ``lam`` on the diagonal.
     """
 
@@ -49,27 +46,23 @@ class JointKernel:
     root_quality: np.ndarray
     lam: float
 
+    def entries(self, rows, cols) -> np.ndarray:
+        """L at index arrays in [0, N) that broadcast together, as ``similarity[rows, cols]``.
+
+        The result is a new array; this is the one place L's arithmetic is written.
+        """
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        values = np.asarray(self.similarity[rows, cols])  # fancy indexing copies
+        values *= self.root_quality[rows]  # S_ij * sqrt(q_i): the bits of sqrt(q_i) * S_ij
+        values *= self.root_quality[cols]
+        np.add(values, self.lam, out=values, where=rows == cols)
+        return values
+
     @property
     def values(self) -> np.ndarray:
         """L as a new N x N array, built at each read."""
-        return _joint_values(self.similarity, self.root_quality, self.lam)
-
-    def submatrix(self, indices: Sequence[int]) -> np.ndarray:
-        """L's rows and columns at ``indices`` (distinct), without building L."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return _joint_values(self.similarity[np.ix_(idx, idx)], self.root_quality[idx], self.lam)
-
-    def diagonal(self) -> np.ndarray:
-        """L's diagonal as a new array."""
-        root = self.root_quality
-        return root * np.diagonal(self.similarity) * root + self.lam
-
-    def column(self, j: int, out: np.ndarray) -> np.ndarray:
-        """Write L's column j into ``out`` and return it."""
-        np.multiply(self.root_quality, self.similarity[:, j], out=out)
-        out *= self.root_quality[j]
-        out[j] += self.lam
-        return out
+        every = np.arange(len(self.root_quality))
+        return self.entries(every[:, None], every)
 
     def write_csv(self, path: str | Path, header_comment: str | None = None) -> None:
         """Row-major dump of L, built one row at a time, after a one-line (N, lambda) header."""
@@ -78,18 +71,8 @@ class JointKernel:
                 fh.write(f"# {header_comment}\n")
             writer = csv.writer(fh)
             writer.writerow([len(self.root_quality), repr(float(self.lam))])
-            root, lam = self.root_quality, self.lam
-            for i, similarity_row in enumerate(self.similarity):
-                row = (root[i] * similarity_row) * root  # _joint_values' arithmetic, one row
-                row[i] += lam
-                writer.writerow([repr(float(x)) for x in row])
-
-
-def _joint_values(similarity: np.ndarray, root: np.ndarray, lam: float) -> np.ndarray:
-    values = root[:, None] * similarity
-    values *= root[None, :]
-    values[np.diag_indices_from(values)] += lam
-    return values
+            every = np.arange(len(self.root_quality))
+            writer.writerows([repr(float(x)) for x in self.entries(i, every)] for i in every)
 
 
 @dataclass
@@ -185,23 +168,25 @@ def fast_greedy_map(kernel: JointKernel, k: int) -> SelectionResult:
     The column-at-a-time greedy of Chen, Zhang & Zhou, "Fast Greedy MAP
     Inference for DPP" (NeurIPS 2018). Only the residual diagonal and the
     residual column of each pick are kept, never the N x N residual, so a run
-    costs O(k^2 N) time and O(k N) memory. Of ``kernel`` only the diagonal and
-    the picks' columns are computed, so L is never built; a plain matrix L goes
-    in as ``build_joint_kernel(L, np.ones(n), 0.0)``. A step picks as
-    ``greedy_map`` does and downdates the diagonal by the pick's residual
-    column. That column is the kernel column less the earlier picks' downdate
-    terms ``columns[s] * columns[s, j] / pivots[s]``, taken in pick order. A
-    scratch buffer holds the running column in row 0 and the next block of up
-    to ``_TERM_BLOCK`` terms below it, made by one multiply and divide, and one
-    ``np.subtract.reduce`` down its rows subtracts the block; the result is the
-    next block's row 0. So the scratch stays at 1 + ``_TERM_BLOCK`` rows of N
-    whatever k is, and every entry ``greedy_map`` reads gets the same
-    floating-point operations in the same order, at O(k) numpy calls per run
-    (O(k^2 / _TERM_BLOCK) past k = ``_TERM_BLOCK``); the normalized Cholesky
-    form (``C[:t, j] @ C[:t]``) would round differently.
+    costs O(k^2 N) time and O(k N) memory. Of ``kernel``, ``entries`` reads
+    only the diagonal and the picks' columns, so L is never built; a plain
+    matrix L goes in as ``build_joint_kernel(L, np.ones(n), 0.0)``, whose
+    entries are L's bits. A step picks as ``greedy_map`` does and downdates
+    the diagonal by the pick's residual column: the kernel column less the
+    earlier picks' downdate terms ``columns[s] * columns[s, j] / pivots[s]``,
+    in pick order. A scratch buffer holds the running column in row 0 and the
+    next block of up to ``_TERM_BLOCK`` terms below it, made by one multiply
+    and divide, and one ``np.subtract.reduce`` down its rows subtracts the
+    block; the result is the next block's row 0. So the scratch stays at
+    1 + ``_TERM_BLOCK`` rows of N whatever k is, and every entry
+    ``greedy_map`` reads gets the same floating-point operations in the same
+    order, at O(k) numpy calls per run (O(k^2 / _TERM_BLOCK) past k =
+    ``_TERM_BLOCK``); the normalized Cholesky form (``C[:t, j] @ C[:t]``)
+    would round differently.
     """
-    diagonal = kernel.diagonal()
-    n = diagonal.shape[0]
+    n = len(kernel.root_quality)
+    every = np.arange(n)
+    diagonal = kernel.entries(every, every)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     columns = np.empty((k, n))  # residual column of each pick, when it was picked
@@ -219,7 +204,7 @@ def fast_greedy_map(kernel: JointKernel, k: int) -> SelectionResult:
         if diag[j] <= EPS_PD:
             break
         gains.append(float(np.log(diag[j])))
-        kernel.column(j, scratch[0])
+        scratch[0] = kernel.entries(every, j)
         first = 0
         while True:
             last = min(first + _TERM_BLOCK, step)

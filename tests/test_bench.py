@@ -216,8 +216,8 @@ def test_evaluation_takes_the_greedy_rows_at_the_rtg_target(monkeypatch):
     states = cfg.make_env().chain_states()
     rtgs = _recorded_feature_rtgs(monkeypatch)
     result = run_loop(cfg, Variant.FULL, seed=5)
-    # Each chain state is projected once for the rollouts and once per evaluation.
-    assert rtgs == [0.5] * (len(states) * (1 + len(result.metrics)))
+    # Each chain state is projected once; the rollouts and evaluations share the tables.
+    assert result.metrics and rtgs == [0.5] * len(states)
 
 
 def test_loop_at_a_negative_rtg_target_builds_its_tables_only_there(monkeypatch):
@@ -225,7 +225,7 @@ def test_loop_at_a_negative_rtg_target_builds_its_tables_only_there(monkeypatch)
     states = cfg.make_env().chain_states()
     rtgs = _recorded_feature_rtgs(monkeypatch)
     result = run_loop(cfg, Variant.UNIFORM, seed=5)
-    assert rtgs == [-0.5] * (len(states) * (1 + len(result.metrics)))
+    assert result.metrics and rtgs == [-0.5] * len(states)
 
 
 def test_rollout_hints_the_rtg_target_at_every_act():
@@ -249,7 +249,7 @@ def test_evaluate_policy_is_the_chain_probability_of_its_rows():
                                  seed=3)
     features = np.array([policy.state_features(state, 0.5) for state in env.chain_states()])
     greedy, cdf = policy.action_table(features)
-    assert evaluate_policy(policy, env, 0.5) == (
+    assert evaluate_policy(env, greedy, cdf) == (
         env.success_probability(_one_hot(greedy, env.action_count)),
         env.success_probability(np.diff(cdf, axis=1, prepend=0.0)))
     # The same rows, one state at a time: each state's argmax and softmax at rtg 0.5.

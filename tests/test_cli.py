@@ -274,6 +274,22 @@ def test_select_takes_a_horizon_beyond_t_max(tmp_path, buffer_file):
     assert main(["select", str(buffer_file), "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("command", [["loop"], ["ablate", "--seed", "1", "--seed", "2"]])
+def test_capacity_below_t_max_exits_2_before_any_output(tmp_path, capsys, command):
+    """An episode runs to t_max steps, and the buffer must hold a whole one."""
+    cfg = write_config(tmp_path, "capacity = 30\n")
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "capacity (30) must be >= t_max (60)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_select_takes_a_capacity_below_t_max(tmp_path, buffer_file):
+    """select reads its dump whole and never stores an episode in a bounded buffer."""
+    cfg = write_config(tmp_path, "capacity = 1\nhorizon = 5\n")
+    assert main(["select", str(buffer_file), "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
 def test_config_key_given_twice_exits_2_naming_both_lines(tmp_path, capsys):
     cfg = write_config(tmp_path, "eta = 0.5\n# a comment\nhorizon = 6\neta = 0.6\n")
     out = tmp_path / "out"
@@ -314,6 +330,34 @@ def test_loop_writes_metrics_and_audit(tmp_path):
     assert "config_hash" in audit[0]
     assert all(e["step"] % 4 == 0 for e in audit[1:])
     assert len(audit) > 1
+
+
+@pytest.mark.parametrize("variant", ["FULL", "QUALITY_ONLY", "DIVERSITY_ONLY", "UNIFORM"])
+def test_loop_at_a_pool_of_one_window(tmp_path, variant):
+    """One window has no pairwise distance; its bandwidth falls back to 1."""
+    one = TINY_LOOP.replace("pool_size = 10\nsubset_size = 2", "pool_size = 1\nsubset_size = 1")
+    cfg = write_config(tmp_path, one)
+    out = tmp_path / "out"
+    assert main(["loop", "--config", str(cfg), "--variant", variant, "--out", str(out)]) == 0
+    assert len((out / "metrics.csv").read_text().splitlines()) == 2 + 2
+    events = [json.loads(line) for line in (out / "audit.jsonl").read_text().splitlines()[1:]]
+    assert (not events) if variant == "UNIFORM" else all(len(e["Y"]) == 1 for e in events)
+
+
+def test_select_on_a_dump_of_one_window(tmp_path):
+    buf = ReplayBuffer(capacity=100, gamma=1.0)
+    states = np.random.default_rng(0).standard_normal((5, 4))
+    buf.append_episode(Episode(id=0, transitions=EpisodeArrays(
+        states, np.zeros(5, dtype=int), np.zeros(5), np.zeros(5, dtype=int),
+        np.arange(5) == 4)))
+    save_jsonl(buf, tmp_path / "one.jsonl")
+    cfg = write_config(tmp_path, "horizon = 5\n")
+    out = tmp_path / "out"
+    assert main(["select", str(tmp_path / "one.jsonl"), "--config", str(cfg), "--out", str(out),
+                 "--kernel-dump"]) == 0
+    payload = json.loads((out / "selection.json").read_text())
+    assert payload["indices"] == [0] and payload["windows"] == [{"episode": 0, "start": 0}]
+    assert len((out / "kernel.csv").read_text().splitlines()) == 3  # comment, header, one row
 
 
 def test_loop_rerun_byte_identical(tmp_path):

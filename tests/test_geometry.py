@@ -229,9 +229,10 @@ def test_rbf_similarity_from_given_distances_is_identical(n, seed):
     np.testing.assert_array_equal(s, rbf_similarity(z, sigma))
 
 
-def test_median_bandwidth_needs_two_points():
-    with pytest.raises(ValueError):
-        median_bandwidth(np.zeros((1, 3)))
+def test_median_bandwidth_of_one_point_is_one():
+    """No pair to take a median of: the fallback, as for a pool of copies."""
+    assert median_bandwidth(np.zeros((1, 3))) == 1.0
+    assert median_bandwidth(np.ones((1, 2)), distances=np.zeros((1, 1))) == 1.0
 
 
 def test_rbf_unit_similarity_at_zero_distance():

@@ -273,21 +273,27 @@ def test_fast_greedy_matches_greedy_map_bit_for_bit(shape, n, data, seed):
        data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_fast_greedy_on_joint_kernel_matches_greedy_map_on_its_values(n, distinct, lam, data,
                                                                       seed):
-    """Columns computed on demand from S, sqrt(q) and lambda are L's columns,
-    bit for bit, so the picks, gains and logdet are ``greedy_map``'s on the
-    built L. Rows drawn from ``distinct`` points repeat; at lam = 0 a
-    duplicate adds no residual, so greedy stops early."""
+    """Every read of L, ``values`` and ``entries`` at a scalar, a column, a
+    row, a sub-block and the diagonal, has the bits of (sqrt(q_i) * S_ij) *
+    sqrt(q_j) plus lam on the diagonal, so the picks, gains and logdet are
+    ``greedy_map``'s on the built L. Rows drawn from ``distinct`` points
+    repeat; at lam = 0 a duplicate adds no residual, so greedy stops early."""
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((min(distinct, n), 3)) * rng.uniform(0.1, 10.0)
     z = points[rng.integers(len(points), size=n)]
-    joint = build_joint_kernel(rbf_similarity(z, median_bandwidth(z)),
-                               rng.uniform(1e-3, 1.0, size=n), lam)
+    quality = rng.uniform(1e-3, 1.0, size=n)
+    joint = build_joint_kernel(rbf_similarity(z, median_bandwidth(z)), quality, lam)
+    root = np.sqrt(quality)
+    expected = root[:, None] * joint.similarity * root[None, :]
+    expected[np.diag_indices(n)] += lam
     values = joint.values
-    assert joint.diagonal().tobytes() == np.diagonal(values).tobytes()
-    j = data.draw(st.integers(0, n - 1), label="column")
-    assert joint.column(j, np.empty(n)).tobytes() == values[:, j].tobytes()
-    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True), label="subset")
-    assert joint.submatrix(subset).tobytes() == values[np.ix_(subset, subset)].tobytes()
+    assert values.tobytes() == expected.tobytes()
+    i, j = (data.draw(st.integers(0, n - 1), label=name) for name in ("row", "column"))
+    subset = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True),
+                                label="subset"))
+    every = np.arange(n)
+    for rows, cols in ((i, j), (every, j), (i, every), (subset[:, None], subset), (every, every)):
+        assert joint.entries(rows, cols).tobytes() == expected[rows, cols].tobytes()
     for k in (data.draw(st.integers(1, n), label="k"), n):
         fast, reference = fast_greedy_map(joint, k), greedy_map(values, k)
         assert fast.indices == reference.indices

@@ -336,7 +336,7 @@ def test_act_rejects_non_finite_probabilities():
         table_act(cdf, 0, np.random.default_rng(0))
     env = StageChainEnv(num_stages=1, steps_per_stage=(2,), action_count=3)
     with pytest.raises(ValueError, match="not finite"):
-        evaluate_policy(policy, env, 1.0)
+        evaluate_policy(env, *table_of(policy, env.chain_states(), [1.0, 1.0]))
 
 
 @settings(max_examples=100, deadline=None)
