@@ -206,7 +206,6 @@ def rollout(env: StageChainEnv, actor, rng: np.random.Generator, rtg_target: flo
     obs = env.reset()
     rtg_hint = rtg_target
     states, actions, rewards, stages = [], [], [], []
-    success = False
     while True:
         action = actor.act(obs, rtg_hint, rng=rng)
         next_obs, reward, done, stage, reached = env.step(action, rng)
@@ -216,11 +215,10 @@ def rollout(env: StageChainEnv, actor, rng: np.random.Generator, rtg_target: flo
         stages.append(stage)
         rtg_hint -= reward
         obs = next_obs
-        success = success or reached
-        if done:
+        if done:  # success ends the episode, so only the last step can reach it
             last = np.arange(len(rewards)) == len(rewards) - 1
             return EpisodeArrays(np.array(states), np.array(actions), np.array(rewards),
-                                 np.array(stages), last), success
+                                 np.array(stages), last), reached
 
 
 def evaluate_policy(env: StageChainEnv, greedy: np.ndarray,
@@ -345,7 +343,7 @@ class LoopConfig:
             raise ValueError(f"rtg_target must be finite, got {self.rtg_target}")
         if self.warmup_episodes < 0 or self.pretrain_steps < 0:
             raise ValueError("warmup_episodes and pretrain_steps must be >= 0")
-        QualityWeights(self.alpha, self.beta, self.zeta)
+        self.quality_weights()
         self.make_env()  # the environment's own parameter checks
 
     def quality_weights(self) -> QualityWeights:
@@ -359,6 +357,18 @@ class LoopConfig:
             noise=self.slip,
             t_max=self.t_max,
         )
+
+    def make_policy(self, state_dim: int, seed) -> LinearSoftmaxPolicy:
+        return LinearSoftmaxPolicy(state_dim=state_dim, action_count=self.action_count,
+                                   feature_dim=self.feature_dim, dropout_rate=self.dropout_rate,
+                                   seed=seed)
+
+
+def check_capacity(config: LoopConfig) -> None:
+    """Reject a buffer that cannot hold one whole episode of the loop's environment."""
+    if config.capacity < config.t_max:
+        raise ValueError(f"capacity ({config.capacity}) must be >= t_max ({config.t_max}): "
+                         "the buffer must hold a whole episode")
 
 
 @dataclass
@@ -458,26 +468,22 @@ def run_loop(
     QUALITY_ONLY takes the top-q windows by quality; DIVERSITY_ONLY
     gives every window equal quality before the kernel; UNIFORM performs no
     selection, so every batch is a plain uniform replay with unit weights.
-    Selection refreshes when no selection exists yet or at gradient steps
-    divisible by the refresh period. UNIFORM's diversity and redundancy (and
+    Selection refreshes when no selection exists yet, when eviction has
+    emptied it (a fresh one keeps a window), or at gradient steps divisible
+    by the refresh period. UNIFORM's diversity and redundancy (and
     stage counts) come from a seeded uniform pseudo-selection of the same
     size, drawn at metric time: what uniform replay would have put forward.
     Fully deterministic per (config, seed).
     """
     config.validate()
+    check_capacity(config)
     ss = np.random.SeedSequence(seed)
     # Evaluation is exact and draws nothing: eval_ss is spawned so pseudo_ss keeps its seed.
     (policy_ss, warmup_ss, pretrain_ss, collect_ss, pool_ss, score_ss,
      replay_ss, eval_ss, pseudo_ss) = ss.spawn(9)
 
     env = config.make_env()
-    policy = LinearSoftmaxPolicy(
-        state_dim=env.state_dim,
-        action_count=env.action_count,
-        feature_dim=config.feature_dim,
-        dropout_rate=config.dropout_rate,
-        seed=policy_ss,
-    )
+    policy = config.make_policy(env.state_dim, policy_ss)
     buffer = ReplayBuffer(capacity=config.capacity, gamma=config.gamma)
 
     warmup_rng = np.random.default_rng(warmup_ss)
@@ -548,9 +554,7 @@ def run_loop(
 
         for _ in range(config.updates_per_episode):
             if variant is not Variant.UNIFORM:
-                if selection is None or grad_step % config.refresh_period == 0:
-                    refresh()
-                if not y_ids.size:  # selection fully evicted: rebuild off-cadence
+                if selection is None or grad_step % config.refresh_period == 0 or not y_ids.size:
                     refresh()
             ids, weights = mixed_sample(y_ids, window_count, config.batch_size, eta, replay_rng)
             policy.weighted_update(buffer.gather(ids, config.horizon),

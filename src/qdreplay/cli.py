@@ -6,18 +6,17 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .bench import (ABLATION_COLUMNS, LoopConfig, Variant, mean_and_ci, run_ablation, run_loop,
-                    select_windows)
+from .bench import (ABLATION_COLUMNS, LoopConfig, Variant, check_capacity, mean_and_ci,
+                    run_ablation, run_loop, select_windows)
 # Unused here; the benchmark's tracer wraps these stage functions by name in this module too.
 from .geometry import encode_pool, median_bandwidth, rbf_similarity  # noqa: F401
 from .kernels import build_joint_kernel, greedy_map  # noqa: F401
-from .policy import LinearSoftmaxPolicy
 from .replay import WeightMode
 from .scoring import composite_quality  # noqa: F401
 from .windows import JsonlParseError, NoValidWindowsError, WindowBatch, load_jsonl
@@ -63,14 +62,13 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return raw
 
 
+@dataclass
 class RunSettings:
-    def __init__(self, loop: LoopConfig, seeds: list[int], variant: Variant,
-                 buffer: str | None, out: Path):
-        self.loop = loop
-        self.seeds = seeds
-        self.variant = variant
-        self.buffer = buffer
-        self.out = out
+    loop: LoopConfig
+    seeds: list[int]
+    variant: Variant
+    buffer: str | None
+    out: Path
 
     def config_hash(self) -> str:
         loop = self.loop
@@ -82,7 +80,6 @@ class RunSettings:
 
 
 def build_settings(raw: dict[str, str], args: argparse.Namespace) -> RunSettings:
-    loop = LoopConfig()
     updates = {}
     for key, value in raw.items():
         if _FIELD_TYPES.get(key) in (int, float):
@@ -96,18 +93,17 @@ def build_settings(raw: dict[str, str], args: argparse.Namespace) -> RunSettings
                 updates[key] = WeightMode[value.upper()]
             except KeyError:
                 raise ConfigError(f"weight_mode must be RAW or MEAN_ONE, got {value!r}")
-    loop = replace(loop, **updates)
+    loop = LoopConfig(**updates)
     try:
         loop.validate()
+        # select's episodes come from its dump, not from the environment's t_max.
+        if args.command != "select":
+            if loop.horizon > loop.t_max:
+                raise ValueError(f"horizon ({loop.horizon}) must be <= t_max ({loop.t_max}): "
+                                 "no episode is long enough for one window")
+            check_capacity(loop)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # select's episodes come from its dump, not from the environment's t_max.
-    if args.command != "select" and loop.horizon > loop.t_max:
-        raise ConfigError(f"horizon ({loop.horizon}) must be <= t_max ({loop.t_max}): "
-                          "no episode is long enough for one window")
-    if args.command != "select" and loop.capacity < loop.t_max:
-        raise ConfigError(f"capacity ({loop.capacity}) must be >= t_max ({loop.t_max}): "
-                          "the buffer must hold a whole episode")
 
     seeds = [int(s) for s in args.seed] if args.seed else None
     if seeds is None and "seeds" in raw:
@@ -165,8 +161,6 @@ def _draw_pool(settings: RunSettings, pool_rng: np.random.Generator) -> WindowBa
     """
     if not settings.buffer:
         raise ConfigError("select needs a buffer path (positional argument or 'buffer' key)")
-    if not Path(settings.buffer).exists():
-        raise ConfigError(f"buffer file not found: {settings.buffer}")
     loop = settings.loop
     try:
         buffer = load_jsonl(settings.buffer, gamma=loop.gamma)
@@ -185,13 +179,7 @@ def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
     pool_rng = np.random.default_rng(pool_ss)
     pool = _draw_pool(settings, pool_rng)
     _make_out_dir(settings)
-    policy = LinearSoftmaxPolicy(
-        state_dim=pool.states.shape[2],
-        action_count=loop.action_count,
-        feature_dim=loop.feature_dim,
-        dropout_rate=loop.dropout_rate,
-        seed=policy_ss,
-    )
+    policy = loop.make_policy(pool.states.shape[2], policy_ss)
     selection = select_windows(pool, policy, loop, Variant.FULL, pool_rng,
                                np.random.default_rng(score_ss))
     chosen = selection.indices
@@ -230,6 +218,14 @@ def _metrics_row(variant: Variant, seed: int, point) -> str:
     ])
 
 
+def _line_writer(fh):
+    """A writer of whole lines to ``fh``, each flushed, so a row lands as it is produced."""
+    def write(line: str) -> None:
+        fh.write(line + "\n")
+        fh.flush()
+    return write
+
+
 def cmd_loop(settings: RunSettings) -> int:
     _make_out_dir(settings)
     seed = settings.seeds[0]
@@ -237,22 +233,14 @@ def cmd_loop(settings: RunSettings) -> int:
     metrics_path = settings.out / "metrics.csv"
     audit_path = settings.out / "audit.jsonl"
     with open(metrics_path, "w") as metrics_fh, open(audit_path, "w") as audit_fh:
-        metrics_fh.write(f"# {provenance}\n{_METRICS_COLUMNS}\n")
-        metrics_fh.flush()
-        audit_fh.write(json.dumps({"config_hash": settings.config_hash(), "seed": seed,
-                                   "variant": settings.variant.value}) + "\n")
-        audit_fh.flush()
-
-        def on_metrics(point):
-            metrics_fh.write(_metrics_row(settings.variant, seed, point) + "\n")
-            metrics_fh.flush()
-
-        def on_audit(event):
-            audit_fh.write(json.dumps(event) + "\n")
-            audit_fh.flush()
-
+        write_metrics, write_audit = _line_writer(metrics_fh), _line_writer(audit_fh)
+        write_metrics(f"# {provenance}\n{_METRICS_COLUMNS}")
+        write_audit(json.dumps({"config_hash": settings.config_hash(), "seed": seed,
+                                "variant": settings.variant.value}))
         run_loop(settings.loop, settings.variant, seed,
-                 metrics_callback=on_metrics, audit_callback=on_audit)
+                 metrics_callback=lambda point: write_metrics(
+                     _metrics_row(settings.variant, seed, point)),
+                 audit_callback=lambda event: write_audit(json.dumps(event)))
     print(f"wrote {metrics_path} and {audit_path}")
     return EXIT_OK
 
@@ -267,14 +255,10 @@ def cmd_ablate(settings: RunSettings) -> int:
     metrics_path = settings.out / "ablation_runs.csv"
     table_path = settings.out / "ablation.csv"
     with open(metrics_path, "w") as metrics_fh:
-        metrics_fh.write(f"# {provenance}\n{_METRICS_COLUMNS}\n")
-        metrics_fh.flush()
-
-        def on_metrics(variant, seed, point):
-            metrics_fh.write(_metrics_row(variant, seed, point) + "\n")
-            metrics_fh.flush()
-
-        columns = run_ablation(settings.loop, settings.seeds, metrics_callback=on_metrics)
+        write_metrics = _line_writer(metrics_fh)
+        write_metrics(f"# {provenance}\n{_METRICS_COLUMNS}")
+        columns = run_ablation(settings.loop, settings.seeds,
+                               metrics_callback=lambda *row: write_metrics(_metrics_row(*row)))
 
     stats = {variant: [mean_and_ci(column[name]) for name in ABLATION_COLUMNS]
              for variant, column in columns.items()}

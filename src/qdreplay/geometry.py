@@ -135,8 +135,8 @@ def rbf_similarity(embeddings: np.ndarray, sigma: float, *,
     given, must be ``pairwise_distances(embeddings)``; it is overwritten with
     the similarity and returned, so no second N x N array is made.
     """
-    if sigma <= 0:
-        raise ValueError(f"bandwidth must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {sigma}")
     s = pairwise_distances(embeddings) if distances is None else distances
     # exp(-(d ** 2) / sigma ** 2), in place
     np.square(s, out=s)

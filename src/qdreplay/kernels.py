@@ -102,8 +102,8 @@ def build_joint_kernel(
         raise ValueError(f"quality length {q.shape[0]} != similarity size {s.shape[0]}")
     if not np.all(q > 0):
         raise ValueError("quality scores must be strictly positive (floor upstream), not NaN")
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     return JointKernel(similarity=s, root_quality=np.sqrt(q), lam=float(lam))
 
 

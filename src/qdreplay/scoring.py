@@ -92,8 +92,8 @@ def stage_coverage(stage_labels: Sequence[int], smoothing_alpha: float = 0.0) ->
     labels = [int(x) for x in stage_labels]
     if any(x < 0 for x in labels):
         raise ValueError("stage labels must be non-negative")
-    if smoothing_alpha < 0:
-        raise ValueError("smoothing_alpha must be >= 0")
+    if not 0 <= smoothing_alpha < math.inf:
+        raise ValueError(f"smoothing_alpha must be finite and >= 0, got {smoothing_alpha}")
     counts = Counter(labels)
     freq = {c: n + smoothing_alpha for c, n in counts.items()}
     top = max(freq.values())

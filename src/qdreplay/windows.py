@@ -409,16 +409,10 @@ class ReplayBuffer:
         return slice(row, row + int(self._episodes["length"][episode]))
 
     def materialize(self, episode_id: int, start: int, horizon: int) -> TrajectoryWindow:
-        stored = self._episodes["id"]
-        episode = int(np.searchsorted(stored, episode_id))
-        if episode == len(stored) or stored[episode] != episode_id:
+        ids = self.window_ids([episode_id], [start], horizon)
+        if not ids.size:
             raise KeyError(f"episode {episode_id} not in buffer (evicted?)")
-        length = int(self._episodes["length"][episode])
-        if start < 0 or start + horizon > length:
-            raise ValueError(
-                f"window [{start}, {start + horizon}) out of range for episode of length {length}"
-            )
-        return self.gather([self._window_offsets(horizon)[episode] + start], horizon)[0]
+        return self.gather(ids, horizon)[0]
 
     def sample_candidate_pool(self, n: int, horizon: int, seed) -> WindowBatch:
         """Draw min(n, #valid starts) windows uniformly without replacement.

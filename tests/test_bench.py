@@ -621,6 +621,27 @@ def test_loop_without_valid_windows_raises_for_every_variant(variant):
     assert not points
 
 
+def test_loop_and_ablation_reject_a_capacity_below_t_max_before_any_rollout(monkeypatch):
+    import qdreplay.bench as bench
+
+    calls = []
+
+    def counted_rollout(*args, **kwargs):
+        calls.append(1)
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "rollout", counted_rollout)
+    cfg = replace(TINY, capacity=TINY.t_max - 1)
+    message = r"capacity \(19\) must be >= t_max \(20\): the buffer must hold a whole episode"
+    with pytest.raises(ValueError, match=message):
+        run_loop(cfg, Variant.FULL, seed=0)
+    with pytest.raises(ValueError, match=message):
+        run_ablation(cfg, seeds=[1, 2])
+    assert not calls
+    run_loop(replace(TINY, capacity=TINY.t_max), Variant.FULL, seed=0)  # one episode fits
+    assert calls
+
+
 def test_loop_runs_without_warmup_episodes():
     cfg = replace(TINY, warmup_episodes=0)
     for variant in (Variant.FULL, Variant.UNIFORM):

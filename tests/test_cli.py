@@ -113,6 +113,14 @@ def test_select_on_a_directory_exits_2_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_select_on_a_missing_dump_exits_2_naming_it_before_any_output(tmp_path, capsys):
+    dump = tmp_path / "missing.jsonl"
+    out = tmp_path / "out"
+    assert main(["select", str(dump), "--out", str(out)]) == 2
+    assert str(dump) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_select_frees_the_dump_before_selecting(tmp_path, buffer_file, monkeypatch):
     """Only the candidate pool outlives the pool draw, not the loaded buffer."""
     cli = qdreplay.cli

@@ -253,8 +253,10 @@ def test_rbf_collinear_example():
 
 
 def test_rbf_requires_positive_bandwidth():
-    with pytest.raises(ValueError):
-        rbf_similarity(np.zeros((2, 2)), sigma=0.0)
+    # NaN would give NaN off the diagonal, and inf a similarity of all ones.
+    for sigma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"finite and positive, got {sigma}"):
+            rbf_similarity(np.zeros((2, 2)), sigma=sigma)
 
 
 def test_rbf_matrix_invariants():

@@ -93,8 +93,9 @@ def test_kernel_input_validation():
         build_joint_kernel(s, [1.0, 0.0, 1.0], lam=0.0)
     with pytest.raises(ValueError, match="positive"):
         build_joint_kernel(s, [1.0, math.nan, 1.0], lam=0.0)
-    with pytest.raises(ValueError, match="lambda"):
-        build_joint_kernel(s, [1.0, 1.0, 1.0], lam=-0.1)
+    for lam in (-0.1, math.nan, math.inf):  # NaN or inf would come back as NaN or inf gains
+        with pytest.raises(ValueError, match=f"lambda must be finite and >= 0, got {lam}"):
+            build_joint_kernel(s, [1.0, 1.0, 1.0], lam=lam)
     with pytest.raises(ValueError, match="length"):
         build_joint_kernel(s, [1.0, 1.0], lam=0.0)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -126,6 +127,12 @@ def test_stage_coverage_smoothed_counts():
     labels = [0] * 8 + [1] * 2
     scores = stage_coverage(labels, smoothing_alpha=1.0)
     np.testing.assert_allclose(scores[8:], 1 - 3 / 9)
+
+
+def test_stage_coverage_requires_a_finite_non_negative_alpha():
+    for alpha in (-1.0, math.nan, math.inf):  # NaN or inf would give every score NaN
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {alpha}"):
+            stage_coverage([0, 0, 1, 2], smoothing_alpha=alpha)
 
 
 def test_stage_coverage_monotone_in_count():

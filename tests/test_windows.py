@@ -52,6 +52,9 @@ def test_whole_episode_fifo_eviction():
     buf.append_episode(make_episode(1, 10))
     assert len(buf) == 10
     assert [ep.id for ep in buf.episodes] == [1]
+    assert buf.materialize(1, 0, 3).episode_id == 1
+    with pytest.raises(KeyError, match="episode 0 not in buffer"):
+        buf.materialize(0, 0, 3)
 
 
 def test_state_dim_mismatch_rejected():
@@ -231,6 +234,15 @@ def test_empty_buffer_has_no_windows(tmp_path):
     save_jsonl(buf, path)
     assert path.read_text() == ""
     assert load_jsonl(path).window_count(3) == 0
+
+
+@pytest.mark.parametrize("start", [-1, 8, 10])
+def test_materialize_with_a_start_outside_the_episode_raises_value_error(start):
+    buf = ReplayBuffer(capacity=100, gamma=0.9)
+    buf.append_episode(make_episode(0, 10))
+    assert buf.materialize(0, 7, 3).start == 7  # the last start of a length-3 window
+    with pytest.raises(ValueError, match="out of range"):
+        buf.materialize(0, start, 3)
 
 
 def test_rtg_recurrence_holds_within_episode():
