@@ -151,9 +151,7 @@ class RandomPolicy:
     def __init__(self, action_count: int):
         self.action_count = int(action_count)
 
-    def act(self, state, rtg, rng=None) -> int:
-        if rng is None:
-            raise ValueError("RandomPolicy needs an explicit rng")
+    def act(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.action_count))
 
 
@@ -168,21 +166,22 @@ class ScriptedDemonstrator:
         self.env = env
         self.epsilon = float(epsilon)
 
-    def act(self, state, rtg, rng=None) -> int:
-        if rng is not None and rng.random() < self.epsilon:
+    def act(self, rng: np.random.Generator) -> int:
+        if rng.random() < self.epsilon:
             return int(rng.integers(self.env.action_count))
-        return self.env.correct_action(int(np.argmax(state[: self.env.num_stages])))
+        stage = int(np.argmax(self.env.observation()[: self.env.num_stages]))
+        return self.env.correct_action(stage)
 
 
 class TableActor:
     """Acts from one softmax CDF row per chain position of ``env``.
 
-    It reads ``env.position``, not the state it is handed, so it acts only in
-    ``env``; and its rows hold for one rtg, which a rollout's hint keeps
-    until success. A row whose probabilities are not finite raises only when
-    it is acted on. An action inverts the row at one ``rng.random()``, the
-    draw ``rng.choice(action_count, p=probs)`` makes: the same action and the
-    same generator state afterwards.
+    It reads ``env.position``, so it acts only in ``env``; its rows are a
+    policy's ``action_table`` at one rtg, the ``rtg_target`` the table was
+    built at. A row whose probabilities are not finite raises only when it
+    is acted on. An action inverts the row at one ``rng.random()``, the draw
+    ``rng.choice(action_count, p=probs)`` makes: the same action and the same
+    generator state afterwards.
     """
 
     def __init__(self, env: StageChainEnv, cdf: np.ndarray):
@@ -190,30 +189,28 @@ class TableActor:
         self.cdf = cdf
         self.finite = np.isfinite(cdf).all(axis=1).tolist()
 
-    def act(self, state, rtg, rng=None) -> int:
+    def act(self, rng: np.random.Generator) -> int:
         position = self.env.position
         if not self.finite[position]:
             raise ValueError("action probabilities are not finite")
         return int(self.cdf[position].searchsorted(rng.random(), side="right"))
 
 
-def rollout(env: StageChainEnv, actor, rng: np.random.Generator, rtg_target: float = 1.0):
+def rollout(env: StageChainEnv, actor, rng: np.random.Generator):
     """Run one episode; returns (its steps as ``EpisodeArrays``, success).
 
-    The actor's rtg hint is ``rtg_target`` less the reward so far, which is 0
-    until the success step ends the episode: every act sees ``rtg_target``.
+    ``actor.act(rng)`` picks each action from ``env``'s current state, which
+    the actor reads from ``env`` itself, and the generator.
     """
     obs = env.reset()
-    rtg_hint = rtg_target
     states, actions, rewards, stages = [], [], [], []
     while True:
-        action = actor.act(obs, rtg_hint, rng=rng)
+        action = actor.act(rng)
         next_obs, reward, done, stage, reached = env.step(action, rng)
         states.append(obs)
         actions.append(action)
         rewards.append(reward)
         stages.append(stage)
-        rtg_hint -= reward
         obs = next_obs
         if done:  # success ends the episode, so only the last step can reach it
             last = np.arange(len(rewards)) == len(rewards) - 1
@@ -226,9 +223,9 @@ def evaluate_policy(env: StageChainEnv, greedy: np.ndarray,
     """Exact success probabilities of the greedy and of the sampled policy.
 
     ``greedy`` and ``cdf`` are a policy's ``action_table`` over ``env``'s
-    chain states at the rollouts' rtg, which the hint keeps until success: the
-    greedy actor takes each row's argmax, the sampled one the softmax whose
-    CDF a ``TableActor`` inverts.
+    chain states at the one rtg its rollouts act at: the greedy actor takes
+    each row's argmax, the sampled one the softmax whose CDF a ``TableActor``
+    inverts.
     """
     if not np.isfinite(cdf).all():
         raise ValueError("action probabilities are not finite")
@@ -246,7 +243,7 @@ def diversity_metric(similarity_subset: np.ndarray) -> float:
     m = s.shape[0]
     if m == 0:
         raise ValueError("selection must be non-empty")
-    ld = log_det(s + DIVERSITY_EPS * np.eye(m), list(range(m)))
+    ld = log_det(s + DIVERSITY_EPS * np.eye(m))
     if ld == -math.inf:
         return 0.0
     return float(math.exp(ld / m))
@@ -432,7 +429,7 @@ def select_windows(pool: WindowBatch, policy: LinearSoftmaxPolicy, config: LoopC
         return WindowSelection(greedy.indices, greedy.gains, greedy.logdet,
                                pool, embeddings, kernel, median)
     picks = np.asarray(indices)
-    return WindowSelection(indices, [], log_det(kernel.entries(picks[:, None], picks), range(k)),
+    return WindowSelection(indices, [], log_det(kernel.entries(picks[:, None], picks)),
                            pool, embeddings, kernel, median)
 
 
@@ -489,7 +486,7 @@ def run_loop(
     warmup_rng = np.random.default_rng(warmup_ss)
     demonstrator = ScriptedDemonstrator(env, config.demo_epsilon)
     for _ in range(config.warmup_episodes):
-        transitions, _ = rollout(env, demonstrator, warmup_rng, config.rtg_target)
+        transitions, _ = rollout(env, demonstrator, warmup_rng)
         buffer.append_episode(Episode(id=buffer.new_episode_id(), transitions=transitions))
 
     # Pretraining pass on the warm-start logs, identical for every variant, so
@@ -536,14 +533,14 @@ def run_loop(
         pool, chosen = selection.pool, selection.indices
         return buffer.window_ids(pool.episode_ids[chosen], pool.starts[chosen], config.horizon)
 
-    # Online rollouts act only on the chain states, at the rtg hint's one value:
-    # their features are projected once, and one table per policy state serves
-    # the next rollout and any evaluation.
+    # Online rollouts act only on the chain states, at rtg_target: their
+    # features are projected once, and one table per policy state serves the
+    # next rollout and any evaluation.
     chain_features = np.array([policy.state_features(s, config.rtg_target)
                                for s in env.chain_states()])
     greedy, cdf = policy.action_table(chain_features)
     for ep in range(config.episodes):
-        transitions, _ = rollout(env, TableActor(env, cdf), collect_rng, config.rtg_target)
+        transitions, _ = rollout(env, TableActor(env, cdf), collect_rng)
         buffer.append_episode(Episode(id=buffer.new_episode_id(), transitions=transitions))
         window_count = buffer.window_count(config.horizon)
         if not window_count:

@@ -19,7 +19,8 @@ from .geometry import encode_pool, median_bandwidth, rbf_similarity  # noqa: F40
 from .kernels import build_joint_kernel, greedy_map  # noqa: F401
 from .replay import WeightMode
 from .scoring import composite_quality  # noqa: F401
-from .windows import JsonlParseError, NoValidWindowsError, WindowBatch, load_jsonl
+from .windows import (JsonlParseError, NoValidWindowsError, WindowBatch, load_jsonl,
+                      undecodable_line)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,9 +43,13 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     raw: dict[str, str] = {}
     first_line: dict[str, int] = {}
     try:
-        lines = Path(path).read_text().splitlines()
+        # read_text turns \r\n and \r into \n; splitlines would also break at \f and \v.
+        lines = Path(path).read_text().split("\n")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno, reason = undecodable_line(path, exc.encoding)
+        raise ConfigError(f"{path}:{lineno}: {reason}") from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -116,6 +121,9 @@ def build_settings(raw: dict[str, str], args: argparse.Namespace) -> RunSettings
     for seed in seeds:
         if seed < 0:
             raise ConfigError(f"seeds must be non-negative integers, got seed {seed}")
+    if args.command != "ablate" and len(seeds) > 1:
+        raise ConfigError(f"{args.command} runs one seed, "
+                          f"got seeds {', '.join(map(str, seeds))}")
 
     variant_name = getattr(args, "variant", None) or raw.get("variant", "FULL")
     try:

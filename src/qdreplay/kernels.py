@@ -107,22 +107,15 @@ def build_joint_kernel(
     return JointKernel(similarity=s, root_quality=np.sqrt(q), lam=float(lam))
 
 
-def log_det(kernel: np.ndarray, subset: Sequence[int]) -> float:
-    """log det of the principal submatrix, by LAPACK's Cholesky factorization.
+def log_det(matrix: np.ndarray) -> float:
+    """log det of a symmetric matrix, by LAPACK's Cholesky factorization.
 
-    Returns 0 for the empty subset, and -inf when the factorization fails
-    (the submatrix is not positive definite) or a squared pivot falls at or
-    below the singularity threshold; otherwise the sum of the logs of the
-    squared pivots.
+    Returns -inf when the factorization fails (the matrix is not positive
+    definite) or a squared pivot falls at or below the singularity
+    threshold; otherwise the sum of the logs of the squared pivots.
     """
-    values = np.asarray(kernel, dtype=float)
-    idx = list(subset)
-    if len(idx) == 0:
-        return 0.0
-    if len(set(idx)) != len(idx) or min(idx) < 0 or max(idx) >= values.shape[0]:
-        raise ValueError(f"invalid subset {idx} for kernel of size {values.shape[0]}")
     try:
-        factor = np.linalg.cholesky(values[np.ix_(idx, idx)])
+        factor = np.linalg.cholesky(np.asarray(matrix, dtype=float))
     except np.linalg.LinAlgError:
         return -math.inf
     pivots = np.diagonal(factor) ** 2
@@ -239,7 +232,7 @@ def exhaustive_map(kernel: np.ndarray, k: int) -> SelectionResult:
     best_subset: tuple[int, ...] | None = None
     best = -math.inf
     for subset in itertools.combinations(range(n), k):
-        ld = log_det(values, subset)
+        ld = log_det(values[np.ix_(subset, subset)])
         if ld > best:
             best = ld
             best_subset = subset

@@ -504,7 +504,25 @@ def _number_list(value) -> bool:
     return type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
 
 
-def load_jsonl(path: str | Path, gamma: float = 0.99) -> ReplayBuffer:
+def undecodable_line(path: str | Path, encoding: str) -> tuple[int, str]:
+    """The first line of ``path`` that is not ``encoding`` text: (its number, why).
+
+    Lines split where a text-mode read splits them, at \\n, \\r and \\r\\n.
+    Meant for a file whose text read failed: in UTF-8 no character spans a line
+    break, so such a file has a line that fails on its own.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode(encoding)
+        except UnicodeDecodeError as exc:
+            return lineno, (f"byte 0x{line[exc.start]:02x} at column {exc.start + 1} "
+                            f"is not {encoding} text")
+    return len(lines), f"not {encoding} text"
+
+
+def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
     """Rebuild a buffer from the JSON-lines transition format.
 
     Lines may come in any order; within an episode, ``t`` must run 0, 1, ...
@@ -515,10 +533,15 @@ def load_jsonl(path: str | Path, gamma: float = 0.99) -> ReplayBuffer:
     ``state`` and a continuous action are lists of JSON numbers. The first
     line fixes the state width and the action kind: an integer makes the
     actions discrete (int64), a list of d numbers continuous (float, d per
-    row). A violation raises ``JsonlParseError`` naming the offending line.
+    row). A violation raises ``JsonlParseError`` naming the offending line, as
+    does a byte that is not text in the file's encoding.
     """
-    with open(path) as fh:
-        count = sum(1 for line in fh if line.strip())
+    try:
+        with open(path) as fh:
+            count = sum(1 for line in fh if line.strip())
+    except UnicodeDecodeError as exc:
+        lineno, reason = undecodable_line(path, exc.encoding)
+        raise JsonlParseError(lineno, f"{reason} (in {path})") from exc
     episode, step, lines, stages = (np.empty(count, dtype=np.int64) for _ in range(4))
     rewards, done = np.empty(count), np.empty(count, dtype=bool)
     states = actions = None  # allocated at the first record, which fixes their row shapes
@@ -557,7 +580,9 @@ def load_jsonl(path: str | Path, gamma: float = 0.99) -> ReplayBuffer:
                 step[n] = _json_typed(rec, "t", "integer")
                 done[n] = _json_typed(rec, "done", "bool", False)
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise JsonlParseError(lineno, str(exc)) from exc
+                problem = str(exc) if type(rec) is dict else \
+                    f"expected a JSON object, got {json.dumps(rec)}"
+                raise JsonlParseError(lineno, problem) from exc
             lines[n] = lineno
             n += 1
     buffer = ReplayBuffer(capacity=max(count, 1), gamma=gamma)

@@ -60,8 +60,8 @@ def test_episode_ends_on_success_or_horizon():
     rng = np.random.default_rng(0)
 
     class Oracle:
-        def act(self, state, rtg, rng=None, greedy=False):
-            return env.correct_action(int(np.argmax(state[:2])))
+        def act(self, rng):
+            return env.correct_action(int(np.argmax(env.observation()[:2])))
 
     steps, success = rollout(env, Oracle(), rng)
     assert success
@@ -79,8 +79,8 @@ def test_transitions_carry_ground_truth_stage():
                         noise=0.0, t_max=10)
 
     class Oracle:
-        def act(self, state, rtg, rng=None, greedy=False):
-            return env.correct_action(int(np.argmax(state[:2])))
+        def act(self, rng):
+            return env.correct_action(int(np.argmax(env.observation()[:2])))
 
     steps, _ = rollout(env, Oracle(), np.random.default_rng(0))
     assert steps.stages.tolist() == [0, 0, 1, 1]
@@ -93,8 +93,12 @@ def _one_hot(actions, action_count: int) -> np.ndarray:
 def test_oracle_policy_scores_perfect_success():
     env = StageChainEnv(num_stages=3, steps_per_stage=(3, 3, 2), action_count=4,
                         noise=0.0, t_max=20)
-    demonstrator = ScriptedDemonstrator(env, epsilon=0.0)
-    rows = _one_hot([demonstrator.act(state, 1.0) for state in env.chain_states()], 4)
+    demonstrator, rng = ScriptedDemonstrator(env, epsilon=0.0), np.random.default_rng(0)
+    actions = []
+    for position in range(len(env.chain_states())):
+        env.position = position
+        actions.append(demonstrator.act(rng))
+    rows = _one_hot(actions, 4)
     assert env.success_probability(rows) == 1.0
     short = StageChainEnv(num_stages=3, steps_per_stage=(3, 3, 2), action_count=4,
                           noise=0.0, t_max=7)  # one step fewer than the chain is long
@@ -228,21 +232,6 @@ def test_loop_at_a_negative_rtg_target_builds_its_tables_only_there(monkeypatch)
     assert result.metrics and rtgs == [-0.5] * len(states)
 
 
-def test_rollout_hints_the_rtg_target_at_every_act():
-    env = TINY.make_env()
-    hints = []
-
-    class Recorder(ScriptedDemonstrator):
-        def act(self, state, rtg, rng=None):
-            hints.append(rtg)
-            return super().act(state, rtg, rng)
-
-    for target in (-0.5, 0.0, 0.5, 1.0, 3.0):
-        hints.clear()
-        steps, success = rollout(env, Recorder(env, 0.0), np.random.default_rng(0), target)
-        assert success and hints == [target] * len(steps.rewards)
-
-
 def test_evaluate_policy_is_the_chain_probability_of_its_rows():
     env = TINY.make_env()
     policy = LinearSoftmaxPolicy(state_dim=env.state_dim, action_count=env.action_count,
@@ -274,7 +263,7 @@ def test_observations_are_the_per_step_formula_and_read_only():
     expert, rng = ScriptedDemonstrator(env, epsilon=0.0), np.random.default_rng(0)
     seen, done = [env.reset()], False
     while not done:
-        obs, _, done, _, _ = env.step(expert.act(seen[-1], 1.0), rng)
+        obs, _, done, _, _ = env.step(expert.act(rng), rng)
         seen.append(obs)
     assert [obs.tobytes() for obs in seen] == [obs.tobytes() for obs in expected]
     for obs in seen:
@@ -408,7 +397,8 @@ def test_quality_only_takes_stable_top_k_by_quality():
     order = sorted(range(SELECT.pool_size), key=lambda i: -quality[i])  # stable
     assert selection.indices == order[:SELECT.subset_size]
     assert selection.gains == []
-    assert selection.logdet == log_det(selection.kernel.values, selection.indices)
+    chosen = selection.indices
+    assert selection.logdet == log_det(selection.kernel.values[np.ix_(chosen, chosen)])
 
 
 def test_diversity_only_uses_constant_quality_kernel():
@@ -429,7 +419,8 @@ def test_uniform_selection_draws_k_distinct_pool_positions():
     np.testing.assert_array_equal(selection.pool.starts, full.pool.starts)
     assert len(set(selection.indices)) == len(selection.indices) == SELECT.subset_size
     assert all(0 <= i < SELECT.pool_size for i in selection.indices)
-    assert selection.logdet == log_det(selection.kernel.values, selection.indices)
+    chosen = selection.indices
+    assert selection.logdet == log_det(selection.kernel.values[np.ix_(chosen, chosen)])
 
 
 def test_selection_carries_the_pool_median_under_a_fixed_sigma():
@@ -525,14 +516,15 @@ def _per_state_table(policy, features):
 
 
 class _ChoiceActor:
-    """Finds the state among the chain's by its bytes and samples by ``rng.choice``."""
+    """Finds the env's state among the chain's by its bytes and samples by ``rng.choice``."""
 
     def __init__(self, env, cdf):
+        self.env = env
         self.index = {state.tobytes(): i for i, state in enumerate(env.chain_states())}
         self.probs = np.diff(cdf, axis=1, prepend=0.0)
 
-    def act(self, state, rtg, rng=None) -> int:
-        probs = self.probs[self.index[state.tobytes()]]
+    def act(self, rng) -> int:
+        probs = self.probs[self.index[self.env.observation().tobytes()]]
         return int(rng.choice(len(probs), p=probs))
 
 

@@ -186,6 +186,35 @@ def test_non_finite_state_exits_2_with_line_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_utf8_dump_exits_2_naming_file_and_line_before_output(tmp_path, capsys):
+    path = tmp_path / "latin.jsonl"
+    path.write_bytes(
+        b'{"episode": 0, "t": 0, "state": [0.0], "action": 1, "reward": 0.0}\n'
+        b'{"episode": 0, "t": 1, "state": [0.0], "action": 1, "reward": 0.0, "x": "\xff"}\n'
+    )
+    out = tmp_path / "out"
+    assert main(["select", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: byte 0xff at column 74 is not utf-8 text" in err and str(path) in err
+    assert not out.exists()
+
+
+def test_non_utf8_config_exits_2_naming_file_and_line_before_output(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"horizon = 5\n# caf\xe9\n")
+    out = tmp_path / "out"
+    assert main(["loop", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:2: byte 0xe9 at column 6 is not utf-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_lines_are_numbered_as_the_file_breaks_them(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"horizon = 5\x0c\r\npool_size = 40\rnot_a_key = 5\n")
+    assert main(["loop", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"{cfg}:3: unknown config key 'not_a_key'" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2_naming_key(tmp_path, capsys):
     cfg = write_config(tmp_path, "not_a_key = 5\n")
     assert main(["loop", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -263,6 +292,22 @@ def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, buffer_file, 
     out = tmp_path / "out"
     assert main([paths.get(arg, arg) for arg in args] + ["--out", str(out)]) == 2
     assert f"seed {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, seeds", [
+    (["loop", "--seed", "1", "--seed", "2"], "1, 2"),
+    (["select", "BUFFER", "--seed", "1", "--seed", "2"], "1, 2"),
+    (["loop", "--config", "CONFIG"], "3, 4"),
+    (["select", "BUFFER", "--config", "CONFIG"], "3, 4"),
+], ids=["loop", "select", "loop seeds key", "select seeds key"])
+def test_loop_and_select_exit_2_on_two_seeds_before_any_output(tmp_path, capsys, buffer_file,
+                                                                args, seeds):
+    cfg = write_config(tmp_path, "seeds = 3,4\n")
+    paths = {"BUFFER": str(buffer_file), "CONFIG": str(cfg)}
+    out = tmp_path / "out"
+    assert main([paths.get(arg, arg) for arg in args] + ["--out", str(out)]) == 2
+    assert f"{args[0]} runs one seed, got seeds {seeds}" in capsys.readouterr().err
     assert not out.exists()
 
 

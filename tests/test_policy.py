@@ -287,7 +287,7 @@ def table_of(policy, states, rtgs):
 
 def table_act(cdf, position, rng):
     """The action a ``TableActor`` over ``cdf`` draws at ``position``."""
-    return TableActor(SimpleNamespace(position=position), cdf).act(None, None, rng=rng)
+    return TableActor(SimpleNamespace(position=position), cdf).act(rng)
 
 
 @settings(max_examples=200, deadline=None)
@@ -376,11 +376,10 @@ def test_a_non_finite_row_raises_only_for_its_own_state(bad_first):
         actor.env.position = position
         if states[position] is big:
             with pytest.raises(ValueError, match="not finite"):
-                actor.act(big, 0.0, rng=np.random.default_rng(3))
+                actor.act(np.random.default_rng(3))
             continue
         ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
-        assert actor.act(ordinary, 0.0, rng=ours) == reference_act(policy, ordinary, 0.0,
-                                                                   rng=theirs)
+        assert actor.act(ours) == reference_act(policy, ordinary, 0.0, rng=theirs)
         assert greedy[position] == 0
 
 

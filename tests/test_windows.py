@@ -233,7 +233,7 @@ def test_empty_buffer_has_no_windows(tmp_path):
     path = tmp_path / "empty.jsonl"
     save_jsonl(buf, path)
     assert path.read_text() == ""
-    assert load_jsonl(path).window_count(3) == 0
+    assert load_jsonl(path, gamma=0.9).window_count(3) == 0
 
 
 @pytest.mark.parametrize("start", [-1, 8, 10])
@@ -400,7 +400,7 @@ def test_jsonl_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"episode": 0, "t": 0, "state": [0.0], "action": 1, "reward": 0.0}\nnot json\n')
     with pytest.raises(ValueError, match="line 2"):
-        load_jsonl(path)
+        load_jsonl(path, gamma=1.0)
 
 
 def _assert_gather_matches_materialize(buf, appended, horizon):
@@ -526,9 +526,22 @@ def _record(episode, t, action=1):
     ([_record(0, 0), _record(0, 1, action=-1)], 2, "discrete action must be non-negative"),
     ([_record(0, 1), _record(1, 0), _record(0, 0, action=-3)], 3,
      "episode 0, step 0: discrete action must be non-negative"),
+    # Every line is a JSON object.
+    ([_record(0, 0), [1, 2]], 2, r"expected a JSON object, got \[1, 2\]"),
+    ([_record(0, 0), "abc"], 2, 'expected a JSON object, got "abc"'),
 ])
 def test_load_jsonl_rejects_inconsistent_steps_and_actions(tmp_path, records, line, message):
     path = tmp_path / "bad.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     with pytest.raises(JsonlParseError, match=f"line {line}: .*{message}"):
-        load_jsonl(path)
+        load_jsonl(path, gamma=1.0)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_load_jsonl_names_the_line_and_file_of_a_byte_that_is_not_utf8(tmp_path, newline):
+    good = json.dumps(_record(0, 0)).encode()
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(newline.join([good, b"", good[:5] + b"\xff" + good[5:], good]) + newline)
+    with pytest.raises(JsonlParseError, match=r"line 3: byte 0xff at column 6 is not utf-8 "
+                                              r"text \(in .*bad\.jsonl\)"):
+        load_jsonl(path, gamma=1.0)
