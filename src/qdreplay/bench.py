@@ -254,8 +254,7 @@ def redundancy_metric(embeddings: np.ndarray, tau: float) -> float:
     z = np.asarray(embeddings, dtype=float)
     if z.shape[0] < 2:
         return 0.0
-    diff = z[:, None, :] - z[None, :, :]
-    d = np.sqrt(np.sum(diff ** 2, axis=2))
+    d = pairwise_distances(z)
     np.fill_diagonal(d, np.inf)
     return float(np.mean(d.min(axis=1) <= tau))
 
@@ -361,8 +360,11 @@ class LoopConfig:
                                    seed=seed)
 
 
-def check_capacity(config: LoopConfig) -> None:
-    """Reject a buffer that cannot hold one whole episode of the loop's environment."""
+def check_loop_config(config: LoopConfig) -> None:
+    """Reject a loop whose episodes cannot hold a window or whose buffer cannot hold an episode."""
+    if config.horizon > config.t_max:
+        raise ValueError(f"horizon ({config.horizon}) must be <= t_max ({config.t_max}): "
+                         "no episode is long enough for one window")
     if config.capacity < config.t_max:
         raise ValueError(f"capacity ({config.capacity}) must be >= t_max ({config.t_max}): "
                          "the buffer must hold a whole episode")
@@ -473,7 +475,7 @@ def run_loop(
     Fully deterministic per (config, seed).
     """
     config.validate()
-    check_capacity(config)
+    check_loop_config(config)
     ss = np.random.SeedSequence(seed)
     # Evaluation is exact and draws nothing: eval_ss is spawned so pseudo_ss keeps its seed.
     (policy_ss, warmup_ss, pretrain_ss, collect_ss, pool_ss, score_ss,
@@ -508,26 +510,15 @@ def run_loop(
 
     result = RunResult(variant=variant, seed=seed, metrics=[], selection_events=[])
     eta = 0.0 if variant is Variant.UNIFORM else config.eta
-    selection: WindowSelection | None = None
+    selection: WindowSelection | None = None  # the one trained on; UNIFORM has none
     y_ids = np.zeros(0, dtype=np.int64)  # the selection's window ids in the buffer
     grad_step = 0
 
-    def select(rng: np.random.Generator) -> None:
-        nonlocal selection
+    def select(rng: np.random.Generator) -> WindowSelection:
         pool = buffer.sample_candidate_pool(config.pool_size, config.horizon, rng)
-        selection = select_windows(pool, policy, config, variant, rng, score_rng)
-        result.selected_stage_counts.update(
-            selection.pool.stage_labels[selection.indices].tolist())
-
-    def refresh() -> None:
-        nonlocal y_ids
-        select(pool_rng)
-        y_ids = selection_global_ids()
-        event = {"step": grad_step, "Y": y_ids.tolist(),
-                 "logdet": float(selection.logdet)}
-        result.selection_events.append(event)
-        if audit_callback:
-            audit_callback(event)
+        made = select_windows(pool, policy, config, variant, rng, score_rng)
+        result.selected_stage_counts.update(made.pool.stage_labels[made.indices].tolist())
+        return made
 
     def selection_global_ids() -> np.ndarray:
         pool, chosen = selection.pool, selection.indices
@@ -546,13 +537,18 @@ def run_loop(
         if not window_count:
             raise NoValidWindowsError(
                 f"no valid windows: no stored episode has length >= {config.horizon}")
-        if variant is not Variant.UNIFORM and selection is not None:
+        if selection is not None:
             y_ids = selection_global_ids()  # eviction drops windows and shifts ids
 
         for _ in range(config.updates_per_episode):
-            if variant is not Variant.UNIFORM:
-                if selection is None or grad_step % config.refresh_period == 0 or not y_ids.size:
-                    refresh()
+            if variant is not Variant.UNIFORM and (
+                    selection is None or grad_step % config.refresh_period == 0 or not y_ids.size):
+                selection = select(pool_rng)
+                y_ids = selection_global_ids()
+                event = {"step": grad_step, "Y": y_ids.tolist(), "logdet": float(selection.logdet)}
+                result.selection_events.append(event)
+                if audit_callback:
+                    audit_callback(event)
             ids, weights = mixed_sample(y_ids, window_count, config.batch_size, eta, replay_rng)
             policy.weighted_update(buffer.gather(ids, config.horizon),
                                    normalize_weights(weights, config.weight_mode),
@@ -562,9 +558,8 @@ def run_loop(
         greedy, cdf = policy.action_table(chain_features)
         if (ep + 1) % config.eval_every == 0:
             success, sampled_success = evaluate_policy(env, greedy, cdf)
-            if variant is Variant.UNIFORM:
-                select(pseudo_rng)
-            diversity, redundancy = _selection_quality_metrics(selection)
+            diversity, redundancy = _selection_quality_metrics(
+                select(pseudo_rng) if variant is Variant.UNIFORM else selection)
             point = RunMetrics(
                 gradient_steps=grad_step,
                 episodes_used=ep + 1,
@@ -613,6 +608,8 @@ def run_ablation(
     seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
         raise ValueError("ablation needs at least 2 seeds")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"ablation needs distinct seeds, got seeds {seeds}")
     rare_stage = config.num_stages - 1
     columns: dict[Variant, dict[str, list[float]]] = {}
     for variant in Variant:

@@ -12,7 +12,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .bench import (ABLATION_COLUMNS, LoopConfig, Variant, check_capacity, mean_and_ci,
+from .bench import (ABLATION_COLUMNS, LoopConfig, Variant, check_loop_config, mean_and_ci,
                     run_ablation, run_loop, select_windows)
 # Unused here; the benchmark's tracer wraps these stage functions by name in this module too.
 from .geometry import encode_pool, median_bandwidth, rbf_similarity  # noqa: F401
@@ -101,12 +101,9 @@ def build_settings(raw: dict[str, str], args: argparse.Namespace) -> RunSettings
     loop = LoopConfig(**updates)
     try:
         loop.validate()
-        # select's episodes come from its dump, not from the environment's t_max.
+        # select's episodes come from its dump, not from the loop's environment.
         if args.command != "select":
-            if loop.horizon > loop.t_max:
-                raise ValueError(f"horizon ({loop.horizon}) must be <= t_max ({loop.t_max}): "
-                                 "no episode is long enough for one window")
-            check_capacity(loop)
+            check_loop_config(loop)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -121,9 +118,13 @@ def build_settings(raw: dict[str, str], args: argparse.Namespace) -> RunSettings
     for seed in seeds:
         if seed < 0:
             raise ConfigError(f"seeds must be non-negative integers, got seed {seed}")
+    listed = ", ".join(map(str, seeds))
     if args.command != "ablate" and len(seeds) > 1:
-        raise ConfigError(f"{args.command} runs one seed, "
-                          f"got seeds {', '.join(map(str, seeds))}")
+        raise ConfigError(f"{args.command} runs one seed, got seeds {listed}")
+    if args.command == "ablate" and len(seeds) < 2:
+        raise ConfigError("ablate needs at least 2 seeds (--seed, repeatable)")
+    if len(set(seeds)) < len(seeds):  # only ablate runs more than one seed
+        raise ConfigError(f"ablate needs distinct seeds, got seeds {listed}")
 
     variant_name = getattr(args, "variant", None) or raw.get("variant", "FULL")
     try:
@@ -256,8 +257,6 @@ def cmd_loop(settings: RunSettings) -> int:
 # ---------------------------------------------------------------------- ablate
 
 def cmd_ablate(settings: RunSettings) -> int:
-    if len(settings.seeds) < 2:
-        raise ConfigError("ablate needs at least 2 seeds (--seed, repeatable)")
     _make_out_dir(settings)
     provenance = f"config_hash={settings.config_hash()} seeds={','.join(map(str, settings.seeds))}"
     metrics_path = settings.out / "ablation_runs.csv"

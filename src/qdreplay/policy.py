@@ -142,6 +142,8 @@ class LinearSoftmaxPolicy:
         self, batch: WindowBatch, weights: Sequence[float], learning_rate: float
     ) -> float:
         """One gradient-descent step on the weighted NLL; returns pre-step loss."""
+        if not 0.0 <= learning_rate < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
         if len(batch) == 0:
             return 0.0
         w = np.asarray(weights, dtype=float)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import qdreplay
-from qdreplay.bench import LoopConfig, RandomPolicy, ScriptedDemonstrator, StageChainEnv, rollout
+from qdreplay.bench import (LoopConfig, RandomPolicy, ScriptedDemonstrator, StageChainEnv,
+                            mean_and_ci, rollout)
 from qdreplay.cli import KNOWN_KEYS, build_parser, build_settings, main, parse_config_file
 from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer, save_jsonl
 
@@ -482,12 +483,25 @@ def test_ablate_requires_two_seeds(tmp_path, capsys):
     assert "2 seeds" in capsys.readouterr().err
 
 
-def test_ablate_table_shape_and_duplicate_seed_ci(tmp_path, capsys):
+@pytest.mark.parametrize("args", [["--seed", "3", "--seed", "3"], ["--config", "CONFIG"]],
+                         ids=["flag", "seeds key"])
+def test_ablate_exits_2_on_a_repeated_seed_before_any_output(tmp_path, capsys, args):
+    """run_loop is deterministic per seed: a repeated seed would report a ci from one run."""
+    cfg = write_config(tmp_path, "seeds = 3,4,3\n")
+    out = tmp_path / "out"
+    assert main(["ablate"] + [str(cfg) if arg == "CONFIG" else arg for arg in args]
+                + ["--out", str(out)]) == 2
+    seeds = "3, 3" if args[0] == "--seed" else "3, 4, 3"
+    assert f"ablate needs distinct seeds, got seeds {seeds}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_table_shape_and_ci(tmp_path, capsys):
     # Shorter stages, so sampled success moves between a run's two evaluations.
     cfg = write_config(tmp_path, TINY_LOOP.replace("steps_per_stage = 4,4,2",
                                                    "steps_per_stage = 2,2,1"))
     out = tmp_path / "out"
-    assert main(["ablate", "--config", str(cfg), "--seed", "1", "--seed", "1",
+    assert main(["ablate", "--config", str(cfg), "--seed", "1", "--seed", "2",
                  "--out", str(out)]) == 0
     lines = (out / "ablation.csv").read_text().splitlines()
     assert lines[1].split(",")[0] == "variant"
@@ -499,7 +513,7 @@ def test_ablate_table_shape_and_duplicate_seed_ci(tmp_path, capsys):
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 4
     header = lines[1].split(",")
-    # Each success mean is the mean over the two runs of each run's last-step value;
+    # Each success mean and ci are those of the two runs' last-step values;
     # a variant's rows in ablation_runs.csv are its first run's, then its second's.
     runs = (out / "ablation_runs.csv").read_text().splitlines()
     run_header = runs[1].split(",")
@@ -510,13 +524,12 @@ def test_ablate_table_shape_and_duplicate_seed_ci(tmp_path, capsys):
             success.setdefault((run["variant"], name), []).append(float(run[name]))
     for row in rows:
         record = dict(zip(header, row))
-        assert float(record["diversity_ci"]) == 0.0
         for name in ("success", "sampled_success"):
-            assert float(record[f"{name}_ci"]) == 0.0
             steps = success[record["variant"], name]
             assert len(steps) % 2 == 0
             last_steps = [steps[len(steps) // 2 - 1], steps[-1]]
-            assert float(record[f"{name}_mean"]) == np.mean(last_steps)
+            assert (float(record[f"{name}_mean"]), float(record[f"{name}_ci"])) == \
+                mean_and_ci(last_steps)
     assert any(steps[0] != steps[-1] for steps in success.values())
 
 

@@ -176,6 +176,17 @@ def test_weighted_update_rejects_bad_weights():
         policy.weighted_update(batch, [float("nan")], learning_rate=0.1)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+def test_weighted_update_rejects_a_bad_learning_rate_before_the_step(rate):
+    """-1 would climb the loss; NaN and inf would leave non-finite weights."""
+    batch = random_batch(np.random.default_rng(21))
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, seed=22)
+    before = policy.weights
+    with pytest.raises(ValueError, match=f"learning_rate must be finite and >= 0, got {rate}"):
+        policy.weighted_update(batch, [1.0], learning_rate=rate)
+    assert policy.weights is before
+
+
 def test_weighted_update_rejects_actions_beyond_action_count():
     batch = make_batch([([[1.0, 2.0, 3.0]] * 5, [99] * 5, [0.0] * 5)])
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=6, seed=24)

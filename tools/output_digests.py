@@ -6,8 +6,10 @@ Runs ``python -m qdreplay`` with ``PYTHONPATH=<src-dir>`` and BLAS at one
 thread, in a temporary directory:
 
 - ``loop`` for each of the four variants at the default config, seed 1;
-- ``loop`` for FULL on a churn config (capacity 1500, pool 200, k 30, a
-  refresh every 10 steps), seed 1;
+- ``loop`` for FULL, UNIFORM and QUALITY_ONLY on a churn config (capacity
+  1500, pool 200, k 30, a refresh every 10 steps), seed 1, so that FIFO
+  eviction shifts the window ids under the selection, UNIFORM's
+  metric-time pseudo-selection and the top-k logdet;
 - ``loop`` for FULL with RAW weights, eta 0.55 and batch size 30, seed 1,
   so that eta * B = 16.5 is not a whole number;
 - ``loop`` for FULL at ``rtg_target = 0.5``, seed 1, so that a policy
@@ -80,6 +82,9 @@ def main(argv: list[str]) -> int:
                 "--seed", "1", "--out", f"loop_{variant}")
         run("churn", "-m", "qdreplay", "loop", "--config", "churn.cfg", "--seed", "1",
             "--out", "churn")
+        for variant in ("UNIFORM", "QUALITY_ONLY"):
+            run(f"churn_{variant}", "-m", "qdreplay", "loop", "--config", "churn.cfg",
+                "--variant", variant, "--seed", "1", "--out", f"churn_{variant}")
         run("raw", "-m", "qdreplay", "loop", "--config", "raw.cfg", "--seed", "1", "--out", "raw")
         run("rtg", "-m", "qdreplay", "loop", "--config", "rtg.cfg", "--seed", "1", "--out", "rtg")
         run("ablate", "-m", "qdreplay", "ablate", "--seed", "1", "--seed", "2", "--out", "ablate")
