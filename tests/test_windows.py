@@ -545,3 +545,30 @@ def test_load_jsonl_names_the_line_and_file_of_a_byte_that_is_not_utf8(tmp_path,
     with pytest.raises(JsonlParseError, match=r"line 3: byte 0xff at column 6 is not utf-8 "
                                               r"text \(in .*bad\.jsonl\)"):
         load_jsonl(path, gamma=1.0)
+
+
+_GOOD = json.dumps(_record(0, 0))
+_BIG = 2 ** 63  # one past int64
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # An integer outside int64 in an integer field, or too large for a float in a float one.
+    *[(f"{_GOOD}\n{json.dumps({**_record(0, 1), key: value})}\n", 2,
+       "Python int too large to convert to C long")
+      for key in ("episode", "t", "stage", "action") for value in (_BIG, -_BIG - 1)],
+    (f"{_GOOD}\n{json.dumps({**_record(0, 1), 'state': [10 ** 400, 1.0]})}\n", 2,
+     "int too large to convert to float"),
+    (f"{_GOOD}\n{json.dumps({**_record(0, 1), 'reward': 10 ** 400})}\n", 2,
+     "int too large to convert to float"),
+    # Trailing data, a second object, a byte order mark, and blank lines before a bad one.
+    (f"{_GOOD}\n{_GOOD} x\n", 2, r"invalid JSON \(Extra data\)"),
+    (f"{_GOOD}\n{_GOOD} {_GOOD}\n", 2, r"invalid JSON \(Extra data\)"),
+    (f"\ufeff{_GOOD}\n", 1, r"invalid JSON \(Unexpected UTF-8 BOM"),
+    (f"{_GOOD}\n\n   \n\t\nnope\n", 5, r"invalid JSON \(Expecting value\)"),
+])
+def test_load_jsonl_names_the_line_of_an_overflow_or_a_malformed_line(tmp_path, text, line,
+                                                                      message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(JsonlParseError, match=f"^line {line}: {message}"):
+        load_jsonl(path, gamma=1.0)
