@@ -483,25 +483,40 @@ class JsonlParseError(ValueError):
         self.line_number = line_number
 
 
-_JSON_KINDS = {"integer": (int,), "number": (int, float), "bool": (bool,)}
-_NUMBER_TYPES = frozenset(_JSON_KINDS["number"])
+_NUMBER_TYPES = frozenset((int, float))  # a JSON number: not a bool, which is an int subclass
+_scan = json.JSONDecoder().scan_once  # the C scanner under json.loads, without its wrapper
+_BLOCK = 1024  # checked rows collected before they are written into the columns
 
 
-def _json_typed(rec: dict, key: str, kind: str, default=None):
-    """``rec[key]`` (or ``default`` when absent), if it is a JSON value of ``kind``.
+def _kind_error(key: str, kind: str, value) -> TypeError:
+    return TypeError(f"{key} must be a JSON {kind}, got {json.dumps(value)}")
 
-    A kind is "integer" (not a bool, not a float such as 1.0), "number" (an
-    integer or a float, not a bool) or "bool".
+
+def _write_rows(columns: list[tuple[np.ndarray, int]], start: int,
+                pending: tuple[list, ...]) -> None:
+    """Write rows ``start``, ``start + 1``, ... of each column, one slice assignment per column.
+
+    Column c is a flat view holding ``columns[c][1]`` entries per row, and
+    ``pending[c]`` the flat entries of its next rows; the first column holds
+    the rows' line numbers. The last row may stop short, at the first column
+    that lacks its entries. If a value does not fit its column (an integer
+    outside int64, or too large for a float), the rows are written again one
+    at a time, each in column order, so the error names the line of the
+    first row that holds such a value, with the message its own write gives.
     """
-    value = rec[key] if default is None else rec.get(key, default)
-    if type(value) not in _JSON_KINDS[kind]:
-        raise TypeError(f"{key} must be a JSON {kind}, got {json.dumps(value)}")
-    return value
-
-
-def _number_list(value) -> bool:
-    """Whether ``value`` is a JSON list of numbers: no strings, bools, nulls or lists."""
-    return type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
+    try:
+        for (column, width), values in zip(columns, pending):
+            column[start * width:start * width + len(values)] = values
+    except (OverflowError, ValueError):
+        for i, lineno in enumerate(pending[0]):
+            try:
+                for (column, width), values in zip(columns, pending):
+                    if len(values) < (i + 1) * width:
+                        break
+                    row = (start + i) * width
+                    column[row:row + width] = values[i * width:(i + 1) * width]
+            except (OverflowError, ValueError) as exc:
+                raise JsonlParseError(lineno, str(exc)) from exc
 
 
 def undecodable_line(path: str | Path, encoding: str) -> tuple[int, str]:
@@ -535,6 +550,14 @@ def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
     actions discrete (int64), a list of d numbers continuous (float, d per
     row). A violation raises ``JsonlParseError`` naming the offending line, as
     does a byte that is not text in the file's encoding.
+
+    The checks on single lines run line by line in file order, so the error
+    names the first line that breaks one. On a line, the JSON comes first,
+    then the state and the action, then ``reward``, ``stage``, ``episode``,
+    ``t`` and ``done``. A required key that is absent gives ``missing key
+    'reward'`` (with that key's name), and an integer too large for its
+    column (outside int64, or too large for a float) is an error on its
+    line. The checks on whole episodes follow once every line has passed.
     """
     try:
         with open(path) as fh:
@@ -545,46 +568,91 @@ def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
     episode, step, lines, stages = (np.empty(count, dtype=np.int64) for _ in range(4))
     rewards, done = np.empty(count), np.empty(count, dtype=bool)
     states = actions = None  # allocated at the first record, which fixes their row shapes
-    n = 0  # records read
+    columns = []  # (flat view, entries per row) of each, in the order a line is checked
+    pending = tuple([] for _ in range(8))  # per column, the checked entries not yet written
+    add_line, add_reward, add_stage, add_episode, add_step, add_done = (
+        pending[c].append for c in (0, 3, 4, 5, 6, 7))
+    add_state = pending[1].extend
+    n = 0  # rows written
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JsonlParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+                rec, end = _scan(line, 0)
+            except (StopIteration, ValueError):
+                end = None
+            if end != len(line):  # not one JSON value: json.loads names the problem
+                _write_rows(columns, n, pending)  # an earlier line's overflow is reported first
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise JsonlParseError(lineno, f"invalid JSON ({exc.msg})") from exc
             try:
                 state, action = rec["state"], rec["action"]
-                if not _number_list(state):
+                if type(state) is not list or not _NUMBER_TYPES.issuperset(map(type, state)):
                     raise TypeError("state must be a list of JSON numbers, "
                                     f"got {json.dumps(state)}")
-                if type(action) is not int and not _number_list(action):
+                if type(action) is not int and (type(action) is not list or
+                                                 not _NUMBER_TYPES.issuperset(map(type, action))):
                     raise TypeError("action must be a JSON integer or a list of JSON numbers, "
                                     f"got {json.dumps(action)}")
                 shape = (len(action),) if type(action) is list else ()
                 if states is None:
-                    states = np.empty((count, len(state)))
-                    actions = np.empty((count, *shape), dtype=float if shape else np.int64)
-                if len(state) != states.shape[1]:
-                    raise ValueError(f"state has {len(state)} entries, expected {states.shape[1]}")
-                if shape != actions.shape[1:]:
+                    width, kind = len(state), shape
+                    states = np.empty((count, width))
+                    actions = np.empty((count, *kind), dtype=float if kind else np.int64)
+                    columns = [(lines, 1), (states.reshape(-1), width),
+                               (actions.reshape(-1), kind[0] if kind else 1), (rewards, 1),
+                               (stages, 1), (episode, 1), (step, 1), (done, 1)]
+                    add_action = pending[2].extend if kind else pending[2].append
+                if len(state) != width:
+                    raise ValueError(f"state has {len(state)} entries, expected {width}")
+                if shape != kind:
                     raise ValueError(f"action is {_action_kind(shape)}, "
-                                     f"expected {_action_kind(actions.shape[1:])}")
-                states[n] = state
-                actions[n] = action  # an integer outside int64 raises here, on its line
-                rewards[n] = _json_typed(rec, "reward", "number")
-                stages[n] = _json_typed(rec, "stage", "integer", 0)
-                episode[n] = _json_typed(rec, "episode", "integer")
-                step[n] = _json_typed(rec, "t", "integer")
-                done[n] = _json_typed(rec, "done", "bool", False)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                problem = str(exc) if type(rec) is dict else \
-                    f"expected a JSON object, got {json.dumps(rec)}"
+                                     f"expected {_action_kind(kind)}")
+                # Each entry is added once it passes its check, so a row stops at its line's
+                # first failing check, and writing the rows writes what was read before it.
+                add_line(lineno)
+                add_state(state)
+                add_action(action)
+                value = rec["reward"]
+                if type(value) not in _NUMBER_TYPES:
+                    raise _kind_error("reward", "number", value)
+                add_reward(value)
+                value = rec.get("stage", 0)
+                if type(value) is not int:
+                    raise _kind_error("stage", "integer", value)
+                add_stage(value)
+                value = rec["episode"]
+                if type(value) is not int:
+                    raise _kind_error("episode", "integer", value)
+                add_episode(value)
+                value = rec["t"]
+                if type(value) is not int:
+                    raise _kind_error("t", "integer", value)
+                add_step(value)
+                value = rec.get("done", False)
+                if type(value) is not bool:
+                    raise _kind_error("done", "bool", value)
+                add_done(value)
+            except (KeyError, TypeError, ValueError) as exc:
+                if type(rec) is not dict:
+                    problem = f"expected a JSON object, got {json.dumps(rec)}"
+                elif isinstance(exc, KeyError):
+                    problem = f"missing key {exc.args[0]!r}"
+                else:
+                    problem = str(exc)
+                _write_rows(columns, n, pending)  # an overflow read before this check comes first
                 raise JsonlParseError(lineno, problem) from exc
-            lines[n] = lineno
-            n += 1
+            if len(pending[0]) == _BLOCK:
+                _write_rows(columns, n, pending)
+                n += _BLOCK
+                for entries in pending:
+                    entries.clear()
+    _write_rows(columns, n, pending)
+    del columns  # so that rebinding a column below frees its file-order array
     buffer = ReplayBuffer(capacity=max(count, 1), gamma=gamma)
     if count == 0:
         return buffer

@@ -174,6 +174,19 @@ def test_wrongly_typed_scalar_exits_2_with_line_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["state", "action", "reward", "episode", "t"])
+def test_missing_key_exits_2_naming_line_and_key_before_output(tmp_path, capsys, key):
+    record = {"episode": 0, "t": 1, "state": [0.0], "action": 1, "reward": 0.0}
+    del record[key]
+    path = tmp_path / "missing.jsonl"
+    path.write_text('{"episode": 0, "t": 0, "state": [0.0], "action": 1, "reward": 0.0}\n'
+                    + json.dumps(record) + "\n")
+    out = tmp_path / "out"
+    assert main(["select", str(path), "--out", str(out)]) == 2
+    assert f"line 2: missing key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_state_exits_2_with_line_before_output(tmp_path, capsys):
     path = tmp_path / "nan.jsonl"
     path.write_text(

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonl_oracle import load_jsonl as load_jsonl_oracle
 
 from qdreplay.windows import (
+    _BLOCK,
     Episode,
     EpisodeArrays,
     JsonlParseError,
@@ -571,4 +573,203 @@ def test_load_jsonl_names_the_line_of_an_overflow_or_a_malformed_line(tmp_path, 
     path = tmp_path / "bad.jsonl"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(JsonlParseError, match=f"^line {line}: {message}"):
+        load_jsonl(path, gamma=1.0)
+
+
+# ------------------------------------------------ the per-line loader as the oracle
+
+_WRONG_TYPES = {
+    "state": ("x", None, 3, [True, 0.0], ["1.0"], [[1.0]], {}),
+    "action": (1.5, True, None, "1", [True], ["a"], [[0.5]]),
+    "reward": ("1", True, None, [1.0]),
+    "stage": (1.0, True, "0", None),
+    "episode": (0.0, False, "0", None),
+    "t": (0.5, True, "1", None),
+    "done": (0, "false", None),
+}
+_KEYS = tuple(_WRONG_TYPES)
+_HUGE = 10 ** 400  # an integer too large for a float
+_INTEGERS = (2 ** 63, -2 ** 63 - 1, 2 ** 64 + 7, -1, 0, 3)  # three outside int64
+_ENTRIES = (_HUGE, -_HUGE, 2 ** 53 + 1, 2 ** 70, 3, float("nan"), float("inf"))
+_TEXT_EDITS = ("trailing", "twice", "split", "bom", "crlf", "blank", "spaces", "list", "number",
+               "string", "null")
+
+
+def _mutation(continuous: bool):
+    """One change to one line: ("set", key, value), ("del", key), ("entry", key, index,
+    value) for a state or continuous action entry, or ("text", edit) on the line's text."""
+    integer_keys = ("episode", "t", "stage") + (() if continuous else ("action",))
+    return st.one_of(
+        st.sampled_from(_KEYS).flatmap(lambda key: st.tuples(
+            st.just("set"), st.just(key), st.sampled_from(_WRONG_TYPES[key]))),
+        st.tuples(st.just("del"), st.sampled_from(_KEYS)),
+        st.tuples(st.just("set"), st.sampled_from(integer_keys), st.sampled_from(_INTEGERS)),
+        st.tuples(st.just("set"), st.sampled_from(("reward", "done", "action")),
+                  st.sampled_from((_HUGE, 2 ** 70, float("nan"), float("-inf"), True, [0.5]))),
+        st.tuples(st.just("entry"),
+                  st.sampled_from(("state", "action") if continuous else ("state",)),
+                  st.integers(-1, 3), st.sampled_from(_ENTRIES)),
+        st.tuples(st.just("text"), st.sampled_from(_TEXT_EDITS)),
+    )
+
+
+def _overflow(continuous: bool):
+    """A change that makes a value too large for its column."""
+    return st.sampled_from([
+        ("set", "episode", 2 ** 63), ("set", "t", -2 ** 63 - 1), ("set", "stage", 2 ** 64 + 7),
+        ("set", "reward", _HUGE), ("entry", "state", 0, _HUGE),
+        ("entry", "action", 0, -_HUGE) if continuous else ("set", "action", 2 ** 63)])
+
+
+def _mutate(line: str, changes) -> str:
+    """``line`` after ``changes``: the record's own first, then any text edits, in order."""
+    rec = json.loads(line)
+    for change in changes:
+        kind, key, *args = change
+        if kind == "set":
+            rec[key] = args[0]
+        elif kind == "del":
+            rec.pop(key, None)
+        elif kind == "entry" and type(rec.get(key)) is list:
+            index, value = args
+            if index < len(rec[key]):
+                rec[key][index] = value
+            else:
+                rec[key].append(value)  # also one entry too many
+    line = json.dumps(rec)
+    for kind, edit, *_ in changes:
+        if kind != "text":
+            continue
+        line = {
+            "trailing": line + " x",
+            "twice": line + " " + line,
+            "split": line[:len(line) // 2] + "\n" + line[len(line) // 2:],
+            "bom": "\ufeff" + line,
+            "crlf": line + "\r",
+            "blank": "\n" + line,
+            "spaces": " \t \n  " + line + " ",
+            "list": "[1, 2]",
+            "number": "3",
+            "string": '"abc"',
+            "null": "null",
+        }[edit]
+    return line
+
+
+def _dump_lines(path, seed: int, size: int, width: int, action_dim: int | None) -> list[str]:
+    """The lines ``save_jsonl`` writes for ``size`` random transitions in short episodes."""
+    rng = np.random.default_rng(seed)
+    buf = ReplayBuffer(capacity=size, gamma=0.9)
+    eid = total = 0
+    while total < size:
+        length = min(int(rng.integers(1, 12)), size - total)
+        actions = (rng.integers(0, 5, length) if action_dim is None
+                   else rng.standard_normal((length, action_dim)))
+        buf.append_episode(Episode(id=eid, transitions=EpisodeArrays(
+            states=rng.standard_normal((length, width)), actions=actions,
+            rewards=rng.standard_normal(length), stages=rng.integers(0, 3, length),
+            done=np.arange(length) == length - 1)))
+        eid += int(rng.integers(1, 3))
+        total += length
+    save_jsonl(buf, path)
+    return path.read_text().splitlines()
+
+
+def _outcome(load, path):
+    """The buffer ``load`` returns, or the text of the ``JsonlParseError`` it raises."""
+    try:
+        return load(path, gamma=0.9)
+    except JsonlParseError as exc:
+        return str(exc)
+
+
+def _assert_loaders_agree(path):
+    """Both loaders give equal columns, bit for bit, or the same line and message."""
+    expected, got = _outcome(load_jsonl_oracle, path), _outcome(load_jsonl, path)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return expected
+    assert len(got) == len(expected)
+    for name in ("states", "actions", "rewards", "stages", "done", "rtg"):
+        a, b = expected._rows[name], got._rows[name]
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for name in ("id", "length"):
+        assert got._episodes[name].tolist() == expected._episodes[name].tolist(), name
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       size=st.integers(1, 30) | st.integers(_BLOCK - 2, _BLOCK + 2)
+       | st.integers(2 * _BLOCK - 1, 2 * _BLOCK + 30),
+       width=st.integers(1, 3), action_dim=st.none() | st.integers(1, 2))
+def test_load_jsonl_agrees_with_the_per_line_oracle(tmp_path_factory, data, seed, size, width,
+                                                    action_dim):
+    path = tmp_path_factory.mktemp("oracle") / "dump.jsonl"
+    lines = _dump_lines(path, seed, size, width, action_dim)
+    # Any line, or one at either side of a block boundary.
+    at = st.integers(0, size - 1) | st.sampled_from(
+        [i for i in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK) if i < size] or [0])
+    continuous = action_dim is not None
+    edits = data.draw(st.lists(st.tuples(at, _mutation(continuous)), max_size=4))
+    if data.draw(st.booleans()):  # an overflow, then a change on its line or a few lines on
+        first = data.draw(at)
+        edits.append((first, data.draw(_overflow(continuous))))
+        broken = st.sampled_from(_KEYS).flatmap(  # a wrong type, a missing key or bad JSON
+            lambda key: st.tuples(st.just("set"), st.just(key), st.sampled_from(_WRONG_TYPES[key]))
+            | st.just(("del", key))) | st.tuples(st.just("text"), st.sampled_from(
+                ("trailing", "twice", "split", "bom", "list")))
+        edits.append((min(first + data.draw(st.integers(0, 2)), size - 1), data.draw(broken)))
+    changes: dict[int, list] = {}
+    for i, change in edits:  # a line may take two changes, and a record's come first
+        changes.setdefault(i, []).append(change)
+    for i, line_changes in changes.items():
+        line_changes.sort(key=lambda change: change[0] == "text")
+        lines[i] = _mutate(lines[i], line_changes)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_loaders_agree(path)
+
+
+_STATE_TOO_LARGE = ("entry", "state", 0, _HUGE)
+_EPISODE_PAST_INT64 = ("set", "episode", 2 ** 63)
+_REWARD_AS_TEXT = ("set", "reward", "1")
+
+
+@pytest.mark.parametrize("edits, line, message", [
+    # A type error right after a block boundary, and one in the last row of a block.
+    ({_BLOCK: [_REWARD_AS_TEXT]}, _BLOCK + 1, "reward must be a JSON number"),
+    ({_BLOCK - 1: [_REWARD_AS_TEXT]}, _BLOCK, "reward must be a JSON number"),
+    # An overflow in the last pending row beats a type error on the next line, whether the
+    # two share a block or the overflow ends one.
+    ({_BLOCK - 2: [_EPISODE_PAST_INT64], _BLOCK - 1: [_REWARD_AS_TEXT]}, _BLOCK - 1,
+     "Python int too large to convert to C long"),
+    ({_BLOCK - 1: [_EPISODE_PAST_INT64], _BLOCK: [_REWARD_AS_TEXT]}, _BLOCK,
+     "Python int too large to convert to C long"),
+    ({_BLOCK + 5: [_STATE_TOO_LARGE], _BLOCK + 6: [("text", "trailing")]}, _BLOCK + 6,
+     "int too large to convert to float"),
+    ({3: [_STATE_TOO_LARGE], 4: [("del", "t")]}, 4, "int too large to convert to float"),
+    # Within one line too: the state is written before the reward is read.
+    ({7: [_STATE_TOO_LARGE, _REWARD_AS_TEXT]}, 8, "int too large to convert to float"),
+    ({7: [_EPISODE_PAST_INT64, ("set", "t", "1")]}, 8, "Python int too large to convert"),
+    ({7: [_EPISODE_PAST_INT64, ("set", "stage", 1.5)]}, 8, "stage must be a JSON integer"),
+    # Without an overflow, the first failing line in the file is reported.
+    ({_BLOCK + 3: [("del", "state")], _BLOCK + 9: [_REWARD_AS_TEXT]}, _BLOCK + 4,
+     "missing key 'state'"),
+])
+def test_load_jsonl_reports_the_first_failing_line_across_blocks(tmp_path, edits, line, message):
+    path = tmp_path / "dump.jsonl"
+    lines = _dump_lines(path, 5, 2 * _BLOCK + 10, 2, None)
+    for i, changes in edits.items():
+        lines[i] = _mutate(lines[i], changes)
+    path.write_text("\n".join(lines) + "\n")
+    assert _assert_loaders_agree(path).startswith(f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("key", ["state", "action", "reward", "episode", "t"])
+def test_load_jsonl_names_a_missing_key(tmp_path, key):
+    path = tmp_path / "dump.jsonl"
+    rec = _record(0, 1)
+    del rec[key]
+    path.write_text(f"{_GOOD}\n{json.dumps(rec)}\n")
+    with pytest.raises(JsonlParseError, match=f"^line 2: missing key '{key}'$"):
         load_jsonl(path, gamma=1.0)
