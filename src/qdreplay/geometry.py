@@ -17,7 +17,7 @@ from .policy import LinearSoftmaxPolicy
 from .windows import WindowBatch
 
 _ROW_BLOCK = 64  # rows per block of an N x N pass
-_SAMPLE_SIZE = 1 << 14  # at most this many upper-triangle entries bracket the median
+_SAMPLE_SIZE = 1 << 14  # at most this many off-diagonal entries bracket the median
 # Half-width of the median's bracket in sample ranks, in square roots of the
 # sample size. A sample rank scatters about the population's like a binomial
 # count, by at most half a root, so misses are rare; a miss costs one more pass.
@@ -44,12 +44,15 @@ def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
     a transpose-add. The product goes by row blocks because one whole-pool
     ``z @ z.T`` wakes a BLAS worker thread, which then spins through the rest
     of the refresh. Equal rows are set to exactly 0: the Gram form need not
-    cancel for them.
+    cancel for them. Rows are equal when their bytes are, once ``+ 0.0`` has
+    made each -0.0 a 0.0.
     """
     z = np.asarray(embeddings, dtype=float)
     sq = np.sum(z ** 2, axis=1)
-    # One id per distinct row; NumPy 2.0.0 returns the ids 2-D, hence the reshape.
-    group = np.unique(z, axis=0, return_inverse=True)[1].reshape(-1)
+    rows = np.ascontiguousarray(z) + 0.0
+    group = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(),
+                      return_inverse=True)[1]  # one id per distinct row
+    below = np.tri(_ROW_BLOCK, k=-1, dtype=bool)  # a diagonal block's lower triangle
     d = np.empty((len(z), len(z)))
     for start in range(0, len(d), _ROW_BLOCK):
         stop = start + _ROW_BLOCK  # slices end at N
@@ -62,8 +65,7 @@ def pairwise_distances(embeddings: np.ndarray) -> np.ndarray:
         upper[group[start:stop, None] == group[None, start:]] = 0.0  # and the diagonal
         d[start:stop, :start] = d[:start, start:stop].T
         block = d[start:stop, start:stop]
-        lower = np.tril_indices(len(block), k=-1)
-        block[lower] = block.T[lower]
+        np.copyto(block, block.T, where=below[:len(block), :len(block)])
     return d
 
 
@@ -73,10 +75,10 @@ def median_bandwidth(embeddings: np.ndarray, *, distances: np.ndarray | None = N
     ``distances``, if given, must be ``pairwise_distances(embeddings)``; it is
     read, not rebuilt. The median is ``np.median``'s of the upper triangle,
     bit for bit: the middle order statistic, or the mean of the middle two.
-    A strided sample of the upper triangle brackets the middle ranks; one pass
-    over row blocks counts the entries below the bracket and collects those
-    inside it, which are partitioned at the middle ranks. If the bracket
-    misses them, one pass collects every entry.
+    A strided sample of the off-diagonal entries brackets the middle ranks;
+    one pass over row blocks counts the entries below the bracket and
+    collects those inside it, which are partitioned at the middle ranks. If
+    the bracket misses them, one pass collects every entry.
     """
     z = np.asarray(embeddings, dtype=float)
     n = z.shape[0]
@@ -99,11 +101,12 @@ def _median_bracket(d: np.ndarray, middle: list[int], size: int) -> tuple[float,
     if size <= _SAMPLE_SIZE:
         return -np.inf, np.inf  # the sample would be every entry
     n = len(d)
-    pairs = np.arange(0, size, -(-size // _SAMPLE_SIZE))  # row-major positions
-    lengths = np.arange(n - 1, 0, -1)  # pairs in rows 0 .. n - 2
-    offsets = np.cumsum(lengths) - lengths
-    rows = np.searchsorted(offsets, pairs, side="right") - 1
-    sample = d[rows, pairs - offsets[rows] + rows + 1]
+    # Every stride-th entry of the flat matrix from d[0, 1] on, less the diagonal's: d is
+    # symmetric, so these are pairs. A stride that shares a factor with n would skip columns.
+    stride = -(-n * n // _SAMPLE_SIZE)
+    while math.gcd(stride, n) != 1:
+        stride += 1
+    sample = d.reshape(-1)[1::stride][np.arange(1, n * n, stride) % (n + 1) != 0]
     scale = sample.size / size
     margin = _BRACKET_MARGIN * math.sqrt(sample.size)
     low = math.floor(middle[0] * scale - margin)
@@ -117,9 +120,10 @@ def _median_bracket(d: np.ndarray, middle: list[int], size: int) -> tuple[float,
 def _upper_between(d: np.ndarray, low: float, high: float) -> tuple[int, np.ndarray]:
     """How many upper-triangle entries are below ``low``, and those in [low, high]."""
     below, inside = 0, []
+    above = np.arange(_ROW_BLOCK)[:, None] < np.arange(len(d))  # a row block's upper part
     for start in range(0, len(d), _ROW_BLOCK):
         block = d[start:start + _ROW_BLOCK, start:]
-        upper = block[np.arange(len(block))[:, None] < np.arange(block.shape[1])]
+        upper = block[above[:len(block), :block.shape[1]]]
         below += int(np.count_nonzero(upper < low))
         keep = upper >= low
         keep &= upper <= high
@@ -138,10 +142,9 @@ def rbf_similarity(embeddings: np.ndarray, sigma: float, *,
     if not 0 < sigma < math.inf:
         raise ValueError(f"bandwidth must be finite and positive, got {sigma}")
     s = pairwise_distances(embeddings) if distances is None else distances
-    # exp(-(d ** 2) / sigma ** 2), in place
+    # exp(-(d ** 2) / sigma ** 2), in place; x / -y has the bits of -x / y
     np.square(s, out=s)
-    np.negative(s, out=s)
-    s /= sigma ** 2
+    s /= -sigma ** 2
     np.exp(s, out=s)
     np.fill_diagonal(s, 1.0)
     return s

@@ -47,15 +47,17 @@ class JointKernel:
     lam: float
 
     def entries(self, rows, cols) -> np.ndarray:
-        """L at index arrays in [0, N) that broadcast together, as ``similarity[rows, cols]``.
+        """L at ``similarity[rows, cols]``: index arrays in [0, N) that broadcast together,
+        or the ``slice(None)`` rows of one column j.
 
         The result is a new array; this is the one place L's arithmetic is written.
         """
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        values = np.asarray(self.similarity[rows, cols])  # fancy indexing copies
+        values = self.similarity[rows, cols]  # a view by basic indexing, a copy by fancy
+        values = values.copy() if isinstance(rows, slice) else np.asarray(values)
         values *= self.root_quality[rows]  # S_ij * sqrt(q_i): the bits of sqrt(q_i) * S_ij
         values *= self.root_quality[cols]
-        np.add(values, self.lam, out=values, where=rows == cols)
+        every = np.arange(len(self.root_quality))
+        np.add(values, self.lam, out=values, where=every[rows] == every[cols])
         return values
 
     @property
@@ -186,31 +188,33 @@ def fast_greedy_map(kernel: JointKernel, k: int) -> SelectionResult:
     pivots = np.empty(k)
     # The running column, then one block of downdate terms. A reduction must not
     # write into the rows it reads (numpy would copy them), so a block's result
-    # is a new array that goes back into row 0.
+    # goes into the pick's row of columns, and back into row 0 if a block follows.
     scratch = np.empty((min(k, _TERM_BLOCK + 1), n))
-    alive = np.ones(n, dtype=bool)
+    downdate = np.empty(n)
     indices: list[int] = []
     gains: list[float] = []
     for step in range(k):
-        diag = np.where(alive, diagonal, -np.inf)
-        j = int(np.argmax(diag))
-        if diag[j] <= EPS_PD:
+        j = int(diagonal.argmax())  # picks hold -inf
+        pivot = diagonal[j]
+        if pivot <= EPS_PD:
             break
-        gains.append(float(np.log(diag[j])))
-        scratch[0] = kernel.entries(every, j)
+        gains.append(float(np.log(pivot)))
+        scratch[0] = kernel.entries(slice(None), j)
         first = 0
         while True:
             last = min(first + _TERM_BLOCK, step)
             terms = scratch[1:last - first + 1]
             np.multiply(columns[first:last], columns[first:last, j, None], out=terms)
             terms /= pivots[first:last, None]
-            col = np.subtract.reduce(scratch[:last - first + 1], axis=0)
+            col = np.subtract.reduce(scratch[:last - first + 1], axis=0, out=columns[step])
             if last == step:
                 break
             scratch[0], first = col, last
-        columns[step], pivots[step] = col, diag[j]
-        diagonal -= (col * col) / diag[j]
-        alive[j] = False
+        pivots[step] = pivot
+        np.multiply(col, col, out=downdate)
+        downdate /= pivot
+        diagonal -= downdate
+        diagonal[j] = -np.inf
         indices.append(j)
     return SelectionResult(indices=indices, gains=gains, logdet=float(sum(gains)))
 

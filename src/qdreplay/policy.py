@@ -19,9 +19,9 @@ class LinearSoftmaxPolicy:
     as the logit weights train.
 
     ``encode`` and ``predict_mean`` score a batch of B windows at once and
-    return one row per window, (B, feature_dim) and (B, A). ``encode`` is
-    deterministic; ``predict_mean`` is deterministic per (window, pass_seed)
-    and varies across pass seeds.
+    return one row per window, (B, feature_dim) and, per pass, (B, A).
+    ``encode`` is deterministic; ``predict_mean`` is deterministic per
+    (window, pass seed) and varies across pass seeds.
     """
 
     def __init__(
@@ -74,17 +74,20 @@ class LinearSoftmaxPolicy:
         keep = 1.0 - self.dropout_rate
         return (rng.random(self.feature_dim) < keep).astype(float) / keep
 
-    def predict_mean(self, batch: WindowBatch, pass_seed) -> np.ndarray:
-        """Mean action-logit vector of each window under one dropout mask, (B, A).
+    def predict_mean(self, batch: WindowBatch, pass_seeds: Sequence) -> np.ndarray:
+        """Mean action-logit vector of each window under each pass's dropout mask, (M, B, A).
 
-        The mask is a seeded Bernoulli(1 - dropout_rate) draw over latent
-        features with inverted scaling, shared across every step of the batch.
+        Pass m's mask is a Bernoulli(1 - dropout_rate) draw over latent
+        features, seeded by ``pass_seeds[m]``, with inverted scaling, shared
+        across every step of the batch. The steps are projected once for all
+        passes.
         """
         feats = self._batch_features(batch)
-        if self.dropout_rate > 0.0:
-            feats = feats * self._dropout_mask(pass_seed)
         count, horizon = batch.rtg.shape
-        return (feats @ self.weights).reshape(count, horizon, -1).mean(axis=1)
+        # One pass's masked features and logits are freed before the next pass makes its own.
+        return np.stack([((feats * self._dropout_mask(seed) if self.dropout_rate > 0.0 else feats)
+                          @ self.weights).reshape(count, horizon, -1).mean(axis=1)
+                         for seed in pass_seeds])
 
     # ---------------------------------------------------------------- acting
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,15 +88,15 @@ def stage_coverage(stage_labels: Sequence[int], smoothing_alpha: float = 0.0) ->
     Counts get add-alpha smoothing so extremely rare outliers are not
     overemphasized; the most frequent stage scores exactly 0 when alpha is 0.
     """
-    labels = [int(x) for x in stage_labels]
-    if any(x < 0 for x in labels):
+    labels = np.asarray(stage_labels, dtype=np.int64)
+    if labels.size and labels.min() < 0:
         raise ValueError("stage labels must be non-negative")
     if not 0 <= smoothing_alpha < math.inf:
         raise ValueError(f"smoothing_alpha must be finite and >= 0, got {smoothing_alpha}")
-    counts = Counter(labels)
-    freq = {c: n + smoothing_alpha for c, n in counts.items()}
-    top = max(freq.values())
-    return np.array([1.0 - freq[x] / top for x in labels])
+    # Counted by sorting, not bincount: labels read from a dump can be any int64.
+    _, stage, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    freq = counts + smoothing_alpha
+    return 1.0 - freq[stage] / freq.max()
 
 
 def composite_quality(
@@ -122,7 +121,7 @@ def composite_quality(
     rtg_q = rtg_quantiles(pool.returns(gamma))
 
     raw = predictive_uncertainty(
-        [model.predict_mean(pool, (seed, m)) for m in range(1, passes + 1)])
+        model.predict_mean(pool, [(seed, m) for m in range(1, passes + 1)]))
     u_norm = normalize_uncertainty(raw)
 
     rho = stage_coverage(pool.stage_labels, smoothing_alpha)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +83,9 @@ class WindowBatch:
         """Discounted reward sum of each window, truncated to it: sum_j gamma^j * rewards[:, j]."""
         return self.rewards @ gamma ** np.arange(self.rewards.shape[1])
 
-    @property
+    @cached_property
     def stage_labels(self) -> np.ndarray:
-        """Majority stage of each window, (B,); ties go to the smallest label."""
+        """Majority stage of each window, (B,), the smallest label on ties; made once."""
         return _majority_stage(self.stages)
 
     def __getitem__(self, index: int) -> TrajectoryWindow:
@@ -581,14 +582,15 @@ def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
                 continue
             try:
                 rec, end = _scan(line, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = None
             if end != len(line):  # not one JSON value: json.loads names the problem
                 _write_rows(columns, n, pending)  # an earlier line's overflow is reported first
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise JsonlParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+                except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
+                    problem = getattr(exc, "msg", exc)  # a JSONDecodeError's, without its position
+                    raise JsonlParseError(lineno, f"invalid JSON ({problem})") from exc
             try:
                 state, action = rec["state"], rec["action"]
                 if type(state) is not list or not _NUMBER_TYPES.issuperset(map(type, state)):

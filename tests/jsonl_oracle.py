@@ -50,8 +50,8 @@ def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JsonlParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
+                raise JsonlParseError(lineno, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             try:
                 state, action = rec["state"], rec["action"]
                 if not _number_list(state):

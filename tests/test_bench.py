@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdreplay import geometry
 from qdreplay.bench import (
     ABLATION_COLUMNS,
     LoopConfig,
@@ -26,8 +27,8 @@ from qdreplay.bench import (
     run_loop,
     select_windows,
 )
-from qdreplay.geometry import median_bandwidth, rbf_similarity
-from qdreplay.kernels import greedy_map, log_det
+from qdreplay.geometry import encode_pool, median_bandwidth, pairwise_distances, rbf_similarity
+from qdreplay.kernels import build_joint_kernel, greedy_map, log_det
 from qdreplay.policy import LinearSoftmaxPolicy
 from qdreplay.scoring import composite_quality
 from qdreplay.windows import Episode, NoValidWindowsError, ReplayBuffer
@@ -386,6 +387,69 @@ def test_full_selection_is_greedy_map_on_its_kernel():
                                root[:, None] * selection.kernel.similarity * root[None, :]
                                + SELECT.lam * np.eye(SELECT.pool_size))
     greedy = greedy_map(selection.kernel.values, SELECT.subset_size)
+    assert selection.indices == greedy.indices
+    assert selection.gains == greedy.gains
+    assert selection.logdet == greedy.logdet
+
+
+def _mixed_buffer(config, windows):
+    """Demonstrations at three noise levels and random rollouts, up to ``windows`` windows."""
+    env = config.make_env()
+    rng = np.random.default_rng(11)
+    actors = [ScriptedDemonstrator(env, eps) for eps in (0.1, 0.3, 0.6)]
+    actors.append(RandomPolicy(env.action_count))
+    buffer = ReplayBuffer(capacity=20_000, gamma=config.gamma)
+    while buffer.window_count(config.horizon) < windows:
+        episode_id = buffer.new_episode_id()
+        steps, _ = rollout(env, actors[episode_id % len(actors)], rng)
+        buffer.append_episode(Episode(id=episode_id, transitions=steps))
+    return buffer
+
+
+@pytest.mark.parametrize("pool_size", [400, 600])
+def test_one_bracketed_pass_finds_the_median_of_loop_pools(monkeypatch, pool_size):
+    """The median's sample reads every column: a stride that shares a factor with
+    N = 400 (10) reads a tenth of them, and fell back to a full pass on 7 of these pools."""
+    config = replace(LoopConfig(), pool_size=pool_size)
+    buffer = _mixed_buffer(config, 2 * pool_size)
+    policy = config.make_policy(buffer.state_dim, 5)
+    passes = []
+    upper_between = geometry._upper_between
+    monkeypatch.setattr(geometry, "_upper_between",
+                        lambda d, low, high: passes.append(low) or upper_between(d, low, high))
+    for seed in range(30):
+        pool = buffer.sample_candidate_pool(pool_size, config.horizon, seed)
+        passes.clear()
+        median_bandwidth(encode_pool(pool, policy))
+        assert len(passes) == 1 and passes[0] > -np.inf, f"pool {seed}"
+
+
+@pytest.mark.parametrize("pool_size, k", [(400, 60), (600, 100)])
+def test_full_selection_at_loop_churn_size_is_the_stage_by_stage_oracle(pool_size, k):
+    """Bit for bit in indices, gains and logdet, on a pool whose windows repeat. The
+    oracle takes ``np.median`` of the distance triangle, builds the RBF from scratch and
+    runs ``greedy_map`` on L; k = 100 takes ``fast_greedy_map`` past one block of terms."""
+    config = replace(LoopConfig(), pool_size=pool_size, subset_size=k)
+    buffer = _mixed_buffer(config, 2 * pool_size)
+    policy = config.make_policy(buffer.state_dim, 5)
+    pool = buffer.sample_candidate_pool(pool_size, config.horizon, np.random.default_rng(6))
+    selection = select_windows(pool, policy, config, Variant.FULL, np.random.default_rng(6),
+                               np.random.default_rng(7))
+
+    z = encode_pool(pool, policy)
+    assert len(np.unique(z, axis=0)) < pool_size  # windows repeat
+    d = pairwise_distances(z)
+    sigma = float(np.median(d[np.triu_indices(pool_size, k=1)]))
+    similarity = np.exp(-(d ** 2) / sigma ** 2)
+    np.fill_diagonal(similarity, 1.0)
+    quality = composite_quality(
+        pool, config.quality_weights(), policy, passes=config.passes, gamma=config.gamma,
+        seed=int(np.random.default_rng(7).integers(2 ** 31)),
+        smoothing_alpha=config.smoothing_alpha).composite
+    greedy = greedy_map(build_joint_kernel(similarity, quality, config.lam).values, k)
+    assert selection.median_distance == sigma
+    assert selection.kernel.similarity.tobytes() == similarity.tobytes()
+    assert len(greedy.indices) == k
     assert selection.indices == greedy.indices
     assert selection.gains == greedy.gains
     assert selection.logdet == greedy.logdet

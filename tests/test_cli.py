@@ -152,6 +152,22 @@ def test_malformed_buffer_exits_2_with_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+    ('{"episode": 0, "t": 1, "state": [0.0], "action": 1, "reward": ' + "9" * 5000 + "}",
+     "Exceeds the limit (4300 digits)"),
+], ids=["too-deep", "too-many-digits"])
+def test_too_deep_or_too_long_json_exits_2_with_line_before_output(tmp_path, capsys, line,
+                                                                    reason):
+    path = tmp_path / "deep.jsonl"
+    path.write_text('{"episode": 0, "t": 0, "state": [0.0], "action": 1, "reward": 0.0}\n'
+                    + line + "\n")
+    out = tmp_path / "out"
+    assert main(["select", str(path), "--out", str(out)]) == 2
+    assert f"line 2: invalid JSON ({reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mixed_action_kinds_exit_2_with_line(tmp_path, capsys):
     path = tmp_path / "mixed.jsonl"
     path.write_text(

@@ -83,6 +83,29 @@ def test_equal_embeddings_are_at_distance_exactly_zero(n, dim, distinct, scale, 
     assert median_bandwidth(np.repeat(points[:1], n, axis=0)) == 1.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 2 * geometry._ROW_BLOCK + 1), dim=st.integers(1, 16),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_equal_up_to_a_zeros_sign_are_at_distance_exactly_zero(n, dim, seed):
+    """-0.0 == 0.0, so rows that differ only in the signs of their zeros are equal rows."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((3, dim)) * rng.uniform(1e-3, 1e3)
+    points[:, rng.random(dim) < 0.5] = 0.0
+    points[:, 0] = 0.0
+    z = points[rng.integers(3, size=n)]
+    z[(z == 0.0) & (rng.random(z.shape) < 0.5)] = -0.0
+    equal = (z[:, None, :] == z[None, :, :]).all(axis=2)
+    assert np.all(pairwise_distances(z)[equal] == 0.0)
+
+
+def test_copies_of_a_point_up_to_a_zeros_sign_are_at_distance_zero():
+    """Copies of (-3.78, -10.91), which the Gram form leaves 2.4e-7 apart, with a zero
+    of either sign appended."""
+    z = np.array([[-3.78, -10.91, 0.0], [-3.78, -10.91, -0.0], [-3.78, -10.91, 0.0]])
+    np.testing.assert_array_equal(pairwise_distances(z), 0.0)
+    assert median_bandwidth(z) == 1.0
+
+
 def test_median_bandwidth_single_pair():
     z = np.array([[0.0, 0.0], [3.0, 4.0]])
     assert median_bandwidth(z) == pytest.approx(5.0)
@@ -196,8 +219,9 @@ def _count_passes(monkeypatch):
 
 
 def test_median_bracket_from_a_strided_sample_holds_the_middle_ranks(monkeypatch):
-    """At n = 600 the 179,700 pairs are sampled at every eleventh one, and
-    the one bracketed pass finds the middle ranks."""
+    """At n = 600 the flat matrix is sampled at every 23rd entry, the first
+    stride from 360,000 / 16,384 up that is coprime to n, and the one
+    bracketed pass finds the middle ranks."""
     passes = _count_passes(monkeypatch)
     z = np.random.default_rng(3).standard_normal((600, 16))
     d = pairwise_distances(z)

@@ -276,8 +276,8 @@ def test_fast_greedy_matches_greedy_map_bit_for_bit(shape, n, data, seed):
        data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_fast_greedy_on_joint_kernel_matches_greedy_map_on_its_values(n, distinct, lam, data,
                                                                       seed):
-    """Every read of L, ``values`` and ``entries`` at a scalar, a column, a
-    row, a sub-block and the diagonal, has the bits of (sqrt(q_i) * S_ij) *
+    """Every read of L, ``values`` and ``entries`` at a scalar, a column (by
+    index array or by slice), a row, a sub-block and the diagonal, has the bits of (sqrt(q_i) * S_ij) *
     sqrt(q_j) plus lam on the diagonal, so the picks, gains and logdet are
     ``greedy_map``'s on the built L. Rows drawn from ``distinct`` points
     repeat; at lam = 0 a duplicate adds no residual, so greedy stops early."""
@@ -295,8 +295,11 @@ def test_fast_greedy_on_joint_kernel_matches_greedy_map_on_its_values(n, distinc
     subset = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True),
                                 label="subset"))
     every = np.arange(n)
-    for rows, cols in ((i, j), (every, j), (i, every), (subset[:, None], subset), (every, every)):
+    similarity = joint.similarity.copy()
+    for rows, cols in ((i, j), (every, j), (slice(None), j), (i, every),
+                       (subset[:, None], subset), (every, every)):
         assert joint.entries(rows, cols).tobytes() == expected[rows, cols].tobytes()
+    assert joint.similarity.tobytes() == similarity.tobytes()  # a slice's view is not written
     for k in (data.draw(st.integers(1, n), label="k"), n):
         fast, reference = fast_greedy_map(joint, k), greedy_map(values, k)
         assert fast.indices == reference.indices

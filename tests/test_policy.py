@@ -60,8 +60,8 @@ def test_predict_mean_without_dropout_ignores_seed():
     rng = np.random.default_rng(2)
     batch = random_batch(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.0, seed=3)
-    np.testing.assert_array_equal(policy.predict_mean(batch, 0)[0],
-                                  policy.predict_mean(batch, 999)[0])
+    first, second = policy.predict_mean(batch, [0, 999])
+    np.testing.assert_array_equal(first[0], second[0])
 
 
 def test_predict_mean_dropout_varies_with_seed():
@@ -70,7 +70,7 @@ def test_predict_mean_dropout_varies_with_seed():
                                  seed=4)
     policy.projection = np.eye(3)
     policy.weights = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    outputs = {tuple(np.round(policy.predict_mean(batch, seed)[0], 9)) for seed in range(32)}
+    outputs = {tuple(np.round(means[0], 9)) for means in policy.predict_mean(batch, range(32))}
     assert len(outputs) > 1
 
 
@@ -78,8 +78,23 @@ def test_predict_mean_is_deterministic_per_pass_seed():
     rng = np.random.default_rng(5)
     batch = random_batch(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.5, seed=6)
-    np.testing.assert_array_equal(policy.predict_mean(batch, (7, 3))[0],
-                                  policy.predict_mean(batch, (7, 3))[0])
+    np.testing.assert_array_equal(policy.predict_mean(batch, [(7, 3)])[0][0],
+                                  policy.predict_mean(batch, [(7, 3)])[0][0])
+
+
+def test_predict_mean_stacks_the_bits_of_one_pass_at_a_time():
+    """Projecting the steps once for all passes gives each pass the bits of a call per pass."""
+    rng = np.random.default_rng(9)
+    batch = random_batch(rng, count=5)
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=6, dropout_rate=0.2, seed=10)
+    seeds = [(17, m) for m in range(1, 6)]
+    stack = policy.predict_mean(batch, seeds)
+    assert stack.shape == (5, 5, 6)
+    count, horizon = batch.rtg.shape
+    for m, seed in enumerate(seeds):
+        feats = policy._batch_features(batch) * policy._dropout_mask(seed)
+        one_pass = (feats @ policy.weights).reshape(count, horizon, -1).mean(axis=1)
+        assert stack[m].tobytes() == one_pass.tobytes()
 
 
 def test_zero_weights_give_zero_prediction():
@@ -87,9 +102,8 @@ def test_zero_weights_give_zero_prediction():
     batch = random_batch(rng)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.5, seed=8)
     policy.weights = np.zeros_like(policy.weights)
-    for seed in range(5):
-        np.testing.assert_array_equal(policy.predict_mean(batch, seed)[0],
-                                      np.zeros(4))
+    for means in policy.predict_mean(batch, range(5)):
+        np.testing.assert_array_equal(means[0], np.zeros(4))
 
 
 def test_zero_learning_rate_leaves_parameters():

@@ -22,6 +22,7 @@ from qdreplay.scoring import (
 )
 from qdreplay.windows import Episode, EpisodeArrays, ReplayBuffer
 from scoring_oracle import rtg_quantile
+from scoring_oracle import stage_coverage as counted_stage_coverage
 
 
 def test_quality_weights_must_sum_to_one():
@@ -147,6 +148,17 @@ def test_stage_coverage_monotone_in_count():
                 assert per_stage[a] >= per_stage[b]
 
 
+@settings(max_examples=100, deadline=None)
+@given(labels=st.lists(st.sampled_from([0, 1, 2, 7, 2 ** 31, 2 ** 62, 2 ** 63 - 1]), min_size=1,
+                       max_size=60),
+       alpha=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+def test_stage_coverage_is_the_counter_reference_bit_for_bit(labels, alpha):
+    """Any int64 label counts, 2**62 too: the counts come by sorting, not ``bincount``."""
+    expected = counted_stage_coverage(labels, alpha)
+    assert stage_coverage(labels, alpha).tobytes() == expected.tobytes()
+    assert stage_coverage(np.array(labels), alpha).tobytes() == expected.tobytes()
+
+
 def _pool_from_rewards(rewards_per_window, stages, gamma=0.9, dim=2):
     """One single-window episode per reward sequence, all of one length, as a pool."""
     buf = ReplayBuffer(capacity=1000, gamma=gamma)
@@ -254,8 +266,8 @@ def _per_window_scores(pool, weights, policy, passes, gamma, seed, smoothing_alp
         raw.append(float(((centered ** 2).sum(axis=0) / (passes - 1)).sum()))
     raw = np.array(raw)
     u_norm = normalize_uncertainty(raw)
-    rho = stage_coverage([np.bincount(stages).argmax() for stages in pool.stages],
-                         smoothing_alpha)
+    rho = counted_stage_coverage([np.bincount(stages).argmax() for stages in pool.stages],
+                                 smoothing_alpha)
     composite = weights.alpha * rtg_q + weights.beta * u_norm + weights.zeta * rho
     return embeddings, QualityReport(rtg_q, raw, u_norm, rho, np.maximum(composite, Q_MIN))
 

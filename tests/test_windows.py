@@ -551,6 +551,7 @@ def test_load_jsonl_names_the_line_and_file_of_a_byte_that_is_not_utf8(tmp_path,
 
 _GOOD = json.dumps(_record(0, 0))
 _BIG = 2 ** 63  # one past int64
+_LONG_REWARD = _GOOD.replace('"reward": 0.0', '"reward": ' + "9" * 5000)  # past int's 4300 digits
 
 
 @pytest.mark.parametrize("text, line, message", [
@@ -567,6 +568,12 @@ _BIG = 2 ** 63  # one past int64
     (f"{_GOOD}\n{_GOOD} {_GOOD}\n", 2, r"invalid JSON \(Extra data\)"),
     (f"\ufeff{_GOOD}\n", 1, r"invalid JSON \(Unexpected UTF-8 BOM"),
     (f"{_GOOD}\n\n   \n\t\nnope\n", 5, r"invalid JSON \(Expecting value\)"),
+    # Nesting deeper than the recursion limit, and an integer of more than 4300 digits.
+    pytest.param(f"{_GOOD}\n{'[' * 100_000}\n", 2,
+                 r"invalid JSON \(maximum recursion depth exceeded", id="too-deep"),
+    pytest.param(f"{_GOOD}\n{_LONG_REWARD}\n", 2,
+                 r"invalid JSON \(Exceeds the limit \(4300 digits\) for integer string",
+                 id="too-many-digits"),
 ])
 def test_load_jsonl_names_the_line_of_an_overflow_or_a_malformed_line(tmp_path, text, line,
                                                                       message):

@@ -16,7 +16,9 @@ thread, in a temporary directory:
   acting at some other return-to-go moves the digests;
 - ``ablate`` over seeds 1 and 2;
 - ``select --kernel-dump`` on a dump of about 20k transitions, which the
-  same tree generates from seeded rollouts (seed 7) and ``save_jsonl``.
+  same tree generates from seeded rollouts (seed 7) and ``save_jsonl``;
+- ``select`` at pool 600, k 100 on the same dump, so that greedy MAP runs
+  past one 64-term downdate block.
 
 Each command's stdout is saved as ``<out>.stdout`` next to its output
 directory (``dump.stdout`` for the dump script); the CLI prints relative
@@ -39,6 +41,7 @@ CHURN_CONFIG = "capacity = 1500\npool_size = 200\nsubset_size = 30\nrefresh_peri
 RAW_CONFIG = "weight_mode = RAW\neta = 0.55\nbatch_size = 30\n"
 RTG_CONFIG = "rtg_target = 0.5\n"
 SELECT_CONFIG = "pool_size = 300\nsubset_size = 40\n"
+SELECT_600_CONFIG = "pool_size = 600\nsubset_size = 100\n"
 
 # Scripted demonstrations at three noise levels and uniform-random rollouts.
 MAKE_DUMP = """
@@ -77,6 +80,7 @@ def main(argv: list[str]) -> int:
         (out / "raw.cfg").write_text(RAW_CONFIG)
         (out / "rtg.cfg").write_text(RTG_CONFIG)
         (out / "select.cfg").write_text(SELECT_CONFIG)
+        (out / "select_600.cfg").write_text(SELECT_600_CONFIG)
         for variant in VARIANTS:
             run(f"loop_{variant}", "-m", "qdreplay", "loop", "--variant", variant,
                 "--seed", "1", "--out", f"loop_{variant}")
@@ -91,6 +95,8 @@ def main(argv: list[str]) -> int:
         run("dump", "-c", MAKE_DUMP, "dump.jsonl")
         run("select", "-m", "qdreplay", "select", "dump.jsonl", "--kernel-dump",
             "--config", "select.cfg", "--seed", "1", "--out", "select")
+        run("select_600", "-m", "qdreplay", "select", "dump.jsonl", "--config", "select_600.cfg",
+            "--seed", "1", "--out", "select_600")
         outputs = sorted(p for p in out.rglob("*") if p.is_file() and p.suffix != ".cfg")
         for path in outputs:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
