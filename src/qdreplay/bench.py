@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,7 +68,8 @@ class StageChainEnv:
         # coordinate factored by stage lets a linear policy fit each stage
         # independently. All-zero marks the terminal (post-success) state.
         # Per chain position: its stage, that stage's correct action and one
-        # read-only observation row, shared by every step there.
+        # read-only observation row, shared by every step there; the rows also
+        # as one read-only table, from which a rollout takes its states.
         chain = [(stage, progress / steps) for stage, steps in enumerate(self.steps_per_stage)
                  for progress in range(steps)]
         self._stages = [stage for stage, _ in chain]
@@ -77,6 +79,7 @@ class StageChainEnv:
             rows[position, stage] = 1.0
             rows[position, self.num_stages + stage] = fraction
         rows.flags.writeable = False
+        self._table = rows
         self._observations = tuple(rows)
         self.position = 0  # index into chain_states(); len(chain_states()) after success
         self._t = 0
@@ -131,6 +134,8 @@ class StageChainEnv:
         position = self.position
         if self._t >= self.t_max or position >= len(self._stages):
             raise RuntimeError("step() called on a finished episode")
+        if isinstance(action, bool) or not isinstance(action, (int, np.integer)):
+            raise ValueError(f"action {action!r} is not an integer")
         executed = int(action)
         if not 0 <= executed < self.action_count:
             raise ValueError(f"action {executed} outside [0, {self.action_count})")
@@ -150,6 +155,8 @@ class RandomPolicy:
 
     def __init__(self, action_count: int):
         self.action_count = int(action_count)
+        if self.action_count < 1:
+            raise ValueError(f"action_count must be >= 1, got {action_count}")
 
     def act(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.action_count))
@@ -159,18 +166,20 @@ class ScriptedDemonstrator:
     """Noisy expert: correct action with probability 1 - epsilon, else random.
 
     Stand-in for pre-collected logs so sparse-reward learning has successful
-    trajectories to condition on; identical across ablation variants.
+    trajectories to condition on; identical across ablation variants. The
+    correct action is ``env``'s for the stage of its current chain position.
     """
 
     def __init__(self, env: StageChainEnv, epsilon: float):
         self.env = env
         self.epsilon = float(epsilon)
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
 
     def act(self, rng: np.random.Generator) -> int:
         if rng.random() < self.epsilon:
             return int(rng.integers(self.env.action_count))
-        stage = int(np.argmax(self.env.observation()[: self.env.num_stages]))
-        return self.env.correct_action(stage)
+        return self.env._correct[self.env.position]
 
 
 class TableActor:
@@ -181,41 +190,43 @@ class TableActor:
     built at. A row whose probabilities are not finite raises only when it
     is acted on. An action inverts the row at one ``rng.random()``, the draw
     ``rng.choice(action_count, p=probs)`` makes: the same action and the same
-    generator state afterwards.
+    generator state afterwards. The rows are kept as lists, made once, and
+    inverted by ``bisect_right``, the index ``searchsorted(side="right")``
+    gives on a non-decreasing row.
     """
 
     def __init__(self, env: StageChainEnv, cdf: np.ndarray):
         self.env = env
-        self.cdf = cdf
+        self.rows = cdf.tolist()
         self.finite = np.isfinite(cdf).all(axis=1).tolist()
 
     def act(self, rng: np.random.Generator) -> int:
         position = self.env.position
         if not self.finite[position]:
             raise ValueError("action probabilities are not finite")
-        return int(self.cdf[position].searchsorted(rng.random(), side="right"))
+        return bisect_right(self.rows[position], rng.random())
 
 
 def rollout(env: StageChainEnv, actor, rng: np.random.Generator):
     """Run one episode; returns (its steps as ``EpisodeArrays``, success).
 
     ``actor.act(rng)`` picks each action from ``env``'s current state, which
-    the actor reads from ``env`` itself, and the generator.
+    the actor reads from ``env`` itself, and the generator. Each step records
+    its chain position, and the states are one take of those positions' rows.
     """
-    obs = env.reset()
-    states, actions, rewards, stages = [], [], [], []
-    while True:
+    env.reset()
+    positions, actions, rewards, stages = [], [], [], []
+    done = False
+    while not done:  # success ends the episode, so only the last step can reach it
+        positions.append(env.position)
         action = actor.act(rng)
-        next_obs, reward, done, stage, reached = env.step(action, rng)
-        states.append(obs)
+        _, reward, done, stage, reached = env.step(action, rng)
         actions.append(action)
         rewards.append(reward)
         stages.append(stage)
-        obs = next_obs
-        if done:  # success ends the episode, so only the last step can reach it
-            last = np.arange(len(rewards)) == len(rewards) - 1
-            return EpisodeArrays(np.array(states), np.array(actions), np.array(rewards),
-                                 np.array(stages), last), reached
+    last = np.arange(len(rewards)) == len(rewards) - 1
+    return EpisodeArrays(env._table.take(positions, axis=0), np.array(actions),
+                         np.array(rewards), np.array(stages), last), reached
 
 
 def evaluate_policy(env: StageChainEnv, greedy: np.ndarray,

@@ -453,29 +453,32 @@ class _EpisodeView(Sequence):
             **{column.name: cols[column.name][rows].copy() for column in fields(EpisodeArrays)}))
 
 
+_LINE = ('{"episode": %d, "t": %d, "state": %r, "action": %r, "reward": %r, "stage": %d, '
+         '"done": %s}\n')
+
+
 def save_jsonl(buffer: ReplayBuffer, path: str | Path) -> None:
-    """Export one JSON object per transition with a fixed field order."""
+    """Export one JSON object per transition, episode by episode, ``t`` from 0.
+
+    Each line is the text ``json.dumps`` writes for the record, with its keys
+    in the order ``episode``, ``t``, ``state``, ``action``, ``reward``,
+    ``stage``, ``done``, ``", "`` between items and ``": "`` after each key:
+    integers in decimal, ``done`` as ``true`` or ``false``, and every float
+    (the state's entries, a continuous action's, the reward) as its ``repr``,
+    which is the JSON text of a finite float; the buffer stores only finite
+    ones. A discrete action is an integer, a continuous one a list. Lines are
+    written one episode at a time.
+    """
     cols = buffer._rows
     with open(path, "w") as fh:
         for episode, eid in enumerate(buffer._episodes["id"].tolist()):
             rows = buffer._episode_rows(episode)
-            states = cols["states"][rows].tolist()
-            actions = cols["actions"][rows]
-            if actions.dtype.kind != "i":
-                actions = actions.reshape(len(actions), -1)
-            records = zip(states, actions.tolist(), cols["rewards"][rows].tolist(),
-                          cols["stages"][rows].tolist(), cols["done"][rows].tolist())
-            for t, (state, action, reward, stage, done) in enumerate(records):
-                record = {
-                    "episode": eid,
-                    "t": t,
-                    "state": state,
-                    "action": action,
-                    "reward": reward,
-                    "stage": stage,
-                    "done": done,
-                }
-                fh.write(json.dumps(record) + "\n")
+            records = zip(cols["states"][rows].tolist(), cols["actions"][rows].tolist(),
+                          cols["rewards"][rows].tolist(), cols["stages"][rows].tolist(),
+                          cols["done"][rows].tolist())
+            fh.writelines(_LINE % (eid, t, state, action, reward, stage,
+                                   "true" if done else "false")
+                          for t, (state, action, reward, stage, done) in enumerate(records))
 
 
 class JsonlParseError(ValueError):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import rollout_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -281,15 +282,80 @@ def test_env_parameter_validation():
         StageChainEnv(t_max=0)
 
 
-@pytest.mark.parametrize("action", [-1, 6, 7])
-def test_step_rejects_an_action_outside_the_action_range(action):
+OUTSIDE, NOT_INTEGER = r"outside \[0, 6\)", "is not an integer"
+
+
+@pytest.mark.parametrize("action, message", [
+    (-1, OUTSIDE), (6, OUTSIDE), (7, OUTSIDE), (np.int64(6), OUTSIDE),
+    (2.7, NOT_INTEGER), (2.0, NOT_INTEGER), ("2", NOT_INTEGER), (True, NOT_INTEGER),
+    (np.float64(2.0), NOT_INTEGER), (np.bool_(True), NOT_INTEGER), (None, NOT_INTEGER),
+])
+def test_step_rejects_an_action_outside_the_action_range(action, message):
     env, rng = StageChainEnv(action_count=6, noise=0.5), np.random.default_rng(0)
     env.reset()
-    with pytest.raises(ValueError, match=r"outside \[0, 6\)"):
+    with pytest.raises(ValueError, match=message):
         env.step(action, rng)
     # Rejected before the slip draw: the episode and the generator have not moved.
     assert env.position == 0 and env._t == 0
     assert rng.random() == np.random.default_rng(0).random()
+
+
+@pytest.mark.parametrize("action", [0, 5, np.int64(0), np.int32(0), np.uint8(0)])
+def test_step_takes_python_and_numpy_integers(action):
+    env = StageChainEnv(action_count=6, noise=0.0)
+    env.reset()
+    env.step(action, np.random.default_rng(0))
+    assert env._t == 1 and env.position == (1 if action == 0 else 0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, 1.5, -0.5, math.inf, -math.inf])
+def test_demonstrator_rejects_an_epsilon_outside_the_unit_interval(epsilon):
+    with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\]"):
+        ScriptedDemonstrator(StageChainEnv(), epsilon)
+
+
+def test_actor_parameters_at_their_bounds_are_accepted():
+    env = StageChainEnv()
+    for epsilon in (0.0, 1.0):
+        ScriptedDemonstrator(env, epsilon)
+    assert RandomPolicy(1).act(np.random.default_rng(0)) == 0
+
+
+@pytest.mark.parametrize("action_count", [0, -1])
+def test_random_policy_rejects_fewer_than_one_action_when_built(action_count):
+    with pytest.raises(ValueError, match="action_count must be >= 1"):
+        RandomPolicy(action_count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       action_count=st.integers(2, 8), noise=st.just(0.0) | st.floats(0.01, 0.9),
+       t_max=st.integers(1, 30), epsilon=st.floats(0.0, 1.0),
+       zeros=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 63 - 1))
+def test_rollout_matches_the_per_step_oracle(steps, action_count, noise, t_max, epsilon, zeros,
+                                             seed):
+    """Same columns, bytes and dtypes, success flags and generator states, episode after episode."""
+    env = StageChainEnv(num_stages=len(steps), steps_per_stage=steps, action_count=action_count,
+                        noise=noise, t_max=t_max)
+    table_rng = np.random.default_rng(seed)
+    probs = table_rng.random((len(env.chain_states()), action_count))
+    probs[table_rng.random(probs.shape) < zeros] = 0.0  # repeated CDF entries
+    probs[np.arange(len(probs)), table_rng.integers(action_count, size=len(probs))] += 1e-3
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    actors = [(RandomPolicy(action_count), RandomPolicy(action_count)),
+              (ScriptedDemonstrator(env, epsilon), oracle.ScriptedDemonstrator(env, epsilon)),
+              (TableActor(env, cdf), oracle.TableActor(env, cdf))]
+    for ours, reference in actors:
+        ours_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got, got_success = rollout(env, ours, ours_rng)
+            want, want_success = oracle.rollout(env, reference, reference_rng)
+            assert got_success == want_success
+            for name in ("states", "actions", "rewards", "stages", "done"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            assert ours_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 # --------------------------------------------------------------------- metrics

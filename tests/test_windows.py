@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -396,6 +397,53 @@ def test_jsonl_round_trip_and_deterministic_bytes(tmp_path_factory, data, state_
             _columns_equal(buf.gather(ids, horizon), loaded.gather(ids, horizon))
         save_jsonl(loaded, tmp / "c.jsonl")
         assert (tmp / "c.jsonl").read_bytes() == (tmp / "a.jsonl").read_bytes()
+
+
+def _dumps_per_record(buffer: ReplayBuffer, path) -> None:
+    """One ``json.dumps`` per transition: the bytes ``save_jsonl`` must write."""
+    with open(path, "w") as fh:
+        for episode in buffer.episodes:
+            steps = episode.transitions
+            for t in range(len(steps)):
+                record = {"episode": episode.id, "t": t, "state": steps.states[t].tolist(),
+                          "action": steps.actions[t].tolist(),
+                          "reward": float(steps.rewards[t]), "stage": int(steps.stages[t]),
+                          "done": bool(steps.done[t])}
+                fh.write(json.dumps(record) + "\n")
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                1e16, -1e16, 0.1, 1 / 3, 123456789.0, 1e-7, 2.5e-308]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), state_dim=st.integers(1, 4), action_dim=st.none() | st.integers(1, 3),
+       ids=st.sets(st.integers(0, 2 ** 62), min_size=1, max_size=6), spare=st.integers(0, 20))
+def test_save_jsonl_writes_the_bytes_of_json_dumps(tmp_path_factory, data, state_dim, action_dim,
+                                                   ids, spare):
+    values = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    big = st.integers(0, 2 ** 62)
+
+    def column(strategy, length, *shape):
+        size = length * math.prod(shape)
+        return np.array(data.draw(st.lists(strategy, min_size=size, max_size=size)),
+                        dtype=np.int64 if strategy is big else float).reshape(length, *shape)
+
+    episodes = []
+    for eid in sorted(ids):
+        length = data.draw(st.integers(1, 6), label="length")
+        actions = column(big, length) if action_dim is None else column(values, length, action_dim)
+        episodes.append(Episode(id=eid, transitions=EpisodeArrays(
+            states=column(values, length, state_dim), actions=actions,
+            rewards=column(values, length), stages=column(big, length),
+            done=np.arange(length) == length - 1)))
+    buf = ReplayBuffer(capacity=max(map(len, episodes)) + spare, gamma=1.0)
+    for episode in episodes:  # small spares evict the first episodes
+        buf.append_episode(episode)
+    tmp = tmp_path_factory.mktemp("dumps")
+    save_jsonl(buf, tmp / "ours.jsonl")
+    _dumps_per_record(buf, tmp / "dumps.jsonl")
+    assert (tmp / "ours.jsonl").read_bytes() == (tmp / "dumps.jsonl").read_bytes()
 
 
 def test_jsonl_parse_error_carries_line_number(tmp_path):
