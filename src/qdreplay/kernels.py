@@ -5,9 +5,10 @@ its one reader, ``entries``, is what greedy MAP, ``values`` (the N x N L,
 built only when read) and ``kernel.csv`` read, so they agree bit for bit.
 ``fast_greedy_map`` serves production-size pools in O(k^2 N) time and O(k N)
 memory beside the similarity, reading only L's diagonal and each pick's
-column. The O(k N^2) ``greedy_map`` it reproduces bit for bit, the exhaustive
-optimizer, exact subset probabilities and the exact sampler are verification
-oracles; the last three are shipped behind size guards.
+column, one matrix-vector product per pick. It picks as the O(k N^2)
+``greedy_map`` does, by ``_next_pick``'s tie rule, so rounding decides no
+pick; that greedy, the exhaustive optimizer, exact subset probabilities and
+the exact sampler are verification oracles, the last three behind size guards.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ EPS_PD = 1e-10
 CHOL_EPS = 1e-12
 EXHAUSTIVE_GUARD = 10 ** 6
 EIG_RANK_TOL = 1e-10
-# Downdate terms per reduction in fast_greedy_map, which bounds its scratch to
-# 1 + _TERM_BLOCK rows of N beside the k x N residual columns.
-_TERM_BLOCK = 64
+# Greedy candidates whose residual is within this much of the largest, relative
+# to L's largest diagonal entry, are tied; the lowest index among them is picked.
+TIE_RTOL = 1e-12
 
 
 @dataclass
@@ -126,13 +127,31 @@ def log_det(matrix: np.ndarray) -> float:
     return float(np.log(pivots).sum())
 
 
+def _next_pick(residual: np.ndarray, scale: float) -> int | None:
+    """Greedy MAP's next pick from the residual variances; picked entries hold -inf.
+
+    Candidates within ``TIE_RTOL * scale`` of the largest residual tie, and
+    the lowest index wins. ``scale``, L's largest diagonal entry, sets the
+    size of every residual's rounding error, so residuals that differ only in
+    rounding tie even far below their diagonal entries. None when greedy stops
+    early (the largest residual is at most ``EPS_PD``); a NaN or infinite
+    residual raises ValueError.
+    """
+    top = residual.max()
+    if not top < math.inf:
+        raise ValueError(f"greedy MAP met a residual variance of {top}")
+    if top <= EPS_PD:
+        return None
+    return int(np.argmax(residual >= top - TIE_RTOL * scale))
+
+
 def greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
     """Greedy MAP subset of size k by largest marginal log-det gain.
 
     Each step picks the candidate with the largest residual variance
     (the Schur complement of the current selection, log of which is the
-    marginal gain) and downdates the full residual kernel, so a step costs
-    O(N^2) and a full run O(k N^2). Ties break to the lowest index. When
+    marginal gain), by ``_next_pick``'s tie rule, and downdates the full
+    residual kernel, so a step costs O(N^2) and a full run O(k N^2). When
     every remaining residual is at most EPS_PD the selection stops early
     and fewer than k indices are returned.
     """
@@ -141,13 +160,14 @@ def greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     residual = values.astype(float, copy=True)
+    scale = np.diagonal(values).max()
     alive = np.ones(n, dtype=bool)
     indices: list[int] = []
     gains: list[float] = []
     for _ in range(k):
         diag = np.where(alive, np.diagonal(residual), -np.inf)
-        j = int(np.argmax(diag))
-        if diag[j] <= EPS_PD:
+        j = _next_pick(diag, scale)
+        if j is None:
             break
         gains.append(float(np.log(diag[j])))
         col = residual[:, j].copy()
@@ -158,62 +178,39 @@ def greedy_map(kernel: np.ndarray, k: int) -> SelectionResult:
 
 
 def fast_greedy_map(kernel: JointKernel, k: int) -> SelectionResult:
-    """Greedy MAP with ``greedy_map``'s indices, gains and logdet, bit for bit.
+    """Greedy MAP with ``greedy_map``'s picks, and its gains to rounding.
 
-    The column-at-a-time greedy of Chen, Zhang & Zhou, "Fast Greedy MAP
-    Inference for DPP" (NeurIPS 2018). Only the residual diagonal and the
-    residual column of each pick are kept, never the N x N residual, so a run
-    costs O(k^2 N) time and O(k N) memory. Of ``kernel``, ``entries`` reads
-    only the diagonal and the picks' columns, so L is never built; a plain
-    matrix L goes in as ``build_joint_kernel(L, np.ones(n), 0.0)``, whose
-    entries are L's bits. A step picks as ``greedy_map`` does and downdates
-    the diagonal by the pick's residual column: the kernel column less the
-    earlier picks' downdate terms ``columns[s] * columns[s, j] / pivots[s]``,
-    in pick order. A scratch buffer holds the running column in row 0 and the
-    next block of up to ``_TERM_BLOCK`` terms below it, made by one multiply
-    and divide, and one ``np.subtract.reduce`` down its rows subtracts the
-    block; the result is the next block's row 0. So the scratch stays at
-    1 + ``_TERM_BLOCK`` rows of N whatever k is, and every entry
-    ``greedy_map`` reads gets the same floating-point operations in the same
-    order, at O(k) numpy calls per run (O(k^2 / _TERM_BLOCK) past k =
-    ``_TERM_BLOCK``); the normalized Cholesky form (``C[:t, j] @ C[:t]``)
-    would round differently.
+    The incremental-Cholesky greedy of Chen, Zhang & Zhou, "Fast Greedy MAP
+    Inference for DPP" (NeurIPS 2018). It keeps the residual diagonal d and a
+    k x N array C whose row t is pick t's normalized Cholesky row, never the
+    N x N residual, so a run costs O(k^2 N) time and O(k N) memory. At pick t
+    of j, ``C[t] = (L[:, j] - C[:t, j] @ C[:t]) / sqrt(d_j)``, one
+    matrix-vector product, and ``d -= C[t] ** 2``. Of ``kernel``, ``entries``
+    reads only the diagonal and the picks' columns, so L is never built; a
+    plain matrix L goes in as ``build_joint_kernel(L, np.ones(n), 0.0)``,
+    whose entries are L's bits. Picks follow ``_next_pick``'s tie rule, as in
+    ``greedy_map``; the residuals round otherwise than there, so gains and
+    logdet agree with ``greedy_map``'s to rounding, not bit for bit.
     """
     n = len(kernel.root_quality)
-    every = np.arange(n)
-    diagonal = kernel.entries(every, every)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    columns = np.empty((k, n))  # residual column of each pick, when it was picked
-    pivots = np.empty(k)
-    # The running column, then one block of downdate terms. A reduction must not
-    # write into the rows it reads (numpy would copy them), so a block's result
-    # goes into the pick's row of columns, and back into row 0 if a block follows.
-    scratch = np.empty((min(k, _TERM_BLOCK + 1), n))
-    downdate = np.empty(n)
+    every = np.arange(n)
+    diagonal = kernel.entries(every, every)
+    scale = diagonal.max()
+    rows = np.empty((k, n))  # C
     indices: list[int] = []
     gains: list[float] = []
     for step in range(k):
-        j = int(diagonal.argmax())  # picks hold -inf
-        pivot = diagonal[j]
-        if pivot <= EPS_PD:
+        j = _next_pick(diagonal, scale)
+        if j is None:
             break
+        pivot = diagonal[j]
         gains.append(float(np.log(pivot)))
-        scratch[0] = kernel.entries(slice(None), j)
-        first = 0
-        while True:
-            last = min(first + _TERM_BLOCK, step)
-            terms = scratch[1:last - first + 1]
-            np.multiply(columns[first:last], columns[first:last, j, None], out=terms)
-            terms /= pivots[first:last, None]
-            col = np.subtract.reduce(scratch[:last - first + 1], axis=0, out=columns[step])
-            if last == step:
-                break
-            scratch[0], first = col, last
-        pivots[step] = pivot
-        np.multiply(col, col, out=downdate)
-        downdate /= pivot
-        diagonal -= downdate
+        row = np.subtract(kernel.entries(slice(None), j), rows[:step, j] @ rows[:step],
+                          out=rows[step])
+        row /= math.sqrt(pivot)
+        diagonal -= np.square(row)
         diagonal[j] = -np.inf
         indices.append(j)
     return SelectionResult(indices=indices, gains=gains, logdet=float(sum(gains)))

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import rollout_oracle as oracle
+from greedy_certificate import assert_close_greedy, certificate_problems
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -453,9 +454,7 @@ def test_full_selection_is_greedy_map_on_its_kernel():
                                root[:, None] * selection.kernel.similarity * root[None, :]
                                + SELECT.lam * np.eye(SELECT.pool_size))
     greedy = greedy_map(selection.kernel.values, SELECT.subset_size)
-    assert selection.indices == greedy.indices
-    assert selection.gains == greedy.gains
-    assert selection.logdet == greedy.logdet
+    assert_close_greedy(selection, greedy)
 
 
 def _mixed_buffer(config, windows):
@@ -492,9 +491,9 @@ def test_one_bracketed_pass_finds_the_median_of_loop_pools(monkeypatch, pool_siz
 
 @pytest.mark.parametrize("pool_size, k", [(400, 60), (600, 100)])
 def test_full_selection_at_loop_churn_size_is_the_stage_by_stage_oracle(pool_size, k):
-    """Bit for bit in indices, gains and logdet, on a pool whose windows repeat. The
-    oracle takes ``np.median`` of the distance triangle, builds the RBF from scratch and
-    runs ``greedy_map`` on L; k = 100 takes ``fast_greedy_map`` past one block of terms."""
+    """The same indices, and gains and logdet to rounding, on a pool whose windows
+    repeat. The oracle takes ``np.median`` of the distance triangle, builds the RBF from
+    scratch and runs ``greedy_map`` on L; the picks also pass the greedy certificate."""
     config = replace(LoopConfig(), pool_size=pool_size, subset_size=k)
     buffer = _mixed_buffer(config, 2 * pool_size)
     policy = config.make_policy(buffer.state_dim, 5)
@@ -512,13 +511,13 @@ def test_full_selection_at_loop_churn_size_is_the_stage_by_stage_oracle(pool_siz
         pool, config.quality_weights(), policy, passes=config.passes, gamma=config.gamma,
         seed=int(np.random.default_rng(7).integers(2 ** 31)),
         smoothing_alpha=config.smoothing_alpha).composite
-    greedy = greedy_map(build_joint_kernel(similarity, quality, config.lam).values, k)
+    kernel = build_joint_kernel(similarity, quality, config.lam).values
+    greedy = greedy_map(kernel, k)
     assert selection.median_distance == sigma
     assert selection.kernel.similarity.tobytes() == similarity.tobytes()
     assert len(greedy.indices) == k
-    assert selection.indices == greedy.indices
-    assert selection.gains == greedy.gains
-    assert selection.logdet == greedy.logdet
+    assert_close_greedy(selection, greedy)
+    assert certificate_problems(kernel, selection.indices, k) == []
 
 
 def test_quality_only_takes_stable_top_k_by_quality():

@@ -17,8 +17,8 @@ thread, in a temporary directory:
 - ``ablate`` over seeds 1 and 2;
 - ``select --kernel-dump`` on a dump of about 20k transitions, which the
   same tree generates from seeded rollouts (seed 7) and ``save_jsonl``;
-- ``select`` at pool 600, k 100 on the same dump, so that greedy MAP runs
-  past one 64-term downdate block.
+- ``select`` at pool 600, k 100 on the same dump, so that greedy MAP makes
+  100 picks on a pool whose windows share embeddings and tie in rounding.
 
 Each command's stdout is saved as ``<out>.stdout`` next to its output
 directory (``dump.stdout`` for the dump script); the CLI prints relative
