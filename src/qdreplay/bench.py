@@ -276,9 +276,10 @@ class LoopConfig:
 
     Defaults keep the subset ratio and mix ratio inside the regime where
     selection behavior is stable (subset_size/pool_size around 0.15, eta 0.7)
-    and refresh selection every 500 gradient steps. ``eval_episodes`` is
-    validated but unused: evaluation computes success exactly instead of
-    sampling episodes.
+    and refresh selection every 500 gradient steps. ``eval_episodes`` and
+    ``passes`` are validated but unused: evaluation computes success exactly
+    instead of sampling episodes, and the quality's uncertainty is the exact
+    variance over dropout masks instead of ``passes`` sampled ones.
     """
 
     horizon: int = 8
@@ -396,8 +397,7 @@ class WindowSelection(SelectionResult):
 
 
 def select_windows(pool: WindowBatch, policy: LinearSoftmaxPolicy, config: LoopConfig,
-                   variant: Variant, pool_rng: np.random.Generator,
-                   score_rng: np.random.Generator) -> WindowSelection:
+                   variant: Variant, pool_rng: np.random.Generator) -> WindowSelection:
     """Select up to ``subset_size`` windows of a candidate pool.
 
     The caller draws the pool with ``ReplayBuffer.sample_candidate_pool``
@@ -411,8 +411,8 @@ def select_windows(pool: WindowBatch, policy: LinearSoftmaxPolicy, config: LoopC
     top-k by quality, and UNIFORM picks uniformly at random from ``pool_rng``
     after the pool draw; their logdet reads only the picks' block of the
     kernel.
-    DIVERSITY_ONLY and UNIFORM use unit quality, so only FULL and
-    QUALITY_ONLY draw a scoring seed from ``score_rng``.
+    DIVERSITY_ONLY and UNIFORM use unit quality; FULL and QUALITY_ONLY score
+    it in closed form, which draws nothing.
     """
     embeddings = encode_pool(pool, policy)
     distances = pairwise_distances(embeddings)
@@ -428,7 +428,7 @@ def select_windows(pool: WindowBatch, policy: LinearSoftmaxPolicy, config: LoopC
             policy,
             passes=config.passes,
             gamma=config.gamma,
-            seed=int(score_rng.integers(2 ** 31)),
+            seed=0,
             smoothing_alpha=config.smoothing_alpha,
         ).composite
     kernel = build_joint_kernel(similarity, quality, config.lam)
@@ -488,7 +488,8 @@ def run_loop(
     config.validate()
     check_loop_config(config)
     ss = np.random.SeedSequence(seed)
-    # Evaluation is exact and draws nothing: eval_ss is spawned so pseudo_ss keeps its seed.
+    # Scoring and evaluation are exact and draw nothing: score_ss and eval_ss are
+    # spawned so replay_ss and pseudo_ss keep their seeds.
     (policy_ss, warmup_ss, pretrain_ss, collect_ss, pool_ss, score_ss,
      replay_ss, eval_ss, pseudo_ss) = ss.spawn(9)
 
@@ -515,7 +516,6 @@ def run_loop(
 
     collect_rng = np.random.default_rng(collect_ss)
     pool_rng = np.random.default_rng(pool_ss)
-    score_rng = np.random.default_rng(score_ss)
     replay_rng = np.random.default_rng(replay_ss)
     pseudo_rng = np.random.default_rng(pseudo_ss)
 
@@ -527,7 +527,7 @@ def run_loop(
 
     def select(rng: np.random.Generator) -> WindowSelection:
         pool = buffer.sample_candidate_pool(config.pool_size, config.horizon, rng)
-        made = select_windows(pool, policy, config, variant, rng, score_rng)
+        made = select_windows(pool, policy, config, variant, rng)
         result.selected_stage_counts.update(made.pool.stage_labels[made.indices].tolist())
         return made
 

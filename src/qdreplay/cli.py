@@ -184,13 +184,12 @@ def _draw_pool(settings: RunSettings, pool_rng: np.random.Generator) -> WindowBa
 def cmd_select(settings: RunSettings, kernel_dump: bool) -> int:
     loop = settings.loop
     seed = settings.seeds[0]
-    policy_ss, pool_ss, score_ss = np.random.SeedSequence(seed).spawn(3)
+    policy_ss, pool_ss = np.random.SeedSequence(seed).spawn(2)
     pool_rng = np.random.default_rng(pool_ss)
     pool = _draw_pool(settings, pool_rng)
     _make_out_dir(settings)
     policy = loop.make_policy(pool.states.shape[2], policy_ss)
-    selection = select_windows(pool, policy, loop, Variant.FULL, pool_rng,
-                               np.random.default_rng(score_ss))
+    selection = select_windows(pool, policy, loop, Variant.FULL, pool_rng)
     chosen = selection.indices
 
     provenance = _provenance(settings, seed)

@@ -18,10 +18,9 @@ class LinearSoftmaxPolicy:
     projected step features (dropout disabled), so embeddings do not drift
     as the logit weights train.
 
-    ``encode`` and ``predict_mean`` score a batch of B windows at once and
-    return one row per window, (B, feature_dim) and, per pass, (B, A).
-    ``encode`` is deterministic; ``predict_mean`` is deterministic per
-    (window, pass seed) and varies across pass seeds.
+    ``encode`` and ``predictive_variance`` score a batch of B windows at once
+    and return one row per window, (B, feature_dim) and (B,). Both are
+    deterministic: the variance over dropout masks is exact, not sampled.
     """
 
     def __init__(
@@ -67,27 +66,20 @@ class LinearSoftmaxPolicy:
         x = np.concatenate([np.asarray(state, dtype=float), [float(rtg)]])
         return self.projection @ x
 
-    # ---------------------------------------------------------------- stochastic pass
+    # ---------------------------------------------------------------- uncertainty
 
-    def _dropout_mask(self, pass_seed) -> np.ndarray:
-        rng = np.random.default_rng(pass_seed)
-        keep = 1.0 - self.dropout_rate
-        return (rng.random(self.feature_dim) < keep).astype(float) / keep
+    def predictive_variance(self, batch: WindowBatch) -> np.ndarray:
+        """Trace of the covariance of each window's mean logits over dropout masks, (B,).
 
-    def predict_mean(self, batch: WindowBatch, pass_seeds: Sequence) -> np.ndarray:
-        """Mean action-logit vector of each window under each pass's dropout mask, (M, B, A).
-
-        Pass m's mask is a Bernoulli(1 - dropout_rate) draw over latent
-        features, seeded by ``pass_seeds[m]``, with inverted scaling, shared
-        across every step of the batch. The steps are projected once for all
-        passes.
+        Dropout keeps each latent feature with probability 1 - dropout_rate and
+        scales it by 1 / (1 - dropout_rate), one mask for every step of a
+        window. The mean logits are linear in the mask, so the trace is exact:
+        rho * sum_f z_f**2 * |weights[f]|**2, with z the window's ``encode`` row
+        and rho = dropout_rate / (1 - dropout_rate). It is 0 at rate 0.
         """
-        feats = self._batch_features(batch)
-        count, horizon = batch.rtg.shape
-        # One pass's masked features and logits are freed before the next pass makes its own.
-        return np.stack([((feats * self._dropout_mask(seed) if self.dropout_rate > 0.0 else feats)
-                          @ self.weights).reshape(count, horizon, -1).mean(axis=1)
-                         for seed in pass_seeds])
+        rho = self.dropout_rate / (1.0 - self.dropout_rate)
+        # A row sum, not a GEMV, so a window scored alone gets the same bits.
+        return rho * (self.encode(batch) ** 2 * (self.weights ** 2).sum(axis=1)).sum(axis=1)
 
     # ---------------------------------------------------------------- acting
 

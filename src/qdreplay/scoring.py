@@ -59,7 +59,8 @@ def predictive_uncertainty(predictions) -> np.ndarray:
     """Trace of the unbiased sample covariance across stochastic-pass means.
 
     ``predictions`` is an (M, N, A) stack of M passes over N windows with A
-    action logits each; the result is one trace per window, (N,).
+    action logits each; the result is one trace per window, (N,). Its
+    expectation over the policy's dropout masks is ``predictive_variance``.
     """
     stack = np.asarray(predictions, dtype=float)
     if stack.shape[0] < 2:
@@ -110,18 +111,20 @@ def composite_quality(
 ) -> QualityReport:
     """Score every window in the pool and combine the three components.
 
-    The stochastic passes reuse one dropout mask per pass index across all
-    windows, keyed by (seed, m) for m = 1..passes, so reruns with the same
-    seed reproduce bit-identically. The return component is the
-    window-truncated discounted reward sum; the coverage component scores
-    each window's majority stage.
+    The return component is the window-truncated discounted reward sum. The
+    uncertainty is ``model.predictive_variance``, the exact variance over
+    dropout masks, so scoring draws nothing: any dropout rate above 0 gives the
+    same normalised component up to rounding, and rate 0 gives 0.5 everywhere.
+    ``passes`` (validated, >= 2) and ``seed`` are accepted but unused. The
+    coverage component scores each window's majority stage.
     """
     if len(pool) == 0:
         raise ValueError("pool must be non-empty")
+    if passes < 2:
+        raise ValueError(f"passes must be >= 2, got {passes}")
     rtg_q = rtg_quantiles(pool.returns(gamma))
 
-    raw = predictive_uncertainty(
-        model.predict_mean(pool, [(seed, m) for m in range(1, passes + 1)]))
+    raw = model.predictive_variance(pool)
     u_norm = normalize_uncertainty(raw)
 
     rho = stage_coverage(pool.stage_labels, smoothing_alpha)

@@ -420,7 +420,7 @@ def test_refresh_cadence_follows_period():
 SELECT = replace(TINY, pool_size=20, subset_size=5)
 
 
-def _select(variant, score_rng=None, config=SELECT):
+def _select(variant, config=SELECT):
     """select_windows on a pool from 12 demonstration episodes; returns (selection, policy)."""
     env = config.make_env()
     buffer = ReplayBuffer(capacity=10_000, gamma=config.gamma)
@@ -429,18 +429,16 @@ def _select(variant, score_rng=None, config=SELECT):
         steps, _ = rollout(env, ScriptedDemonstrator(env, 0.3), rng)
         buffer.append_episode(Episode(id=buffer.new_episode_id(), transitions=steps))
     policy = LinearSoftmaxPolicy(state_dim=env.state_dim, action_count=env.action_count, seed=1)
-    score_rng = score_rng or np.random.default_rng(3)
     pool_rng = np.random.default_rng(2)
     pool = buffer.sample_candidate_pool(config.pool_size, config.horizon, pool_rng)
-    selection = select_windows(pool, policy, config, variant, pool_rng, score_rng)
+    selection = select_windows(pool, policy, config, variant, pool_rng)
     return selection, policy
 
 
 def _quality(selection, policy):
     return composite_quality(
         selection.pool, SELECT.quality_weights(), policy, passes=SELECT.passes,
-        gamma=SELECT.gamma, seed=int(np.random.default_rng(3).integers(2 ** 31)),
-        smoothing_alpha=SELECT.smoothing_alpha).composite
+        gamma=SELECT.gamma, seed=0, smoothing_alpha=SELECT.smoothing_alpha).composite
 
 
 def test_full_selection_is_greedy_map_on_its_kernel():
@@ -498,8 +496,7 @@ def test_full_selection_at_loop_churn_size_is_the_stage_by_stage_oracle(pool_siz
     buffer = _mixed_buffer(config, 2 * pool_size)
     policy = config.make_policy(buffer.state_dim, 5)
     pool = buffer.sample_candidate_pool(pool_size, config.horizon, np.random.default_rng(6))
-    selection = select_windows(pool, policy, config, Variant.FULL, np.random.default_rng(6),
-                               np.random.default_rng(7))
+    selection = select_windows(pool, policy, config, Variant.FULL, np.random.default_rng(6))
 
     z = encode_pool(pool, policy)
     assert len(np.unique(z, axis=0)) < pool_size  # windows repeat
@@ -509,8 +506,7 @@ def test_full_selection_at_loop_churn_size_is_the_stage_by_stage_oracle(pool_siz
     np.fill_diagonal(similarity, 1.0)
     quality = composite_quality(
         pool, config.quality_weights(), policy, passes=config.passes, gamma=config.gamma,
-        seed=int(np.random.default_rng(7).integers(2 ** 31)),
-        smoothing_alpha=config.smoothing_alpha).composite
+        seed=0, smoothing_alpha=config.smoothing_alpha).composite
     kernel = build_joint_kernel(similarity, quality, config.lam).values
     greedy = greedy_map(kernel, k)
     assert selection.median_distance == sigma
@@ -531,10 +527,7 @@ def test_quality_only_takes_stable_top_k_by_quality():
 
 
 def test_diversity_only_uses_constant_quality_kernel():
-    score_rng = np.random.default_rng(3)
-    untouched = score_rng.bit_generator.state
-    selection, _ = _select(Variant.DIVERSITY_ONLY, score_rng)
-    assert score_rng.bit_generator.state == untouched  # no quality scored
+    selection, _ = _select(Variant.DIVERSITY_ONLY)
     np.testing.assert_allclose(selection.kernel.values, selection.kernel.similarity
                                + SELECT.lam * np.eye(SELECT.pool_size))
     assert selection.indices == greedy_map(selection.kernel.values, SELECT.subset_size).indices
@@ -587,7 +580,7 @@ def test_full_selection_peak_allocation_at_pool_1500():
     tracemalloc.start()
     try:
         pool = buffer.sample_candidate_pool(cfg.pool_size, cfg.horizon, pool_rng)
-        select_windows(pool, policy, cfg, Variant.FULL, pool_rng, np.random.default_rng(2))
+        select_windows(pool, policy, cfg, Variant.FULL, pool_rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -601,15 +594,15 @@ def test_selection_events_reference_valid_windows():
         assert all(isinstance(i, int) and i >= 0 for i in event["Y"])
         assert np.isfinite(event["logdet"])
     # Pinned window ids: a refactor that moves them changes every loop output.
-    assert [event["Y"] for event in result.selection_events] == [[16, 52], [45, 46]]
+    assert [event["Y"] for event in result.selection_events] == [[16, 17], [45, 68]]
 
 
 # A tiny run that learns enough that its greedy policy succeeds only in part.
 LEARNING = replace(TINY, learning_rate=0.1, pretrain_steps=60, episodes=6)
 PARTIAL = 0.22876749816486674  # the greedy chance of success with stalls in the chain
 SAMPLED_SUCCESS = {
-    Variant.FULL: [0.9733091774425092, 0.8801064822916412, 0.7637435248823687],
-    Variant.QUALITY_ONLY: [0.9729613975227364, 0.8894703744688635, 0.7626605078951955],
+    Variant.FULL: [0.9733091774425092, 0.8835464913867949, 0.7353629311397389],
+    Variant.QUALITY_ONLY: [0.9729613975227364, 0.8823771476587992, 0.7348399360234587],
     Variant.DIVERSITY_ONLY: [0.9761835291420335, 0.8725347858144046, 0.7475284087008432],
     Variant.UNIFORM: [0.9975870473249436, 0.9855013774292171, 0.8091096871634864],
 }

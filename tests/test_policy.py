@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,54 +57,42 @@ def test_projection_null_feature_is_invisible():
     np.testing.assert_array_equal(a, b)
 
 
-def test_predict_mean_without_dropout_ignores_seed():
-    rng = np.random.default_rng(2)
-    batch = random_batch(rng)
-    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.0, seed=3)
-    first, second = policy.predict_mean(batch, [0, 999])
-    np.testing.assert_array_equal(first[0], second[0])
-
-
-def test_predict_mean_dropout_varies_with_seed():
-    batch = make_batch([([[1.0, 1.0]], [0], [1.0])])
-    policy = LinearSoftmaxPolicy(state_dim=2, action_count=2, feature_dim=3, dropout_rate=0.5,
-                                 seed=4)
-    policy.projection = np.eye(3)
-    policy.weights = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    outputs = {tuple(np.round(means[0], 9)) for means in policy.predict_mean(batch, range(32))}
-    assert len(outputs) > 1
-
-
-def test_predict_mean_is_deterministic_per_pass_seed():
-    rng = np.random.default_rng(5)
-    batch = random_batch(rng)
-    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.5, seed=6)
-    np.testing.assert_array_equal(policy.predict_mean(batch, [(7, 3)])[0][0],
-                                  policy.predict_mean(batch, [(7, 3)])[0][0])
-
-
-def test_predict_mean_stacks_the_bits_of_one_pass_at_a_time():
-    """Projecting the steps once for all passes gives each pass the bits of a call per pass."""
-    rng = np.random.default_rng(9)
-    batch = random_batch(rng, count=5)
-    policy = LinearSoftmaxPolicy(state_dim=3, action_count=6, dropout_rate=0.2, seed=10)
-    seeds = [(17, m) for m in range(1, 6)]
-    stack = policy.predict_mean(batch, seeds)
-    assert stack.shape == (5, 5, 6)
-    count, horizon = batch.rtg.shape
-    for m, seed in enumerate(seeds):
-        feats = policy._batch_features(batch) * policy._dropout_mask(seed)
-        one_pass = (feats @ policy.weights).reshape(count, horizon, -1).mean(axis=1)
-        assert stack[m].tobytes() == one_pass.tobytes()
-
-
-def test_zero_weights_give_zero_prediction():
+def test_zero_weights_give_zero_variance():
     rng = np.random.default_rng(7)
-    batch = random_batch(rng)
+    batch = random_batch(rng, count=3)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, dropout_rate=0.5, seed=8)
     policy.weights = np.zeros_like(policy.weights)
-    for means in policy.predict_mean(batch, range(5)):
-        np.testing.assert_array_equal(means[0], np.zeros(4))
+    np.testing.assert_array_equal(policy.predictive_variance(batch), np.zeros(3))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.2, 0.5])
+def test_predictive_variance_is_the_exact_law_over_every_dropout_mask(rate):
+    """All 2**F masks of F = 6 features, each weighted by its probability: the
+    variance trace of each window's mean logits, with no sampling."""
+    rng = np.random.default_rng(21)
+    batch = random_batch(rng, count=7, horizon=5, actions=4)
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=4, feature_dim=6, dropout_rate=rate,
+                                 seed=22)
+    count, horizon = batch.rtg.shape
+    feats = policy._batch_features(batch)
+    keep = 1.0 - rate
+    probs, means = [], []
+    for bits in itertools.product([0.0, 1.0], repeat=6):
+        mask = np.array(bits)
+        probs.append(keep ** mask.sum() * rate ** (6 - mask.sum()))
+        logits = (feats * mask / keep) @ policy.weights
+        means.append(logits.reshape(count, horizon, -1).mean(axis=1))
+    probs, means = np.array(probs), np.stack(means)  # (2**F,), (2**F, B, A)
+    assert probs.sum() == pytest.approx(1.0, rel=1e-15)
+    centered = means - np.tensordot(probs, means, axes=1)
+    exact = np.tensordot(probs, (centered ** 2).sum(axis=2), axes=1)
+    variance = policy.predictive_variance(batch)
+    assert variance.shape == (count,)
+    if rate == 0.0:
+        np.testing.assert_array_equal(variance, np.zeros(count))
+    else:
+        assert exact.min() > 0
+        np.testing.assert_allclose(variance, exact, rtol=1e-12, atol=0)
 
 
 def test_zero_learning_rate_leaves_parameters():

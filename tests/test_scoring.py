@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdreplay.bench import LoopConfig
 from qdreplay.geometry import encode_pool
 from qdreplay.policy import LinearSoftmaxPolicy
 from qdreplay.scoring import (
@@ -242,10 +243,11 @@ def _random_pool(count, horizon, seed, dim=3):
     return buf.sample_candidate_pool(count, horizon, rng)
 
 
-def _per_window_scores(pool, weights, policy, passes, gamma, seed, smoothing_alpha):
-    """``encode_pool`` and ``composite_quality`` as one model call per window and pass.
+def _per_window_scores(pool, weights, policy, gamma, smoothing_alpha):
+    """``encode_pool`` and ``composite_quality`` as one model call per window.
 
-    This is the loop the batched scoring replaced, kept as the reference.
+    This is the loop the batched scoring replaced, kept as the reference; each
+    window's uncertainty is the closed form rho * sum_f z_f**2 * |weights[f]|**2.
     """
     windows = [pool[b] for b in range(len(pool))]
     step_features = [np.hstack([w.states, w.rtg[:, None]]) @ policy.projection.T
@@ -253,40 +255,31 @@ def _per_window_scores(pool, weights, policy, passes, gamma, seed, smoothing_alp
     embeddings = np.stack([feats.mean(axis=0) for feats in step_features])
     returns = np.array([float(np.dot(gamma ** np.arange(w.horizon), w.rewards)) for w in windows])
     rtg_q = np.array([rtg_quantile(returns, i) for i in range(len(pool))])
-    raw = []
-    for w in windows:
-        predictions = []
-        for m in range(1, passes + 1):
-            feats = np.hstack([w.states, w.rtg[:, None]]) @ policy.projection.T
-            if policy.dropout_rate > 0.0:
-                feats = feats * policy._dropout_mask((seed, m))
-            predictions.append((feats @ policy.weights).mean(axis=0))
-        stack = np.stack(predictions)
-        centered = stack - stack.mean(axis=0)
-        raw.append(float(((centered ** 2).sum(axis=0) / (passes - 1)).sum()))
-    raw = np.array(raw)
+    rho = policy.dropout_rate / (1.0 - policy.dropout_rate)
+    norms = (policy.weights ** 2).sum(axis=1)
+    raw = np.array([rho * (z ** 2 * norms).sum() for z in embeddings])
     u_norm = normalize_uncertainty(raw)
-    rho = counted_stage_coverage([np.bincount(stages).argmax() for stages in pool.stages],
-                                 smoothing_alpha)
-    composite = weights.alpha * rtg_q + weights.beta * u_norm + weights.zeta * rho
-    return embeddings, QualityReport(rtg_q, raw, u_norm, rho, np.maximum(composite, Q_MIN))
+    coverage = counted_stage_coverage([np.bincount(stages).argmax() for stages in pool.stages],
+                                      smoothing_alpha)
+    composite = weights.alpha * rtg_q + weights.beta * u_norm + weights.zeta * coverage
+    return embeddings, QualityReport(rtg_q, raw, u_norm, coverage, np.maximum(composite, Q_MIN))
 
 
 @pytest.mark.parametrize("count, horizon, actions, dropout, exact", [
     (40, 8, 6, 0.2, True), (400, 8, 6, 0.2, True), (60, 2, 4, 0.5, True),
-    (50, 5, 6, 0.0, True), (60, 1, 6, 0.5, False), (60, 3, 3, 0.5, False),
+    (50, 5, 6, 0.0, True), (60, 1, 6, 0.5, False), (60, 3, 3, 0.5, True),
 ])
 def test_batched_scoring_matches_per_window_loop(count, horizon, actions, dropout, exact):
-    # Bit for bit at H >= 2 with at least 4 actions, which covers the loop's
-    # shapes (H = 8, 6 actions). A one-step window or a 2-3 column logit
-    # product takes another BLAS kernel per window, which rounds the same
-    # dot products differently, so those shapes agree to a few ulps.
+    # Bit for bit at H >= 2, which covers the loop's shapes (H = 8, 6 actions).
+    # A one-step window's projection takes another BLAS kernel per window,
+    # which rounds the same dot products differently, so that shape agrees to
+    # a few ulps.
     pool = _random_pool(count, horizon, seed=count + horizon)
     policy = LinearSoftmaxPolicy(state_dim=3, action_count=actions, dropout_rate=dropout,
                                  seed=count)
     weights = QualityWeights(0.4, 0.3, 0.3)
-    embeddings, expected = _per_window_scores(pool, weights, policy, passes=5, gamma=0.95,
-                                              seed=17, smoothing_alpha=1.0)
+    embeddings, expected = _per_window_scores(pool, weights, policy, gamma=0.95,
+                                              smoothing_alpha=1.0)
     report = composite_quality(pool, weights, policy, passes=5, gamma=0.95, seed=17,
                                smoothing_alpha=1.0)
     pairs = [("embeddings", encode_pool(pool, policy), embeddings)] + [
@@ -297,3 +290,30 @@ def test_batched_scoring_matches_per_window_loop(count, horizon, actions, dropou
             np.testing.assert_array_equal(actual, desired, err_msg=name)
         else:
             np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-14, err_msg=name)
+
+
+def test_passes_and_seed_are_validated_but_unused():
+    """The uncertainty is exact, so no pass count or seed moves a report, and min-max
+    normalisation drops rho = rate / (1 - rate): any rate above 0 scores alike."""
+    pool = _random_pool(60, 8, seed=31)
+    weights = QualityWeights(0.4, 0.3, 0.3)
+    policy = LinearSoftmaxPolicy(state_dim=3, action_count=6, dropout_rate=0.2, seed=32)
+    few = composite_quality(pool, weights, policy, passes=2, gamma=0.95, seed=0)
+    many = composite_quality(pool, weights, policy, passes=9, gamma=0.95, seed=123)
+    for field in fields(QualityReport):
+        assert getattr(few, field.name).tobytes() == getattr(many, field.name).tobytes()
+    for reject in (lambda: composite_quality(pool, weights, policy, passes=1, gamma=0.95, seed=0),
+                   LoopConfig(passes=1).validate):
+        with pytest.raises(ValueError, match="passes must be >= 2"):
+            reject()
+
+    half = LinearSoftmaxPolicy(state_dim=3, action_count=6, dropout_rate=0.5, seed=32)
+    other = composite_quality(pool, weights, half, passes=2, gamma=0.95, seed=0)
+    np.testing.assert_allclose(other.uncertainty_raw, 4 * few.uncertainty_raw, rtol=1e-12)
+    np.testing.assert_allclose(other.uncertainty_norm, few.uncertainty_norm, rtol=0, atol=1e-12)
+    assert 0 < few.uncertainty_raw.min() < few.uncertainty_raw.max()
+
+    off = LinearSoftmaxPolicy(state_dim=3, action_count=6, dropout_rate=0.0, seed=32)
+    report = composite_quality(pool, weights, off, passes=2, gamma=0.95, seed=0)
+    np.testing.assert_array_equal(report.uncertainty_raw, np.zeros(60))
+    np.testing.assert_array_equal(report.uncertainty_norm, np.full(60, 0.5))
