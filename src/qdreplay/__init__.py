@@ -1,7 +1,7 @@
 """Quality-diversity experience selection with k-DPPs and debiased mixed replay."""
 
 from .bench import LoopConfig, StageChainEnv, Variant
-from .geometry import encode_pool, median_bandwidth, rbf_similarity
+from .geometry import RBFSimilarity, encode_pool, median_bandwidth, rbf_similarity
 from .kernels import (
     build_joint_kernel,
     exhaustive_map,
@@ -23,6 +23,7 @@ __all__ = [
     "LinearSoftmaxPolicy",
     "LoopConfig",
     "QualityWeights",
+    "RBFSimilarity",
     "ReplayBuffer",
     "StageChainEnv",
     "Variant",

@@ -12,10 +12,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import encode_pool, median_bandwidth, pairwise_distances, rbf_similarity
+from .geometry import RBFSimilarity, encode_pool, median_bandwidth, pairwise_distances
 from .kernels import (DEFAULT_LAMBDA, JointKernel, SelectionResult, build_joint_kernel,
                       fast_greedy_map, log_det)
-from .kernels import greedy_map  # noqa: F401  perfbench/tracing.py wraps it by name here
+# Unused here: perfbench/tracing.py wraps each by owner.__dict__[name] in this module too,
+# and without them its traced runs stop with a KeyError.
+from .geometry import rbf_similarity  # noqa: F401
+from .kernels import greedy_map  # noqa: F401
 from .policy import LinearSoftmaxPolicy
 from .replay import WeightMode, mixed_sample, normalize_weights
 from .scoring import QualityWeights, composite_quality
@@ -392,7 +395,7 @@ class WindowSelection(SelectionResult):
 
     pool: WindowBatch
     embeddings: np.ndarray  # (N, d)
-    kernel: JointKernel  # L as its factors, the RBF similarity among them; ``.values`` builds L
+    kernel: JointKernel  # L as its factors, an RBFSimilarity among them; ``.values`` builds L
     median_distance: float  # median_bandwidth of the pool, whatever sigma was used
 
 
@@ -402,23 +405,23 @@ def select_windows(pool: WindowBatch, policy: LinearSoftmaxPolicy, config: LoopC
 
     The caller draws the pool with ``ReplayBuffer.sample_candidate_pool``
     from ``pool_rng``, so a caller that holds the buffer only for that draw
-    can let it go before the N x N stages. Embeddings -> RBF similarity
+    can let it go before the selection. Embeddings -> RBF similarity
     (median bandwidth unless ``sigma`` is set) -> composite quality -> joint
-    kernel -> selection. The pairwise distances are computed once, read for
-    the median, and turned into the similarity in place, the one N x N array
-    of the selection. FULL and DIVERSITY_ONLY select by greedy MAP, which
-    reads the kernel one column at a time, QUALITY_ONLY takes the stable
-    top-k by quality, and UNIFORM picks uniformly at random from ``pool_rng``
-    after the pool draw; their logdet reads only the picks' block of the
-    kernel.
+    kernel -> selection. The selection holds no N x N array: the median
+    counts the distances one row block at a time, and the similarity is an
+    ``RBFSimilarity``, whose entries are computed from the embeddings where
+    they are read. FULL and DIVERSITY_ONLY select by greedy MAP, which reads
+    the kernel's diagonal and one column per pick, QUALITY_ONLY takes the
+    stable top-k by quality, and UNIFORM picks uniformly at random from
+    ``pool_rng`` after the pool draw; their logdet reads only the picks'
+    block of the kernel.
     DIVERSITY_ONLY and UNIFORM use unit quality; FULL and QUALITY_ONLY score
     it in closed form, which draws nothing.
     """
     embeddings = encode_pool(pool, policy)
-    distances = pairwise_distances(embeddings)
-    median = median_bandwidth(embeddings, distances=distances)
+    median = median_bandwidth(embeddings)
     sigma = config.sigma if config.sigma is not None else median
-    similarity = rbf_similarity(embeddings, sigma, distances=distances)  # in place
+    similarity = RBFSimilarity(embeddings, sigma)
     if variant in (Variant.DIVERSITY_ONLY, Variant.UNIFORM):
         quality = np.ones(len(pool))
     else:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .bench import (ABLATION_COLUMNS, LoopConfig, Variant, check_loop_config, mean_and_ci,
                     run_ablation, run_loop, select_windows)
-# Unused here; the benchmark's tracer wraps these stage functions by name in this module too.
+# Unused here: perfbench/tracing.py wraps each by owner.__dict__[name] in this module too,
+# and without them its traced runs stop with a KeyError.
 from .geometry import encode_pool, median_bandwidth, rbf_similarity  # noqa: F401
 from .kernels import build_joint_kernel, greedy_map  # noqa: F401
 from .replay import WeightMode
@@ -166,7 +167,7 @@ def _draw_pool(settings: RunSettings, pool_rng: np.random.Generator) -> WindowBa
     """Load the dump, check it holds a window and draw the candidate pool from it.
 
     Only the pool is returned, so the dump's buffer is freed before the
-    selection builds its N x N similarity.
+    selection runs.
     """
     if not settings.buffer:
         raise ConfigError("select needs a buffer path (positional argument or 'buffer' key)")

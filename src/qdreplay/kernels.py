@@ -3,8 +3,10 @@
 ``JointKernel`` holds L's factors, the similarity, sqrt(quality) and lambda;
 its one reader, ``entries``, is what greedy MAP, ``values`` (the N x N L,
 built only when read) and ``kernel.csv`` read, so they agree bit for bit.
-``fast_greedy_map`` serves production-size pools in O(k^2 N) time and O(k N)
-memory beside the similarity, reading only L's diagonal and each pick's
+The similarity is an N x N array or a ``geometry.RBFSimilarity``, which
+computes the entries it is read at from the embeddings, so a selection
+holds no N x N array. ``fast_greedy_map`` serves production-size pools in
+O(k^2 N) time and O(k N) memory, reading only L's diagonal and each pick's
 column, one matrix-vector product per pick. It picks as the O(k N^2)
 ``greedy_map`` does, by ``_next_pick``'s tie rule, so rounding decides no
 pick; that greedy, the exhaustive optimizer, exact subset probabilities and
@@ -21,6 +23,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .geometry import RBFSimilarity
 
 DEFAULT_LAMBDA = 1e-3
 # Residual variance below this counts as numerically spanned: greedy stops early.
@@ -43,7 +47,7 @@ class JointKernel:
     ``(sqrt(q_i) * S_ij) * sqrt(q_j)``, plus ``lam`` on the diagonal.
     """
 
-    similarity: np.ndarray
+    similarity: np.ndarray | RBFSimilarity
     root_quality: np.ndarray
     lam: float
 
@@ -53,7 +57,7 @@ class JointKernel:
 
         The result is a new array; this is the one place L's arithmetic is written.
         """
-        values = self.similarity[rows, cols]  # a view by basic indexing, a copy by fancy
+        values = self.similarity[rows, cols]  # an array's view by basic indexing, else new
         values = values.copy() if isinstance(rows, slice) else np.asarray(values)
         values *= self.root_quality[rows]  # S_ij * sqrt(q_i): the bits of sqrt(q_i) * S_ij
         values *= self.root_quality[cols]
@@ -86,7 +90,7 @@ class SelectionResult:
 
 
 def build_joint_kernel(
-    similarity: np.ndarray,
+    similarity: np.ndarray | RBFSimilarity,
     quality: Sequence[float],
     lam: float = DEFAULT_LAMBDA,
 ) -> JointKernel:
@@ -94,13 +98,14 @@ def build_joint_kernel(
 
     Each entry's association strength is the similarity modulated by the
     geometric mean of the two windows' qualities, so low-quality items lose
-    influence on the whole diversity structure. The result holds ``similarity``
-    and sqrt(quality); L itself is built only when ``values`` is read.
+    influence on the whole diversity structure. The result holds ``similarity``,
+    an N x N array or an ``RBFSimilarity``, and sqrt(quality); L itself is
+    built only when ``values`` is read.
     """
-    s = np.asarray(similarity, dtype=float)
+    s = similarity if isinstance(similarity, RBFSimilarity) else np.asarray(similarity, float)
     q = np.asarray(quality, dtype=float)
-    if s.shape[0] != s.shape[1]:
-        raise ValueError(f"similarity must be square, got {s.shape}")
+    if len(s.shape) != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError(f"similarity must be a square 2-D array, got shape {s.shape}")
     if q.shape[0] != s.shape[0]:
         raise ValueError(f"quality length {q.shape[0]} != similarity size {s.shape[0]}")
     if not np.all(q > 0):

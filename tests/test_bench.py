@@ -441,15 +441,21 @@ def _quality(selection, policy):
         gamma=SELECT.gamma, seed=0, smoothing_alpha=SELECT.smoothing_alpha).composite
 
 
+def _similarity_matrix(selection):
+    """The selection's similarity, read whole."""
+    every = np.arange(len(selection.pool))
+    return selection.kernel.similarity[every[:, None], every]
+
+
 def test_full_selection_is_greedy_map_on_its_kernel():
     selection, policy = _select(Variant.FULL)
     z = selection.embeddings
-    np.testing.assert_array_equal(selection.kernel.similarity,
-                                  rbf_similarity(z, median_bandwidth(z)))
+    similarity = _similarity_matrix(selection)
+    np.testing.assert_array_equal(similarity, rbf_similarity(z, median_bandwidth(z)))
     quality = _quality(selection, policy)
     root = np.sqrt(quality)
     np.testing.assert_allclose(selection.kernel.values,
-                               root[:, None] * selection.kernel.similarity * root[None, :]
+                               root[:, None] * similarity * root[None, :]
                                + SELECT.lam * np.eye(SELECT.pool_size))
     greedy = greedy_map(selection.kernel.values, SELECT.subset_size)
     assert_close_greedy(selection, greedy)
@@ -479,7 +485,7 @@ def test_one_bracketed_pass_finds_the_median_of_loop_pools(monkeypatch, pool_siz
     passes = []
     upper_between = geometry._upper_between
     monkeypatch.setattr(geometry, "_upper_between",
-                        lambda d, low, high: passes.append(low) or upper_between(d, low, high))
+                        lambda z, low, high: passes.append(low) or upper_between(z, low, high))
     for seed in range(30):
         pool = buffer.sample_candidate_pool(pool_size, config.horizon, seed)
         passes.clear()
@@ -491,7 +497,8 @@ def test_one_bracketed_pass_finds_the_median_of_loop_pools(monkeypatch, pool_siz
 def test_full_selection_at_loop_churn_size_is_the_stage_by_stage_oracle(pool_size, k):
     """The same indices, and gains and logdet to rounding, on a pool whose windows
     repeat. The oracle takes ``np.median`` of the distance triangle, builds the RBF from
-    scratch and runs ``greedy_map`` on L; the picks also pass the greedy certificate."""
+    scratch, its squared distances summed one feature at a time in index order, and runs
+    ``greedy_map`` on L; the picks also pass the greedy certificate."""
     config = replace(LoopConfig(), pool_size=pool_size, subset_size=k)
     buffer = _mixed_buffer(config, 2 * pool_size)
     policy = config.make_policy(buffer.state_dim, 5)
@@ -502,15 +509,17 @@ def test_full_selection_at_loop_churn_size_is_the_stage_by_stage_oracle(pool_siz
     assert len(np.unique(z, axis=0)) < pool_size  # windows repeat
     d = pairwise_distances(z)
     sigma = float(np.median(d[np.triu_indices(pool_size, k=1)]))
-    similarity = np.exp(-(d ** 2) / sigma ** 2)
-    np.fill_diagonal(similarity, 1.0)
+    d2 = np.zeros((pool_size, pool_size))
+    for f in range(z.shape[1]):
+        d2 += (z[:, None, f] - z[None, :, f]) ** 2
+    similarity = np.exp(-d2 / sigma ** 2)
     quality = composite_quality(
         pool, config.quality_weights(), policy, passes=config.passes, gamma=config.gamma,
         seed=0, smoothing_alpha=config.smoothing_alpha).composite
     kernel = build_joint_kernel(similarity, quality, config.lam).values
     greedy = greedy_map(kernel, k)
     assert selection.median_distance == sigma
-    assert selection.kernel.similarity.tobytes() == similarity.tobytes()
+    assert _similarity_matrix(selection).tobytes() == similarity.tobytes()
     assert len(greedy.indices) == k
     assert_close_greedy(selection, greedy)
     assert certificate_problems(kernel, selection.indices, k) == []
@@ -528,7 +537,7 @@ def test_quality_only_takes_stable_top_k_by_quality():
 
 def test_diversity_only_uses_constant_quality_kernel():
     selection, _ = _select(Variant.DIVERSITY_ONLY)
-    np.testing.assert_allclose(selection.kernel.values, selection.kernel.similarity
+    np.testing.assert_allclose(selection.kernel.values, _similarity_matrix(selection)
                                + SELECT.lam * np.eye(SELECT.pool_size))
     assert selection.indices == greedy_map(selection.kernel.values, SELECT.subset_size).indices
 
@@ -550,22 +559,20 @@ def test_selection_carries_the_pool_median_under_a_fixed_sigma():
     selection, _ = _select(Variant.FULL, config=cfg)
     z = selection.embeddings
     assert selection.median_distance == median_bandwidth(z) != cfg.sigma
-    np.testing.assert_array_equal(selection.kernel.similarity, rbf_similarity(z, cfg.sigma))
+    np.testing.assert_array_equal(_similarity_matrix(selection), rbf_similarity(z, cfg.sigma))
 
 
 def test_full_selection_peak_allocation_at_pool_1500():
-    """The selection keeps one N x N array: the distances, then the similarity.
+    """The pool draw and the selection keep no N x N array: O((k + c) N) floats.
 
-    ``pairwise_distances`` builds the Gram product and the distances in that
-    one array, one row block at a time; ``median_bandwidth`` reads them by
-    row blocks, ``rbf_similarity`` turns them into the similarity in place,
-    and greedy MAP reads the kernel one column at a time beside its (k, N)
-    residual columns and a scratch of at most 65 rows of N, so the pool draw
-    and the selection peak at 1.28 arrays of N x N floats (21.9 MiB). With a
-    second (k, N) work buffer in greedy MAP it read 1.38; with a second
-    distance array, the median's copy of the upper triangle and the built
-    kernel it read 2.38; with the extra squared-distance array and kernel
-    temporary, 3.20.
+    Greedy MAP's k x N Cholesky rows sit beside the pool's arrays (98 rows of
+    N floats), what the selection keeps of the embeddings and the quality
+    (36) and a few rows of N for the pick's column, whose d = 16 feature
+    differences are one (d, N) array: 383 rows of N at k = 225 (4.4 MiB).
+    ``median_bandwidth`` peaks lower, with its one 64-row scratch block, the
+    block's temporaries and the bracket's sample. The bound is k + 200 rows
+    of N. Holding the distances and then the similarity in one N x N array
+    read 1848 rows of N.
     """
     n = 1500
     cfg = replace(LoopConfig(), pool_size=n, subset_size=225)
@@ -584,7 +591,7 @@ def test_full_selection_peak_allocation_at_pool_1500():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.33 * n * n * 8
+    assert peak <= (cfg.subset_size + 200) * n * 8
 
 
 def test_selection_events_reference_valid_windows():

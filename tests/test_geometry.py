@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qdreplay import geometry
 from qdreplay.geometry import (
+    RBFSimilarity,
     encode_pool,
     median_bandwidth,
     pairwise_distances,
@@ -200,8 +201,6 @@ def test_median_bandwidth_is_numpy_median_bit_for_bit(n, dim, distinct, integral
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_SAMPLE_SIZE", sample_size)
         assert median_bandwidth(z) == expected
-        assert median_bandwidth(z, distances=d) == expected
-    np.testing.assert_array_equal(d, pairwise_distances(z))  # read, not written
     if integral and distinct == 1:
         assert expected == 1.0
 
@@ -211,21 +210,21 @@ def _count_passes(monkeypatch):
     passes = []
     upper_between = geometry._upper_between
 
-    def spy(d, low, high):
+    def spy(z, low, high):
         passes.append((low, high))
-        return upper_between(d, low, high)
+        return upper_between(z, low, high)
     monkeypatch.setattr(geometry, "_upper_between", spy)
     return passes
 
 
 def test_median_bracket_from_a_strided_sample_holds_the_middle_ranks(monkeypatch):
-    """At n = 600 the flat matrix is sampled at every 23rd entry, the first
-    stride from 360,000 / 16,384 up that is coprime to n, and the one
-    bracketed pass finds the middle ranks."""
+    """At n = 600 the sampled pairs are among every 23rd entry of the flat
+    matrix, the first stride from 360,000 / 16,384 up that is coprime to n,
+    and the one bracketed pass finds the middle ranks."""
     passes = _count_passes(monkeypatch)
     z = np.random.default_rng(3).standard_normal((600, 16))
     d = pairwise_distances(z)
-    assert median_bandwidth(z, distances=d) == float(np.median(d[np.triu_indices(600, k=1)]))
+    assert median_bandwidth(z) == float(np.median(d[np.triu_indices(600, k=1)]))
     assert len(passes) == 1 and -np.inf < passes[0][0] < passes[0][1] < np.inf
 
 
@@ -236,27 +235,63 @@ def test_median_bracket_miss_falls_back_to_one_full_pass(monkeypatch):
     monkeypatch.setattr(geometry, "_BRACKET_MARGIN", -10.0)
     z = np.random.default_rng(4).standard_normal((150, 3))
     d = pairwise_distances(z)
-    assert median_bandwidth(z, distances=d) == float(np.median(d[np.triu_indices(150, k=1)]))
+    assert median_bandwidth(z) == float(np.median(d[np.triu_indices(150, k=1)]))
     assert len(passes) == 2 and passes[0][0] > passes[0][1]
     assert passes[1] == (-np.inf, np.inf)
 
 
-@settings(max_examples=50, deadline=None)
-@given(n=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1))
-def test_rbf_similarity_from_given_distances_is_identical(n, seed):
+def _per_feature_rbf(z, sigma):
+    """exp(-d2 / sigma^2), d2 summed one feature at a time in index order, from scratch."""
+    d2 = np.zeros((len(z), len(z)))
+    for f in range(z.shape[1]):
+        d2 += (z[:, None, f] - z[None, :, f]) ** 2
+    return np.exp(-d2 / sigma ** 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 2 * geometry._ROW_BLOCK + 1), dim=st.integers(1, 16),
+       distinct=st.integers(1, 200), integral=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_read_of_the_rbf_similarity_has_the_same_bits(n, dim, distinct, integral, seed):
+    """Columns, rows, ``np.ix_`` blocks, the diagonal and ``rbf_similarity`` read
+    one formula, whichever entries are read together: the per-feature sum.
+    S is exactly symmetric with a unit diagonal, and rows drawn from
+    ``distinct`` points repeat, a zero's sign aside, at similarity exactly 1."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, 3))
-    sigma = float(rng.uniform(0.1, 5.0))
-    d = pairwise_distances(z)
-    s = rbf_similarity(z, sigma, distances=d)
-    assert s is d  # turned into the similarity in place
-    np.testing.assert_array_equal(s, rbf_similarity(z, sigma))
+    z = _points(rng, n, dim, distinct, integral)
+    z[(z == 0.0) & (rng.random(z.shape) < 0.5)] = -0.0
+    sigma = float(rng.uniform(0.1, 5.0)) * (1.0 + np.abs(z).max())
+    similarity = RBFSimilarity(z, sigma)
+    s = rbf_similarity(z, sigma)
+    assert s.tobytes() == _per_feature_rbf(z, sigma).tobytes()
+    every = np.arange(n)
+    assert similarity[every[:, None], every].tobytes() == s.tobytes()
+    for j in range(n):
+        assert similarity[:, j].tobytes() == s[:, j].tobytes()
+        assert similarity[j, every].tobytes() == s[j].tobytes()
+    assert similarity[every, every].tobytes() == np.ones(n).tobytes()
+    for size in (1, max(1, n // 3), n):
+        picks = np.sort(rng.choice(n, size=size, replace=False))
+        assert similarity[np.ix_(picks, picks)].tobytes() == s[np.ix_(picks, picks)].tobytes()
+    assert np.array_equal(s, s.T)
+    equal = (z[:, None, :] == z[None, :, :]).all(axis=2)
+    assert np.all(s[equal] == 1.0) and np.all((s >= 0.0) & (s <= 1.0))
+
+
+@pytest.mark.parametrize("embeddings", [
+    np.zeros(3), np.zeros((2, 2, 2)), np.zeros((3, 0)),
+    np.array([[0.0, 1.0], [math.nan, 0.0]]), np.array([[0.0, math.inf], [1.0, 0.0]]),
+], ids=["1-D", "3-D", "no-features", "nan", "inf"])
+def test_rbf_similarity_rejects_embeddings_that_are_not_finite_n_by_d(embeddings):
+    with pytest.raises(ValueError, match="embeddings must be"):
+        RBFSimilarity(embeddings, 1.0)
+    with pytest.raises(ValueError, match="embeddings must be"):
+        rbf_similarity(embeddings, 1.0)
 
 
 def test_median_bandwidth_of_one_point_is_one():
     """No pair to take a median of: the fallback, as for a pool of copies."""
     assert median_bandwidth(np.zeros((1, 3))) == 1.0
-    assert median_bandwidth(np.ones((1, 2)), distances=np.zeros((1, 1))) == 1.0
+    assert median_bandwidth(np.ones((1, 2))) == 1.0
 
 
 def test_rbf_unit_similarity_at_zero_distance():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from greedy_certificate import assert_close_greedy, certificate_problems
 from qdreplay import kernels
-from qdreplay.geometry import median_bandwidth, rbf_similarity
+from qdreplay.geometry import RBFSimilarity, median_bandwidth, rbf_similarity
 from qdreplay.kernels import (
     _esp_table,
     build_joint_kernel,
@@ -102,13 +103,31 @@ def test_kernel_input_validation():
         build_joint_kernel(s, [1.0, 1.0], lam=0.0)
 
 
-def test_write_csv_matches_the_built_kernel_row_for_row(tmp_path):
+@pytest.mark.parametrize("similarity", [np.ones(3), np.ones((2, 2, 2)), np.ones((3, 2)),
+                                        np.float64(1.0)], ids=["1-D", "3-D", "3x2", "0-D"])
+def test_kernel_rejects_a_similarity_that_is_not_square_2d(similarity):
+    shape = re.escape(str(np.shape(similarity)))
+    with pytest.raises(ValueError, match=f"square 2-D array, got shape {shape}"):
+        build_joint_kernel(similarity, [1.0, 1.0, 1.0], lam=0.0)
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+@pytest.mark.parametrize("from_embeddings", [False, True])
+def test_write_csv_matches_the_built_kernel_row_for_row(tmp_path, from_embeddings, duplicates):
+    """For a similarity held as a matrix or computed from the embeddings, whose
+    rows are the matrix's bit for bit, with rows 1 and 4 repeating row 0 at will."""
     rng = np.random.default_rng(5)
-    s = random_similarity(9, rng)
-    kernel = build_joint_kernel(s, rng.uniform(0.1, 2.0, size=9), lam=0.05)
+    z = rng.standard_normal((9, 3))
+    if duplicates:
+        z[[1, 4]] = z[0]
+    sigma = median_bandwidth(z)
+    quality = rng.uniform(0.1, 2.0, size=9)
+    reference = build_joint_kernel(rbf_similarity(z, sigma), quality, lam=0.05)
+    kernel = build_joint_kernel(RBFSimilarity(z, sigma) if from_embeddings
+                                else rbf_similarity(z, sigma), quality, lam=0.05)
     kernel.write_csv(tmp_path / "kernel.csv", header_comment="seed=5")
     expected = ["# seed=5", "9,0.05"] + [",".join(repr(float(x)) for x in row)
-                                         for row in kernel.values]
+                                         for row in reference.values]
     assert (tmp_path / "kernel.csv").read_text().splitlines() == expected
 
 
@@ -295,18 +314,22 @@ def test_fast_greedy_on_joint_kernel_matches_greedy_map_on_its_values(n, distinc
     """Every read of L, ``values`` and ``entries`` at a scalar, a column (by
     index array or by slice), a row, a sub-block and the diagonal, has the bits of (sqrt(q_i) * S_ij) *
     sqrt(q_j) plus lam on the diagonal, so the picks are ``greedy_map``'s on the
-    built L and the gains agree to rounding. Rows drawn from ``distinct`` points
-    repeat; at lam = 0 a duplicate adds no residual, so greedy stops early."""
+    built L and the gains agree to rounding. So does every read of the kernel
+    whose similarity is computed from the embeddings, and its greedy is the
+    matrix kernel's bit for bit. Rows drawn from ``distinct`` points repeat; at
+    lam = 0 a duplicate adds no residual, so greedy stops early."""
     rng = np.random.default_rng(seed)
     points = rng.standard_normal((min(distinct, n), 3)) * rng.uniform(0.1, 10.0)
     z = points[rng.integers(len(points), size=n)]
     quality = rng.uniform(1e-3, 1.0, size=n)
-    joint = build_joint_kernel(rbf_similarity(z, median_bandwidth(z)), quality, lam)
+    sigma = median_bandwidth(z)
+    joint = build_joint_kernel(rbf_similarity(z, sigma), quality, lam)
+    lazy = build_joint_kernel(RBFSimilarity(z, sigma), quality, lam)
     root = np.sqrt(quality)
     expected = root[:, None] * joint.similarity * root[None, :]
     expected[np.diag_indices(n)] += lam
     values = joint.values
-    assert values.tobytes() == expected.tobytes()
+    assert values.tobytes() == lazy.values.tobytes() == expected.tobytes()
     i, j = (data.draw(st.integers(0, n - 1), label=name) for name in ("row", "column"))
     subset = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True),
                                 label="subset"))
@@ -315,9 +338,12 @@ def test_fast_greedy_on_joint_kernel_matches_greedy_map_on_its_values(n, distinc
     for rows, cols in ((i, j), (every, j), (slice(None), j), (i, every),
                        (subset[:, None], subset), (every, every)):
         assert joint.entries(rows, cols).tobytes() == expected[rows, cols].tobytes()
+        assert lazy.entries(rows, cols).tobytes() == expected[rows, cols].tobytes()
     assert joint.similarity.tobytes() == similarity.tobytes()  # a slice's view is not written
     for k in (data.draw(st.integers(1, n), label="k"), n):
-        assert_same_greedy(fast_greedy_map(joint, k), greedy_map(values, k), np.diagonal(values))
+        fast = fast_greedy_map(joint, k)
+        assert_same_greedy(fast, greedy_map(values, k), np.diagonal(values))
+        assert fast == fast_greedy_map(lazy, k)
 
 
 def test_fast_greedy_on_joint_kernel_stops_early_on_duplicates():
