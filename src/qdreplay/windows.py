@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import mmap
+import os
+import signal
+import stat
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -490,6 +496,7 @@ class JsonlParseError(ValueError):
 _NUMBER_TYPES = frozenset((int, float))  # a JSON number: not a bool, which is an int subclass
 _scan = json.JSONDecoder().scan_once  # the C scanner under json.loads, without its wrapper
 _BLOCK = 1024  # checked rows collected before they are written into the columns
+_RANGE_MIN = 16_384  # rows a forked worker must have to check, at the least
 
 
 def _kind_error(key: str, kind: str, value) -> TypeError:
@@ -541,45 +548,33 @@ def undecodable_line(path: str | Path, encoding: str) -> tuple[int, str]:
     return len(lines), f"not {encoding} text"
 
 
-def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
-    """Rebuild a buffer from the JSON-lines transition format.
+def _check_range(path: str | Path, columns: list[np.ndarray], start: int, stop: int) -> None:
+    """Check the rows ``start`` to ``stop - 1`` of ``path`` and write them into ``columns``.
 
-    Lines may come in any order; within an episode, ``t`` must run 0, 1, ...
-    without duplicates or gaps. The episodes then pass the same checks as
-    ``ReplayBuffer.append_episode``. ``episode``, ``t``, ``stage`` and a
-    discrete action must be JSON integers, ``reward`` a JSON number and
-    ``done`` a JSON bool; ``stage`` and ``done`` default to 0 and false.
-    ``state`` and a continuous action are lists of JSON numbers. The first
-    line fixes the state width and the action kind: an integer makes the
-    actions discrete (int64), a list of d numbers continuous (float, d per
-    row). A violation raises ``JsonlParseError`` naming the offending line, as
-    does a byte that is not text in the file's encoding.
-
-    The checks on single lines run line by line in file order, so the error
-    names the first line that breaks one. On a line, the JSON comes first,
-    then the state and the action, then ``reward``, ``stage``, ``episode``,
-    ``t`` and ``done``. A required key that is absent gives ``missing key
-    'reward'`` (with that key's name), and an integer too large for its
-    column (outside int64, or too large for a float) is an error on its
-    line. The checks on whole episodes follow once every line has passed.
+    Row i is the file's (i+1)-th line that is not blank. ``columns`` are
+    ``_shared_columns``', whose shapes give each row's state width and
+    action kind. The first line of the range that breaks a check raises its
+    ``JsonlParseError``, or an earlier one of the range whose value did not
+    fit its column.
     """
-    try:
-        with open(path) as fh:
-            count = sum(1 for line in fh if line.strip())
-    except UnicodeDecodeError as exc:
-        lineno, reason = undecodable_line(path, exc.encoding)
-        raise JsonlParseError(lineno, f"{reason} (in {path})") from exc
-    episode, step, lines, stages = (np.empty(count, dtype=np.int64) for _ in range(4))
-    rewards, done = np.empty(count), np.empty(count, dtype=bool)
-    states = actions = None  # allocated at the first record, which fixes their row shapes
-    columns = []  # (flat view, entries per row) of each, in the order a line is checked
-    pending = tuple([] for _ in range(8))  # per column, the checked entries not yet written
+    width, kind = columns[1].shape[1], columns[2].shape[1:]
+    columns = [(column.reshape(-1), column.size // len(column)) for column in columns]
+    pending = tuple([] for _ in columns)  # per column, the checked entries not yet written
     add_line, add_reward, add_stage, add_episode, add_step, add_done = (
         pending[c].append for c in (0, 3, 4, 5, 6, 7))
     add_state = pending[1].extend
-    n = 0  # rows written
+    add_action = pending[2].extend if kind else pending[2].append
+    n, limit = start, min(_BLOCK, stop - start)  # rows written, rows in the next write
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        lines = enumerate(fh, start=1)
+        skip = start  # the rows of the ranges before this one
+        if skip:
+            for _, line in lines:
+                if line.strip():
+                    skip -= 1
+                    if not skip:
+                        break
+        for lineno, line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -603,17 +598,9 @@ def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
                                                  not _NUMBER_TYPES.issuperset(map(type, action))):
                     raise TypeError("action must be a JSON integer or a list of JSON numbers, "
                                     f"got {json.dumps(action)}")
-                shape = (len(action),) if type(action) is list else ()
-                if states is None:
-                    width, kind = len(state), shape
-                    states = np.empty((count, width))
-                    actions = np.empty((count, *kind), dtype=float if kind else np.int64)
-                    columns = [(lines, 1), (states.reshape(-1), width),
-                               (actions.reshape(-1), kind[0] if kind else 1), (rewards, 1),
-                               (stages, 1), (episode, 1), (step, 1), (done, 1)]
-                    add_action = pending[2].extend if kind else pending[2].append
                 if len(state) != width:
                     raise ValueError(f"state has {len(state)} entries, expected {width}")
+                shape = (len(action),) if type(action) is list else ()
                 if shape != kind:
                     raise ValueError(f"action is {_action_kind(shape)}, "
                                      f"expected {_action_kind(kind)}")
@@ -651,16 +638,133 @@ def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
                     problem = str(exc)
                 _write_rows(columns, n, pending)  # an overflow read before this check comes first
                 raise JsonlParseError(lineno, problem) from exc
-            if len(pending[0]) == _BLOCK:
+            if len(pending[0]) == limit:
                 _write_rows(columns, n, pending)
-                n += _BLOCK
                 for entries in pending:
                     entries.clear()
+                n += limit
+                limit = min(_BLOCK, stop - n)
+                if not limit:
+                    break
     _write_rows(columns, n, pending)
-    del columns  # so that rebinding a column below frees its file-order array
+
+
+def _check_ranges(path: str | Path, columns: list[np.ndarray], bounds: list[int]) -> None:
+    """``_check_range`` on rows ``bounds[j]`` to ``bounds[j + 1] - 1`` for each j.
+
+    The first range is checked in this process, each other one in a worker
+    forked for it, which writes into ``columns`` (they must be shared
+    memory) and exits with code 0, or 1 if anything raised. Ranges are then
+    taken in file order, and one whose worker failed, died or could not be
+    forked is checked again here, so the error raised is the one a single
+    pass would raise. Every worker is reaped before this returns or raises.
+    """
+    workers = {}  # range index -> pid of its worker, until reaped
+    try:
+        for j in range(1, len(bounds) - 1):
+            try:
+                pid = os.fork()
+            except OSError:
+                break  # the ranges left are checked here
+            if pid == 0:
+                code = 1
+                try:
+                    _check_range(path, columns, bounds[j], bounds[j + 1])
+                    code = 0
+                finally:
+                    os._exit(code)
+            workers[j] = pid
+        for j in range(len(bounds) - 1):
+            if j in workers:
+                status = os.waitpid(workers[j], 0)[1]
+                del workers[j]
+                if status == 0:
+                    continue
+            _check_range(path, columns, bounds[j], bounds[j + 1])
+    finally:
+        for pid in workers.values():  # after an error or an interrupt
+            with contextlib.suppress(ChildProcessError):  # reaped just before the interrupt
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+
+
+def _row_shape(line: str) -> tuple[int, tuple[int, ...]] | None:
+    """The state width and action shape that a record's line fixes, or None if it has none."""
+    try:
+        rec = json.loads(line)
+        return len(rec["state"]), (len(rec["action"]),) if type(rec["action"]) is list else ()
+    except (ValueError, RecursionError, KeyError, TypeError):
+        return None
+
+
+def _shared_columns(count: int, width: int, kind: tuple[int, ...]) -> list[np.ndarray]:
+    """Zeroed columns of ``count`` rows in one anonymous shared mapping, in ``_check_range``'s
+    order: line numbers, states, actions, rewards, stages, episodes, steps, done flags."""
+    specs = [((), np.int64), ((width,), np.float64), (kind, np.float64 if kind else np.int64),
+             ((), np.float64), ((), np.int64), ((), np.int64), ((), np.int64), ((), bool)]
+    sizes = [count * math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    memory = mmap.mmap(-1, max(sum(sizes), 1))  # the flags last, so every column is aligned
+    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+    return [np.ndarray((count, *shape), dtype, buffer=memory, offset=offset)
+            for (shape, dtype), offset in zip(specs, offsets)]
+
+
+def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
+    """Rebuild a buffer from the JSON-lines transition format.
+
+    Lines may come in any order; within an episode, ``t`` must run 0, 1, ...
+    without duplicates or gaps. The episodes then pass the same checks as
+    ``ReplayBuffer.append_episode``. ``episode``, ``t``, ``stage`` and a
+    discrete action must be JSON integers, ``reward`` a JSON number and
+    ``done`` a JSON bool; ``stage`` and ``done`` default to 0 and false.
+    ``state`` and a continuous action are lists of JSON numbers. The first
+    line fixes the state width and the action kind: an integer makes the
+    actions discrete (int64), a list of d numbers continuous (float, d per
+    row). A violation raises ``JsonlParseError`` naming the offending line, as
+    does a byte that is not text in the file's encoding. ``path`` must be a
+    regular file, since it is read more than once; anything else (a
+    directory, a pipe) raises ``OSError`` before it is opened.
+
+    The checks on single lines run line by line in file order, so the error
+    names the first line that breaks one. On a line, the JSON comes first,
+    then the state and the action, then ``reward``, ``stage``, ``episode``,
+    ``t`` and ``done``. A required key that is absent gives ``missing key
+    'reward'`` (with that key's name), and an integer too large for its
+    column (outside int64, or too large for a float) is an error on its
+    line. The checks on whole episodes follow once every line has passed.
+
+    A first pass counts the lines that are not blank, and reports a byte that
+    is not text before any other error. The rows are then split into one
+    contiguous range per usable core, but only as many ranges as leave each
+    at least ``_RANGE_MIN`` rows, so a smaller dump, or a single core, is
+    read in this process alone. Each range after the first is checked by a
+    forked worker, which writes its rows into columns in shared memory; see
+    ``_check_ranges``, which makes the columns, or the error, those of one
+    pass over the whole file.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(f"{path} is not a regular file")
+    try:
+        with open(path) as fh:
+            records = (line for line in fh if line.strip())
+            first_line = next(records, None)
+            count = sum(1 for _ in records) + (first_line is not None)
+    except UnicodeDecodeError as exc:
+        lineno, reason = undecodable_line(path, exc.encoding)
+        raise JsonlParseError(lineno, f"{reason} (in {path})") from exc
     buffer = ReplayBuffer(capacity=max(count, 1), gamma=gamma)
     if count == 0:
         return buffer
+    # A first record without a state and an action fails its own checks at once.
+    shape = _row_shape(first_line.strip())
+    width, kind = shape or (0, ())
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    ranges = 1 if shape is None else max(1, min(cores, count // _RANGE_MIN))
+    columns = _shared_columns(count, width, kind)
+    _check_ranges(path, columns, [count * j // ranges for j in range(ranges + 1)])
+    lines, states, actions, rewards, stages, episode, step, done = columns
+    del columns  # so that rebinding the columns below frees their shared mapping
 
     order = np.lexsort((step, episode))  # stable: duplicates keep file order
     episode, step, lines = episode[order], step[order], lines[order]

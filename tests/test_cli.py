@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import os
@@ -120,6 +121,34 @@ def test_select_on_a_missing_dump_exits_2_naming_it_before_any_output(tmp_path, 
     assert main(["select", str(dump), "--out", str(out)]) == 2
     assert str(dump) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_select_on_a_pipe_exits_2_naming_it_before_any_output(tmp_path, capsys):
+    """A pipe could be read only once, and opening one blocks, so it is never opened."""
+    dump = tmp_path / "pipe.jsonl"
+    os.mkfifo(dump)
+    out = tmp_path / "out"
+    assert main(["select", str(dump), "--out", str(out)]) == 2
+    assert f"cannot read buffer file {dump}: {dump} is not a regular file" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_select_writes_the_same_bytes_when_workers_cannot_be_forked(tmp_path, buffer_file,
+                                                                     monkeypatch):
+    """A failed fork leaves the rows to the parent: it is no error reading the dump."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(qdreplay.windows, "_RANGE_MIN", 20)
+    args = ["select", str(buffer_file), "--seed", "3"]
+    assert main([*args, "--out", str(tmp_path / "forked")]) == 0
+
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert main([*args, "--out", str(tmp_path / "alone")]) == 0
+    assert (tmp_path / "alone" / "selection.json").read_bytes() == \
+        (tmp_path / "forked" / "selection.json").read_bytes()
 
 
 def test_select_frees_the_dump_before_selecting(tmp_path, buffer_file, monkeypatch):

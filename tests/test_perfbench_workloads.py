@@ -57,3 +57,10 @@ def test_select_workload_passes_its_checks(perfbench, tmp_path):
     workloads, tracing = perfbench
     workload = workloads.SelectWorkload(transitions=3000, pool_size=60, subset_size=8)
     assert _run_once(workload, tracing, 1, tmp_path) == []
+
+
+def test_select_workload_reads_its_warm_dump_in_one_process(perfbench):
+    """The warm-up select reads a dump too short to split, so set-up forks no worker."""
+    workloads, _ = perfbench
+    longest = workloads.SelectWorkload.WARM_EPISODES * qdreplay.StageChainEnv().t_max
+    assert longest < qdreplay.windows._RANGE_MIN

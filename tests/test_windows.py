@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
+import re
+import signal
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonl_oracle import load_jsonl as load_jsonl_oracle
 
+from qdreplay import windows
 from qdreplay.windows import (
     _BLOCK,
     Episode,
@@ -753,6 +758,28 @@ def _assert_loaders_agree(path):
     return got
 
 
+def _write_edited_dump(data, path, lines: list[str], at, continuous: bool) -> None:
+    """Write ``lines`` to ``path`` after up to four drawn changes, each on a line drawn from
+    ``at``, and maybe an overflow followed by a change on its line or a few lines on."""
+    edits = data.draw(st.lists(st.tuples(at, _mutation(continuous)), max_size=4))
+    if data.draw(st.booleans()):
+        first = data.draw(at)
+        edits.append((first, data.draw(_overflow(continuous))))
+        broken = st.sampled_from(_KEYS).flatmap(  # a wrong type, a missing key or bad JSON
+            lambda key: st.tuples(st.just("set"), st.just(key), st.sampled_from(_WRONG_TYPES[key]))
+            | st.just(("del", key))) | st.tuples(st.just("text"), st.sampled_from(
+                ("trailing", "twice", "split", "bom", "list")))
+        edits.append((min(first + data.draw(st.integers(0, 2)), len(lines) - 1),
+                      data.draw(broken)))
+    changes: dict[int, list] = {}
+    for i, change in edits:  # a line may take two changes, and a record's come first
+        changes.setdefault(i, []).append(change)
+    for i, line_changes in changes.items():
+        line_changes.sort(key=lambda change: change[0] == "text")
+        lines[i] = _mutate(lines[i], line_changes)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
        size=st.integers(1, 30) | st.integers(_BLOCK - 2, _BLOCK + 2)
@@ -765,23 +792,7 @@ def test_load_jsonl_agrees_with_the_per_line_oracle(tmp_path_factory, data, seed
     # Any line, or one at either side of a block boundary.
     at = st.integers(0, size - 1) | st.sampled_from(
         [i for i in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK) if i < size] or [0])
-    continuous = action_dim is not None
-    edits = data.draw(st.lists(st.tuples(at, _mutation(continuous)), max_size=4))
-    if data.draw(st.booleans()):  # an overflow, then a change on its line or a few lines on
-        first = data.draw(at)
-        edits.append((first, data.draw(_overflow(continuous))))
-        broken = st.sampled_from(_KEYS).flatmap(  # a wrong type, a missing key or bad JSON
-            lambda key: st.tuples(st.just("set"), st.just(key), st.sampled_from(_WRONG_TYPES[key]))
-            | st.just(("del", key))) | st.tuples(st.just("text"), st.sampled_from(
-                ("trailing", "twice", "split", "bom", "list")))
-        edits.append((min(first + data.draw(st.integers(0, 2)), size - 1), data.draw(broken)))
-    changes: dict[int, list] = {}
-    for i, change in edits:  # a line may take two changes, and a record's come first
-        changes.setdefault(i, []).append(change)
-    for i, line_changes in changes.items():
-        line_changes.sort(key=lambda change: change[0] == "text")
-        lines[i] = _mutate(lines[i], line_changes)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_edited_dump(data, path, lines, at, action_dim is not None)
     _assert_loaders_agree(path)
 
 
@@ -818,6 +829,166 @@ def test_load_jsonl_reports_the_first_failing_line_across_blocks(tmp_path, edits
         lines[i] = _mutate(lines[i], changes)
     path.write_text("\n".join(lines) + "\n")
     assert _assert_loaders_agree(path).startswith(f"line {line}: {message}")
+
+
+# ------------------------------------------------ rows split into ranges across workers
+
+def _split_rows(monkeypatch, cores: int, range_min: int) -> None:
+    """Make ``load_jsonl`` see ``cores`` usable cores and split at ``range_min`` rows a range."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(windows, "_RANGE_MIN", range_min)
+
+
+def _assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 30),
+       cores=st.integers(1, 4), range_min=st.integers(1, 8), width=st.integers(1, 3),
+       action_dim=st.none() | st.integers(1, 2))
+def test_load_jsonl_agrees_with_the_per_line_oracle_across_ranges(
+        tmp_path_factory, data, seed, size, cores, range_min, width, action_dim):
+    path = tmp_path_factory.mktemp("ranges") / "dump.jsonl"
+    lines = _dump_lines(path, seed, size, width, action_dim)
+    ranges = max(1, min(cores, size // range_min))
+    # Any line, or one at either side of a range boundary.
+    at = st.integers(0, size - 1) | st.sampled_from(sorted(
+        {min(max(size * j // ranges + k, 0), size - 1) for j in range(ranges) for k in (-1, 0)}))
+    _write_edited_dump(data, path, lines, at, action_dim is not None)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _split_rows(monkeypatch, cores, range_min)
+        _assert_loaders_agree(path)
+    _assert_no_worker_left()
+
+
+@pytest.mark.parametrize("edits, line, message", [
+    # An overflow in the last row of the first range beats a type error in the second's first.
+    ({9: [_EPISODE_PAST_INT64], 10: [_REWARD_AS_TEXT]}, 10,
+     "Python int too large to convert to C long"),
+    ({29: [_STATE_TOO_LARGE], 30: [("del", "t")]}, 30, "int too large to convert to float"),
+    # Failures in two ranges: the lower line wins, whichever range is checked here.
+    ({15: [("del", "state")], 25: [_REWARD_AS_TEXT]}, 16, "missing key 'state'"),
+    ({5: [("set", "done", 0)], 35: [("text", "trailing")]}, 6, "done must be a JSON bool"),
+    # A first record that fixes no row shape, and one whose state is not numbers.
+    ({0: [("text", "list")]}, 1, r"expected a JSON object, got \[1, 2\]"),
+    ({0: [("set", "state", ["1.0"])]}, 1, "state must be a list of JSON numbers"),
+    # A line that breaks in two at a range boundary.
+    ({10: [("text", "split")]}, 11, "invalid JSON"),
+])
+def test_load_jsonl_reports_the_first_failing_line_across_ranges(tmp_path, monkeypatch, edits,
+                                                                 line, message):
+    path = tmp_path / "dump.jsonl"
+    lines = _dump_lines(path, 5, 40, 2, None)
+    for i, changes in edits.items():
+        lines[i] = _mutate(lines[i], changes)
+    path.write_text("\n".join(lines) + "\n")
+    _split_rows(monkeypatch, 4, 10)  # rows 0-9, 10-19, 20-29 and 30-39
+    assert re.match(f"line {line}: {message}", _assert_loaders_agree(path))
+    _assert_no_worker_left()
+
+
+@pytest.mark.parametrize("bad", [None, 23])
+def test_load_jsonl_reads_blank_lines_and_cr_endings_at_a_range_boundary(tmp_path, monkeypatch,
+                                                                       bad):
+    path = tmp_path / "dump.jsonl"
+    lines = _dump_lines(path, 6, 40, 3, 2)
+    if bad is not None:
+        lines[bad] = _mutate(lines[bad], [_REWARD_AS_TEXT])
+    # Rows 8-11 end in \r, \r\n and \n, with blank lines, of each ending, at the boundaries.
+    text = "\n".join(lines[:8]) + "\n" + "\r".join(lines[8:10]) + "\r\r \n\r\n\t\r" + \
+        "\r\n".join(lines[10:12]) + "\n\n" + "\n".join(lines[12:20]) + "\n \n" + \
+        "\n".join(lines[20:]) + "\n"
+    path.write_bytes(text.encode())
+    _split_rows(monkeypatch, 4, 10)
+    got = _assert_loaders_agree(path)
+    if bad is not None:
+        assert got.startswith(f"line {bad + 7}: reward must be a JSON number")
+    _assert_no_worker_left()
+
+
+def _forked_range_case(tmp_path, edits):
+    path = tmp_path / "dump.jsonl"
+    lines = _dump_lines(path, 8, 40, 2, None)
+    for i, changes in edits.items():
+        lines[i] = _mutate(lines[i], changes)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("edits", [{}, {3: [_REWARD_AS_TEXT]}, {36: [("del", "episode")]},
+                                   {5: [_EPISODE_PAST_INT64]}], ids=[
+    "success", "error-in-first-range", "error-in-last-range", "overflow-in-first-range"])
+@pytest.mark.parametrize("fault", ["none", "worker-killed", "fork-fails"])
+def test_load_jsonl_reaps_every_worker_and_keeps_its_result(tmp_path, monkeypatch, edits, fault):
+    """Workers that die, or that cannot be forked, leave the buffer or the error unchanged."""
+    path = _forked_range_case(tmp_path, edits)
+    _split_rows(monkeypatch, 4, 10)
+    parent, check_range = os.getpid(), windows._check_range
+    forks = []
+
+    def fork():
+        if fault == "fork-fails":
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    def check_range_or_die(*args):
+        if fault == "worker-killed" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return check_range(*args)
+
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(windows, "_check_range", check_range_or_die)
+    assert isinstance(_assert_loaders_agree(path), str) == bool(edits)
+    assert len(forks) == (0 if fault == "fork-fails" else 3)
+    _assert_no_worker_left()
+
+
+def test_load_jsonl_reaps_every_worker_when_interrupted(tmp_path, monkeypatch):
+    path = _forked_range_case(tmp_path, {})
+    _split_rows(monkeypatch, 4, 10)
+    parent, check_range = os.getpid(), windows._check_range
+
+    def interrupt_the_parent(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return check_range(*args)
+
+    monkeypatch.setattr(windows, "_check_range", interrupt_the_parent)
+    with pytest.raises(KeyboardInterrupt):
+        load_jsonl(path, gamma=0.9)
+    _assert_no_worker_left()
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+@pytest.mark.parametrize("pad", ["\u3000", "\x1c", "\x85"])
+def test_load_jsonl_reads_a_first_record_padded_with_unicode_whitespace(tmp_path, monkeypatch,
+                                                                          cores, pad):
+    """The first record fixes the row shape once stripped, as every line is checked."""
+    path = tmp_path / "dump.jsonl"
+    lines = _dump_lines(path, 10, 40, 2, 1)
+    lines[0] = pad + lines[0] + pad
+    path.write_text("\n".join(lines) + "\n")
+    _split_rows(monkeypatch, cores, 10)
+    assert not isinstance(_assert_loaders_agree(path), str)
+
+
+# The last case is the longest dump the other tests write, at the real threshold.
+@pytest.mark.parametrize("size, cores, range_min", [(9, 4, 10), (100, 1, 10),
+                                                    (2 * _BLOCK + 30, 4, None)])
+def test_load_jsonl_forks_no_worker_for_a_short_dump_or_one_core(tmp_path, monkeypatch, size,
+                                                                 cores, range_min):
+    path = tmp_path / "dump.jsonl"
+    _dump_lines(path, 9, size, 2, None)
+    _split_rows(monkeypatch, cores, range_min or windows._RANGE_MIN)
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+    _assert_loaders_agree(path)
+    assert forks == []
 
 
 @pytest.mark.parametrize("key", ["state", "action", "reward", "episode", "t"])

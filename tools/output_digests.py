@@ -18,13 +18,17 @@ thread, in a temporary directory:
 - ``select --kernel-dump`` on a dump of about 20k transitions, which the
   same tree generates from seeded rollouts (seed 7) and ``save_jsonl``;
 - ``select`` at pool 600, k 100 on the same dump, so that greedy MAP makes
-  100 picks on a pool whose windows share embeddings and tie in rounding.
+  100 picks on a pool whose windows share embeddings and tie in rounding;
+- ``select`` on a dump of about 40k transitions, generated the same way,
+  which ``load_jsonl`` splits into two ranges of rows or more on a host
+  with two usable cores or more, so that the forked workers' columns are
+  in the digests.
 
 Each command's stdout is saved as ``<out>.stdout`` next to its output
-directory (``dump.stdout`` for the dump script); the CLI prints relative
-paths, so those bytes are stable too. Prints one ``sha256  path`` line per
-output file, sorted by path, so the ``diff`` of two runs lists the files
-whose bytes moved.
+directory (``dump.stdout`` and ``dump_40k.stdout`` for the dump script);
+the CLI prints relative paths, so those bytes are stable too. Prints one
+``sha256  path`` line per output file, sorted by path, so the ``diff`` of
+two runs lists the files whose bytes moved.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ rng = np.random.default_rng(7)
 env = qd.StageChainEnv()
 actors = [qd.bench.ScriptedDemonstrator(env, eps) for eps in (0.1, 0.3, 0.6)]
 actors.append(qd.bench.RandomPolicy(env.action_count))
-buffer = qd.ReplayBuffer(capacity=40_000, gamma=1.0)
-while len(buffer) < 20_000:
+size = int(sys.argv[2])
+buffer = qd.ReplayBuffer(capacity=2 * size, gamma=1.0)
+while len(buffer) < size:
     episode_id = buffer.new_episode_id()
     transitions, _ = qd.bench.rollout(env, actors[episode_id % len(actors)], rng)
     buffer.append_episode(qd.Episode(id=episode_id, transitions=transitions))
@@ -92,11 +97,14 @@ def main(argv: list[str]) -> int:
         run("raw", "-m", "qdreplay", "loop", "--config", "raw.cfg", "--seed", "1", "--out", "raw")
         run("rtg", "-m", "qdreplay", "loop", "--config", "rtg.cfg", "--seed", "1", "--out", "rtg")
         run("ablate", "-m", "qdreplay", "ablate", "--seed", "1", "--seed", "2", "--out", "ablate")
-        run("dump", "-c", MAKE_DUMP, "dump.jsonl")
+        run("dump", "-c", MAKE_DUMP, "dump.jsonl", "20000")
+        run("dump_40k", "-c", MAKE_DUMP, "dump_40k.jsonl", "40000")
         run("select", "-m", "qdreplay", "select", "dump.jsonl", "--kernel-dump",
             "--config", "select.cfg", "--seed", "1", "--out", "select")
         run("select_600", "-m", "qdreplay", "select", "dump.jsonl", "--config", "select_600.cfg",
             "--seed", "1", "--out", "select_600")
+        run("select_40k", "-m", "qdreplay", "select", "dump_40k.jsonl", "--config", "select.cfg",
+            "--seed", "1", "--out", "select_40k")
         outputs = sorted(p for p in out.rglob("*") if p.is_file() and p.suffix != ".cfg")
         for path in outputs:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
