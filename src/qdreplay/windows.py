@@ -9,7 +9,7 @@ import mmap
 import os
 import signal
 import stat
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -151,10 +151,13 @@ class _Columns:
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name][self._head:self._tail]
 
-    def extend(self, **blocks: np.ndarray) -> None:
+    def extend(self, copy: bool = True, **blocks: np.ndarray) -> None:
+        """Append the rows of ``blocks``. Into empty columns, the blocks are copied, or taken
+        as the columns themselves if ``copy`` is false; otherwise rows are written in."""
         n = len(next(iter(blocks.values())))
-        if not self._arrays:  # copied, so the columns never share memory with a block
-            self._arrays = {name: np.array(block) for name, block in blocks.items()}
+        if not self._arrays:
+            self._arrays = {name: np.array(block) if copy else block
+                            for name, block in blocks.items()}
             self._tail = n
             return
         size = len(next(iter(self._arrays.values())))
@@ -181,17 +184,18 @@ def _action_kind(shape: tuple[int, ...]) -> str:
 
 
 def _reverse_rtg(rewards: np.ndarray, lengths: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-episode return-to-go by the recurrence rtg[t] = r[t] + gamma * rtg[t+1]."""
-    r = rewards.tolist()
-    out = [0.0] * len(r)
-    end = len(r)
-    for length in reversed(lengths.tolist()):
-        acc = 0.0
-        for t in range(end - 1, end - length - 1, -1):
-            acc = r[t] + gamma * acc
-            out[t] = acc
-        end -= length
-    return np.array(out)
+    """Per-episode return-to-go by the recurrence rtg[t] = r[t] + gamma * rtg[t+1].
+
+    Made in Python floats one episode at a time, into one array for all of them.
+    """
+    out, start = np.empty(len(rewards)), 0
+    for length in lengths.tolist():
+        r, acc = rewards[start:start + length].tolist(), 0.0
+        for t in range(length - 1, -1, -1):
+            acc = r[t] = r[t] + gamma * acc
+        out[start:start + length] = r
+        start += length
+    return out
 
 
 class ReplayBuffer:
@@ -220,7 +224,7 @@ class ReplayBuffer:
         self._episodes = _Columns(**{name: np.zeros(0, dtype=np.int64)
                                      for name in ("id", "row", "length")})
         self._next_id = 0
-        self._offsets: dict[int, np.ndarray] = {}  # _window_offsets per horizon, until _append
+        self._offsets: dict[int, np.ndarray] = {}  # _window_offsets per horizon, until _store
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -242,14 +246,14 @@ class ReplayBuffer:
         return eid
 
     def append_episode(self, episode: Episode) -> None:
-        self._append(ids=np.array([episode.id], dtype=np.int64),
-                     lengths=np.array([len(episode)], dtype=np.int64),
-                     **vars(episode.transitions))
+        ids = np.array([episode.id], dtype=np.int64)
+        lengths = np.array([len(episode)], dtype=np.int64)
+        self._store(ids, lengths, self._checked(ids, lengths, **vars(episode.transitions)))
 
-    def _append(self, ids: np.ndarray, lengths: np.ndarray, states: np.ndarray,
-                actions: Sequence, rewards: np.ndarray, stages: np.ndarray,
-                done: np.ndarray) -> None:
-        """Check whole episodes given as columns, store them, then evict.
+    def _checked(self, ids: np.ndarray, lengths: np.ndarray, states: np.ndarray,
+                 actions: Sequence, rewards: np.ndarray, stages: np.ndarray,
+                 done: np.ndarray) -> dict[str, np.ndarray]:
+        """Check whole episodes given as columns; return the columns in the stored dtypes.
 
         Episode ``ids[i]`` owns the next ``lengths[i]`` rows; ids are strictly
         increasing. ``actions`` holds one action per row and is taken as
@@ -258,8 +262,8 @@ class ReplayBuffer:
         as float); more dimensions are rejected. That one kind must match the
         stored column's; a ragged sequence has no kind and is rejected. Every
         ingest rule on the rows lives here; one broken by a single row raises
-        ``_RowError`` with that row's position. Each column is copied once,
-        into the store, so the buffer never shares an array with its caller.
+        ``_RowError`` with that row's position. A column already of its stored
+        dtype is returned as it was given, not copied.
         """
         try:
             actions = np.asarray(actions)
@@ -300,7 +304,9 @@ class ReplayBuffer:
         if stored is not None and kind != stored.shape[1:]:
             raise ValueError(f"action is {_action_kind(kind)}, "
                              f"expected {_action_kind(stored.shape[1:])}")
-        step = np.arange(len(rewards)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        ends = np.cumsum(lengths)
+        early = done.copy()
+        early[ends - 1] = False  # each episode's last row may be done
         problems = {
             "state must be finite": ~np.isfinite(states).all(axis=1),
             "action must be finite": ~np.isfinite(actions.reshape(total, -1)).all(axis=1),
@@ -308,25 +314,30 @@ class ReplayBuffer:
             else np.zeros(total, dtype=bool),
             "reward must be finite": ~np.isfinite(rewards),
             "stage label must be non-negative": stages < 0,
-            "done=True before the final transition": done & (step < np.repeat(lengths - 1,
-                                                                              lengths)),
+            "done=True before the final transition": early,
         }
         for message, bad in problems.items():
             if bad.any():
                 row = int(bad.argmax())
-                episode = np.repeat(ids, lengths)[row]
-                raise _RowError(row, f"episode {episode}, step {step[row]}: {message}")
+                episode = int(np.searchsorted(ends, row, side="right"))
+                step = row - int(ends[episode] - lengths[episode])
+                raise _RowError(row, f"episode {ids[episode]}, step {step}: {message}")
+        return {"states": states, "actions": actions.astype(float if kind else np.int64,
+                                                             copy=False),
+                "rewards": rewards, "stages": stages, "done": done}
 
+    def _store(self, ids: np.ndarray, lengths: np.ndarray, columns: dict[str, np.ndarray],
+               copy: bool = True) -> None:
+        """Store episodes whose columns ``_checked`` returned, with their return-to-go; evict.
+
+        ``append_episode`` has the rows copied into the store, so the buffer
+        never shares memory with its caller. ``load_jsonl`` passes ``copy=False``
+        to hand over the columns it made, which an empty store takes as its own.
+        """
         self._offsets = {}
         first_row = self._rows.first + len(self._rows)
-        self._rows.extend(
-            states=states,
-            actions=actions.astype(float if kind else np.int64, copy=False),
-            rewards=rewards,
-            stages=stages,
-            done=done,
-            rtg=_reverse_rtg(rewards, lengths, self.gamma),
-        )
+        self._rows.extend(copy, **columns,
+                          rtg=_reverse_rtg(columns["rewards"], lengths, self.gamma))
         self._episodes.extend(id=ids, row=first_row + np.cumsum(lengths) - lengths,
                               length=lengths)
         self._next_id = max(self._next_id, int(ids[-1]) + 1)
@@ -497,6 +508,7 @@ _NUMBER_TYPES = frozenset((int, float))  # a JSON number: not a bool, which is a
 _scan = json.JSONDecoder().scan_once  # the C scanner under json.loads, without its wrapper
 _BLOCK = 1024  # checked rows collected before they are written into the columns
 _RANGE_MIN = 16_384  # rows a forked worker must have to check, at the least
+_CHUNK = 1 << 16  # bytes read at a time to find a line that is not text
 
 
 def _kind_error(key: str, kind: str, value) -> TypeError:
@@ -530,22 +542,44 @@ def _write_rows(columns: list[tuple[np.ndarray, int]], start: int,
                 raise JsonlParseError(lineno, str(exc)) from exc
 
 
+def _byte_lines(fh) -> Iterator[bytes]:
+    """The lines of binary file ``fh`` without their breaks, read ``_CHUNK`` bytes at a time.
+
+    Lines split where a text-mode read splits them, at \\n, \\r and \\r\\n, also where
+    a \\r\\n spans two chunks; a last line with no break is a line too.
+    """
+    parts, after_cr = [], False  # the current line's pieces; whether the last chunk ended in \r
+    while chunk := fh.read(_CHUNK):
+        if after_cr and chunk.startswith(b"\n"):
+            chunk = chunk[1:]  # the rest of a \r\n whose line has been yielded
+        after_cr = chunk.endswith(b"\r")
+        for piece in chunk.splitlines(keepends=True):
+            line = piece.rstrip(b"\r\n")
+            parts.append(line)
+            if len(line) < len(piece):
+                yield b"".join(parts)
+                parts = []
+    if parts:
+        yield b"".join(parts)
+
+
 def undecodable_line(path: str | Path, encoding: str) -> tuple[int, str]:
     """The first line of ``path`` that is not ``encoding`` text: (its number, why).
 
     Lines split where a text-mode read splits them, at \\n, \\r and \\r\\n.
     Meant for a file whose text read failed: in UTF-8 no character spans a line
-    break, so such a file has a line that fails on its own.
+    break, so such a file has a line that fails on its own. The file is read
+    in chunks up to that line, not held whole.
     """
+    lineno = 0
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            line.decode(encoding)
-        except UnicodeDecodeError as exc:
-            return lineno, (f"byte 0x{line[exc.start]:02x} at column {exc.start + 1} "
-                            f"is not {encoding} text")
-    return len(lines), f"not {encoding} text"
+        for lineno, line in enumerate(_byte_lines(fh), start=1):
+            try:
+                line.decode(encoding)
+            except UnicodeDecodeError as exc:
+                return lineno, (f"byte 0x{line[exc.start]:02x} at column {exc.start + 1} "
+                                f"is not {encoding} text")
+    return lineno, f"not {encoding} text"
 
 
 def _check_range(path: str | Path, columns: list[np.ndarray], start: int, stop: int) -> None:
@@ -699,15 +733,20 @@ def _row_shape(line: str) -> tuple[int, tuple[int, ...]] | None:
 
 
 def _shared_columns(count: int, width: int, kind: tuple[int, ...]) -> list[np.ndarray]:
-    """Zeroed columns of ``count`` rows in one anonymous shared mapping, in ``_check_range``'s
-    order: line numbers, states, actions, rewards, stages, episodes, steps, done flags."""
+    """Zeroed columns of ``count`` rows in ``_check_range``'s order: line numbers, states,
+    actions, rewards, stages, episodes, steps, done flags. Each is in an anonymous shared
+    mapping of its own, which is freed once nothing holds the column."""
     specs = [((), np.int64), ((width,), np.float64), (kind, np.float64 if kind else np.int64),
              ((), np.float64), ((), np.int64), ((), np.int64), ((), np.int64), ((), bool)]
-    sizes = [count * math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
-    memory = mmap.mmap(-1, max(sum(sizes), 1))  # the flags last, so every column is aligned
-    offsets = np.cumsum([0, *sizes[:-1]]).tolist()
-    return [np.ndarray((count, *shape), dtype, buffer=memory, offset=offset)
-            for (shape, dtype), offset in zip(specs, offsets)]
+    return [np.ndarray((count, *shape), dtype, buffer=mmap.mmap(
+        -1, max(count * math.prod(shape) * np.dtype(dtype).itemsize, 1)))
+        for shape, dtype in specs]
+
+
+def _in_order(episode: np.ndarray, step: np.ndarray) -> bool:
+    """Whether the rows run in (episode, t) order already, which a stable sort keeps."""
+    same = episode[1:] == episode[:-1]
+    return bool(((episode[1:] > episode[:-1]) | same & (step[1:] >= step[:-1])).all())
 
 
 def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
@@ -742,6 +781,13 @@ def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
     forked worker, which writes its rows into columns in shared memory; see
     ``_check_ranges``, which makes the columns, or the error, those of one
     pass over the whole file.
+
+    The dump's columns are held once, from parse to buffer: the buffer takes
+    the parsed columns as its store, uncopied. Rows out of (episode, t) order
+    are first put in order by a stable sort, one column at a time, each
+    parsed column freed once its sorted copy is made; rows in order, as
+    ``save_jsonl`` writes them, are not moved. The line numbers, episodes
+    and steps are freed before the store is filled.
     """
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise OSError(f"{path} is not a regular file")
@@ -763,12 +809,16 @@ def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
     ranges = 1 if shape is None else max(1, min(cores, count // _RANGE_MIN))
     columns = _shared_columns(count, width, kind)
     _check_ranges(path, columns, [count * j // ranges for j in range(ranges + 1)])
+    if not _in_order(columns[5], columns[6]):
+        order = np.lexsort((columns[6], columns[5]))  # stable: duplicates keep file order
+        for j in range(len(columns)):  # each column's mapping is freed once it is reordered
+            columns[j] = columns[j][order]
+        del order
     lines, states, actions, rewards, stages, episode, step, done = columns
-    del columns  # so that rebinding the columns below frees their shared mapping
+    del columns  # so that each column is freed with its last name
 
-    order = np.lexsort((step, episode))  # stable: duplicates keep file order
-    episode, step, lines = episode[order], step[order], lines[order]
-    ids, first, lengths = np.unique(episode, return_index=True, return_counts=True)
+    first = np.flatnonzero(np.concatenate(([True], episode[1:] != episode[:-1])))
+    ids, lengths = episode[first], np.diff(first, append=count)
     expected = np.arange(count) - np.repeat(first, lengths)
     bad = np.flatnonzero(step != expected)
     if bad.size:
@@ -778,12 +828,11 @@ def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
         else:
             problem = f"episode {episode[i]} has t={step[i]} where t={expected[i]} was expected"
         raise JsonlParseError(int(lines[i]), problem)
-    # Rebound, so the file-order columns are freed before the buffer copies these.
-    states, actions = states[order], actions[order]
-    rewards, stages, done = rewards[order], stages[order], done[order]
+    del episode, step, first, expected, bad
     try:
-        buffer._append(ids=ids, lengths=lengths, states=states, actions=actions,
-                       rewards=rewards, stages=stages, done=done)
+        checked = buffer._checked(ids, lengths, states, actions, rewards, stages, done)
     except _RowError as exc:
         raise JsonlParseError(int(lines[exc.row]), str(exc)) from exc
+    del lines
+    buffer._store(ids, lengths, checked, copy=False)
     return buffer

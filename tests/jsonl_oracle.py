@@ -2,7 +2,9 @@
 
 ``load_jsonl`` here checks and writes each line field by field, in the order
 ``qdreplay.windows.load_jsonl`` must keep: the same columns, or the same
-``JsonlParseError`` line and message, for every file.
+``JsonlParseError`` line and message, for every file. ``undecodable_line``
+here reads the whole file and splits all its lines at once, the reference
+for the streamed one.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qdreplay.windows import (JsonlParseError, ReplayBuffer, _action_kind, _RowError,
-                              undecodable_line)
+from qdreplay.windows import JsonlParseError, ReplayBuffer, _action_kind, _RowError
 
 _JSON_KINDS = {"integer": (int,), "number": (int, float), "bool": (bool,)}
 _NUMBER_TYPES = frozenset(_JSON_KINDS["number"])
@@ -29,6 +30,19 @@ def _json_typed(rec: dict, key: str, kind: str, default=None):
 
 def _number_list(value) -> bool:
     return type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
+
+
+def undecodable_line(path: str | Path, encoding: str) -> tuple[int, str]:
+    """The first line of ``path`` that is not ``encoding`` text, from the whole file's lines."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode(encoding)
+        except UnicodeDecodeError as exc:
+            return lineno, (f"byte 0x{line[exc.start]:02x} at column {exc.start + 1} "
+                            f"is not {encoding} text")
+    return len(lines), f"not {encoding} text"
 
 
 def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
@@ -103,8 +117,8 @@ def load_jsonl(path: str | Path, gamma: float) -> ReplayBuffer:
     states, actions = states[order], actions[order]
     rewards, stages, done = rewards[order], stages[order], done[order]
     try:
-        buffer._append(ids=ids, lengths=lengths, states=states, actions=actions,
-                       rewards=rewards, stages=stages, done=done)
+        checked = buffer._checked(ids, lengths, states, actions, rewards, stages, done)
     except _RowError as exc:
         raise JsonlParseError(int(lines[exc.row]), str(exc)) from exc
+    buffer._store(ids, lengths, checked)
     return buffer

@@ -6,12 +6,14 @@ import math
 import os
 import re
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonl_oracle import load_jsonl as load_jsonl_oracle
+from jsonl_oracle import undecodable_line as undecodable_line_oracle
 
 from qdreplay import windows
 from qdreplay.windows import (
@@ -208,6 +210,28 @@ def test_first_append_into_an_empty_buffer_copies_every_column():
     for name in COLUMNS:
         np.testing.assert_array_equal(getattr(buf.episodes[0].transitions, name),
                                       original[name])
+
+
+@pytest.mark.parametrize("stored_before", [0, 2])
+def test_append_episode_shares_no_memory_with_its_caller(stored_before):
+    """The caller keeps its arrays: none is stored, so writing into them changes nothing."""
+    buf = ReplayBuffer(capacity=100, gamma=0.9)
+    for eid in range(stored_before):
+        buf.append_episode(make_episode(eid, 4))
+    rng = np.random.default_rng(4)
+    # Already of the stored dtypes, so ingest converts none of them.
+    episode = episode_of(stored_before, rng.standard_normal((5, 3)),
+                         rng.integers(4, size=5).astype(np.int64), rng.random(5),
+                         rng.integers(3, size=5).astype(np.int64))
+    buf.append_episode(episode)
+    given = [getattr(episode.transitions, name) for name in COLUMNS]
+    stored = {name: buf._rows[name] for name in (*COLUMNS, "rtg")}
+    assert not any(np.shares_memory(a, b) for a in given for b in stored.values())
+    before = {name: column.copy() for name, column in stored.items()}
+    for array in given:
+        array[...] = 1
+    for name, column in stored.items():
+        np.testing.assert_array_equal(column, before[name])
 
 
 def test_window_offsets_are_cached_read_only_until_an_append():
@@ -602,6 +626,33 @@ def test_load_jsonl_names_the_line_and_file_of_a_byte_that_is_not_utf8(tmp_path,
         load_jsonl(path, gamma=1.0)
 
 
+_PIECES = (b"a", b"{}", b"\r", b"\n", b"\r\n", b"\xff", b"\xc3\xa9", b"\xc3", b"\xa9",
+           b"\xe2\x82\xac", b"\xe2\x82")
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_PIECES), max_size=40), chunk=st.integers(1, 8))
+def test_undecodable_line_streamed_agrees_with_the_whole_file_split(tmp_path_factory, pieces,
+                                                                   chunk):
+    """Chunks of a few bytes split lines, \\r\\n pairs and characters at every place."""
+    path = tmp_path_factory.mktemp("bytes") / "dump.jsonl"
+    path.write_bytes(b"".join(pieces))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(windows, "_CHUNK", chunk)
+        assert windows.undecodable_line(path, "utf-8") == undecodable_line_oracle(path, "utf-8")
+
+
+def test_load_jsonl_counts_a_crlf_split_between_two_chunks_as_one_line_break(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    # The \r is the last byte of the first chunk and its \n the first of the next.
+    path.write_bytes(b"x" * (windows._CHUNK - 1) + b"\r\nok\nba\xffd\n")
+    assert undecodable_line_oracle(path, "utf-8") == (
+        3, "byte 0xff at column 3 is not utf-8 text")
+    with pytest.raises(JsonlParseError, match=r"^line 3: byte 0xff at column 3 is not utf-8 "
+                                              r"text \(in .*bad\.jsonl\)$"):
+        load_jsonl(path, gamma=1.0)
+
+
 _GOOD = json.dumps(_record(0, 0))
 _BIG = 2 ** 63  # one past int64
 _LONG_REWARD = _GOOD.replace('"reward": 0.0', '"reward": ' + "9" * 5000)  # past int's 4300 digits
@@ -753,7 +804,7 @@ def _assert_loaders_agree(path):
     for name in ("states", "actions", "rewards", "stages", "done", "rtg"):
         a, b = expected._rows[name], got._rows[name]
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-    for name in ("id", "length"):
+    for name in ("id", "row", "length"):
         assert got._episodes[name].tolist() == expected._episodes[name].tolist(), name
     return got
 
@@ -989,6 +1040,66 @@ def test_load_jsonl_forks_no_worker_for_a_short_dump_or_one_core(tmp_path, monke
     monkeypatch.setattr(os, "fork", lambda: forks.append(1))
     _assert_loaders_agree(path)
     assert forks == []
+
+
+def _shuffled(lines: list[str], seed: int) -> list[str]:
+    return [lines[i] for i in np.random.default_rng(seed).permutation(len(lines))]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+@pytest.mark.parametrize("edits", [{}, {12: [("set", "t", 0)]}, {30: [("set", "t", 99)]},
+                                   {20: [("set", "done", True)]}],
+                         ids=["good", "duplicate-t", "gap-in-t", "early-done"])
+def test_load_jsonl_of_in_order_and_shuffled_lines_agrees_with_the_oracle(tmp_path, monkeypatch,
+                                                                         cores, edits):
+    """Rows in (episode, t) order are taken as parsed, shuffled ones are reordered first:
+    both give the oracle's columns, or its error, and shuffling changes no column."""
+    lines = _dump_lines(tmp_path / "dump.jsonl", 11, 40, 3, None)
+    for i, changes in edits.items():
+        lines[i] = _mutate(lines[i], changes)
+    _split_rows(monkeypatch, cores, 10)
+    got = {}
+    for order, text in (("in-order", lines), ("shuffled", _shuffled(lines, 5))):
+        path = tmp_path / f"{order}.jsonl"
+        path.write_text("\n".join(text) + "\n")
+        got[order] = _assert_loaders_agree(path)
+        _assert_no_worker_left()
+    if edits:
+        assert isinstance(got["shuffled"], str) and isinstance(got["in-order"], str)
+        return
+    for name in ("states", "actions", "rewards", "stages", "done", "rtg"):
+        assert got["shuffled"]._rows[name].tobytes() == got["in-order"]._rows[name].tobytes()
+
+
+@pytest.mark.parametrize("shuffle, bound", [(False, 0.5), (True, 1.6)])
+def test_load_jsonl_peak_allocation_holds_no_second_copy_of_the_columns(tmp_path, monkeypatch,
+                                                                        shuffle, bound):
+    """A forked load of about 40k transitions allocates less than one copy of its columns.
+
+    The parsed columns live in anonymous shared mappings, which ``tracemalloc``
+    does not trace; the buffer takes them as its store. What is traced is the
+    return-to-go, the episode table and the checks' temporaries: 0.21 of the
+    store's column bytes for rows in order. Shuffled rows add one sorted copy
+    of every column: 1.37. Copying the parsed columns into the store, beside
+    a sorted copy of them, read 2.6 in both cases.
+    """
+    lines = _dump_lines(tmp_path / "dump.jsonl", 12, 40_000, 8, None)
+    if shuffle:
+        (tmp_path / "dump.jsonl").write_text("\n".join(_shuffled(lines, 6)) + "\n")
+    _split_rows(monkeypatch, 2, 10_000)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    tracemalloc.start()
+    try:
+        buf = load_jsonl(tmp_path / "dump.jsonl", gamma=0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_no_worker_left()
+    assert forks == [1] and len(buf) == 40_000
+    stored = sum(buf._rows[name].nbytes for name in (*COLUMNS, "rtg"))
+    assert peak < bound * stored
 
 
 @pytest.mark.parametrize("key", ["state", "action", "reward", "episode", "t"])

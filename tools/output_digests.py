@@ -22,11 +22,15 @@ thread, in a temporary directory:
 - ``select`` on a dump of about 40k transitions, generated the same way,
   which ``load_jsonl`` splits into two ranges of rows or more on a host
   with two usable cores or more, so that the forked workers' columns are
-  in the digests.
+  in the digests;
+- ``select`` on a copy of that dump with its lines shuffled by a fixed
+  permutation, which ``load_jsonl`` must put back in (episode, t) order:
+  its ``selection.json`` is the in-order dump's, byte for byte.
 
 Each command's stdout is saved as ``<out>.stdout`` next to its output
-directory (``dump.stdout`` and ``dump_40k.stdout`` for the dump script);
-the CLI prints relative paths, so those bytes are stable too. Prints one
+directory (``dump.stdout``, ``dump_40k.stdout`` and ``dump_40k_shuffled.stdout``
+for the dump scripts); the CLI prints relative paths, so those bytes are
+stable too. Prints one
 ``sha256  path`` line per output file, sorted by path, so the ``diff`` of
 two runs lists the files whose bytes moved.
 """
@@ -65,6 +69,19 @@ while len(buffer) < size:
     buffer.append_episode(qd.Episode(id=episode_id, transitions=transitions))
 qd.save_jsonl(buffer, sys.argv[1])
 """
+
+# The lines of argv[1] in the order of a seeded permutation, written to argv[2].
+SHUFFLE_DUMP = """
+import sys
+import numpy as np
+
+with open(sys.argv[1]) as fh:
+    lines = fh.readlines()
+order = np.random.default_rng(int(sys.argv[3])).permutation(len(lines))
+with open(sys.argv[2], "w") as fh:
+    fh.writelines(lines[i] for i in order.tolist())
+"""
+SHUFFLE_SEED = "11"
 
 
 def main(argv: list[str]) -> int:
@@ -105,6 +122,10 @@ def main(argv: list[str]) -> int:
             "--seed", "1", "--out", "select_600")
         run("select_40k", "-m", "qdreplay", "select", "dump_40k.jsonl", "--config", "select.cfg",
             "--seed", "1", "--out", "select_40k")
+        run("dump_40k_shuffled", "-c", SHUFFLE_DUMP, "dump_40k.jsonl", "dump_40k_shuffled.jsonl",
+            SHUFFLE_SEED)
+        run("select_40k_shuffled", "-m", "qdreplay", "select", "dump_40k_shuffled.jsonl",
+            "--config", "select.cfg", "--seed", "1", "--out", "select_40k_shuffled")
         outputs = sorted(p for p in out.rglob("*") if p.is_file() and p.suffix != ".cfg")
         for path in outputs:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
